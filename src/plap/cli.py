@@ -45,7 +45,9 @@ from scipy.integrate import quad
 from . import criticalfree, jets, linearize, planecheck, psolve, recover
 from .grid import (
     ScalarField,
+    TensorField,
     build_domain,
+    require_positive_weight,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "run", "main"]
@@ -328,7 +330,9 @@ def _build_domain(cfg: ExperimentConfig):
 
 def _gamma_field(cfg: ExperimentConfig, dom) -> ScalarField:
     vals = jets.eval_numpy(cfg.gamma, dom.coords)
-    return ScalarField(dom, vals * np.ones(dom.shape))
+    gamma = ScalarField(dom, vals * np.ones(dom.shape))
+    require_positive_weight(gamma)
+    return gamma
 
 
 def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
@@ -578,8 +582,9 @@ def _recover_scenario(args):
 def run_recover(cfg: ExperimentConfig, jobs: int = 1):
     p_values = list(cfg.p_list) if cfg.p_list else [cfg.p]
     tasks = [(cfg, p_val) for p_val in p_values]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_recover_scenario, tasks))
     else:
         outcomes = [_recover_scenario(t) for t in tasks]
@@ -698,8 +703,6 @@ def run_rescale(cfg: ExperimentConfig, jobs: int = 1):
     # isotropic side on the stretched box: same node values for weight and data
     new_dom = rescaled.domain
     iso_tensor = rescaled.weight.values[..., None, None] * np.eye(new_dom.n)
-    from .grid import TensorField
-
     flux_iso = linearize.dn_linear(
         TensorField(new_dom, iso_tensor), ScalarField(new_dom, np.array(phi.values))
     )

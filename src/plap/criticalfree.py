@@ -122,17 +122,12 @@ def assemble_B(
             f"some segment passes within {min_dist:.2e} of the origin"
         )
 
-    eye = np.eye(dom.n)
-
-    def integrand(t: float) -> np.ndarray:
-        v = zeta + t * xi
-        vsq = np.sum(v**2, axis=-1)
-        kap = vsq ** ((p - 2.0) / 2.0)
-        outer = v[..., :, None] * v[..., None, :]
-        return kap[..., None, None] * (eye + (p - 2.0) * outer / vsq[..., None, None])
-
     integral, _err = scipy.integrate.quad_vec(
-        integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol
+        lambda t: psolve.flux_derivative(zeta + t * xi, p),
+        0.0,
+        1.0,
+        epsabs=quad_tol,
+        epsrel=quad_tol,
     )
     return TensorField(dom, gamma.values[..., None, None] * integral)
 

@@ -295,7 +295,9 @@ class TensorField:
 
 
 def require_positive_weight(gamma: ScalarField):
-    """A weight field must be strictly positive at every node."""
+    """A weight field must be finite and strictly positive at every node."""
+    if not np.all(np.isfinite(gamma.values)):
+        raise ValueError("weight must be finite at every node")
     mn = float(np.min(gamma.values))
     if not mn > 0.0:
         raise ValueError(f"weight must be strictly positive, min value {mn:g}")

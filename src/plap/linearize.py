@@ -28,6 +28,7 @@ from .grid import (
     Domain,
     ScalarField,
     TensorField,
+    VectorField,
     anisotropic_operator,
     face_values_combine,
     face_values_max_abs,
@@ -90,7 +91,7 @@ def dJ(xi, p: float) -> np.ndarray:
     nsq = float(xi @ xi)
     if nsq == 0.0:
         raise DegenerateInput("dJ undefined at xi = 0")
-    return nsq ** ((p - 2.0) / 2.0) * (np.eye(xi.size) + (p - 2.0) * np.outer(xi, xi) / nsq)
+    return psolve.flux_derivative(xi, p)
 
 
 def segment_min_distance(xi, zeta) -> float:
@@ -138,18 +139,13 @@ class LinearizedProblem:
 def assemble_A(gamma: ScalarField, p: float, u0: ScalarField, grad_threshold: float = 1e-8) -> TensorField:
     """Nodewise tensor A = gamma * dJ(grad u0); requires |grad u0| > 0 everywhere."""
     require_positive_weight(gamma)
-    dom = u0.domain
     g = gradient(u0).values
-    gsq = np.sum(g**2, axis=-1)
-    mn = float(np.sqrt(np.min(gsq)))
+    mn = float(np.sqrt(np.min(np.sum(g**2, axis=-1))))
     if mn < grad_threshold:
         raise DegenerateGradient(
             f"minimum |grad u0| = {mn:.3e} below threshold {grad_threshold:.1e}"
         )
-    kap = gsq ** ((p - 2.0) / 2.0)
-    outer = g[..., :, None] * g[..., None, :]
-    tensor = kap[..., None, None] * (np.eye(dom.n) + (p - 2.0) * outer / gsq[..., None, None])
-    return TensorField(dom, gamma.values[..., None, None] * tensor)
+    return TensorField(u0.domain, gamma.values[..., None, None] * psolve.flux_derivative(g, p))
 
 
 def solve_linear(
@@ -195,8 +191,6 @@ def linear_boundary_flux(A: TensorField, u: ScalarField) -> dict:
     dom = u.domain
     g = gradient(u).values
     ag = np.einsum("...ab,...b->...a", A.values, g)
-    from .grid import VectorField  # local import to keep module top tidy
-
     return normal_component(VectorField(dom, ag))
 
 

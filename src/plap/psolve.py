@@ -10,22 +10,12 @@ well-posed where the equation degenerates (grad u -> 0); with the default
 1e-8 and data whose gradients stay O(1) the bias is far below solver
 tolerance.
 
-Solution strategy, in two phases:
-
-1. globalization by damped Newton on the regularized p-energy
-
-       E(u) = (1/p) * sum_i w_i gamma_i (|grad u|_i^2 + eps_reg^2)^(p/2)
-
-   (w_i = trapezoid node volumes).  E is convex, its Hessian is symmetric
-   positive definite, so the inner solves use Jacobi-preconditioned conjugate
-   gradients and an Armijo backtracking line search, with a plain gradient
-   step as fallback if a Newton direction fails to descend;
-2. a sharpening phase of damped Newton on the pointwise divergence residual
-   itself (sparse LU on the exact Jacobian), which pushes the residual below
-   the requested tolerance; the energy minimizer alone leaves the strong-form
-   residual at truncation level.
-
-Both phases are deterministic: fixed iteration order, no randomness.
+Solution strategy: start from the solution of the isotropic linear problem
+div(gamma grad u) = 0 with the same boundary data, then run Newton on the
+pointwise divergence residual (sparse LU on the exact Jacobian) until its
+max norm over the interior nodes is below the requested tolerance.  Each
+Newton step is halved until that max norm drops.  Everything is
+deterministic: fixed iteration order, no randomness.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (
@@ -56,6 +45,7 @@ __all__ = [
     "ForwardSolution",
     "NonConvergence",
     "DegenerateGradientWarning",
+    "flux_derivative",
     "p_energy",
     "solve_p_laplace",
     "boundary_flux",
@@ -65,6 +55,11 @@ __all__ = [
     "flux_balance",
     "min_interior_gradient",
 ]
+
+
+# Newton backtracking: halve the step, at most this many trial steps
+_STEP_SHRINK = 0.5
+_MAX_LINESEARCH = 40
 
 
 class NonConvergence(Exception):
@@ -86,11 +81,6 @@ class PSolveConfig:
     eps_reg: float = 1e-8
     tol: float = 1e-8
     max_iter: int = 60
-    max_energy_iter: int = 15
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_linesearch: int = 40
-    cg_rtol: float = 1e-12
 
     def __post_init__(self):
         if not (self.p > 1.0 and self.p != 2.0):
@@ -124,16 +114,23 @@ def _flux_values(gamma_vals, grad_vals, p, eps) -> np.ndarray:
     return (gamma_vals * _kappa(gsq, p, eps))[..., None] * grad_vals
 
 
-def _djacobian_values(gamma_vals, grad_vals, p, eps) -> np.ndarray:
-    """Nodewise Jacobian of the regularized flux map, gamma * dJ_eps(grad)."""
-    n = grad_vals.shape[-1]
-    gsq = np.sum(grad_vals**2, axis=-1)
+def flux_derivative(grad_vals, p: float, eps: float = 0.0) -> np.ndarray:
+    """Derivative of the regularized flux map xi -> (|xi|^2 + eps^2)^((p-2)/2) xi.
+
+    Evaluates m^(p-2) (I + (p-2) g g^T / m^2) with m^2 = |g|^2 + eps^2 for
+    every vector g along the last axis of ``grad_vals`` (leading axes are
+    kept), so the result has shape ``grad_vals.shape + (n,)``.  With eps = 0
+    this is the matrix dJ(xi) of the paper; the forward Newton Jacobian
+    gamma * dJ_eps(grad u), the linearization tensor A = gamma * dJ(grad u0)
+    and the fixed-point integrand of B = gamma * int_0^1 dJ(zeta + t xi) dt
+    all come from here.  The caller guarantees m > 0.
+    """
+    g = np.asarray(grad_vals, dtype=float)
+    gsq = np.sum(g**2, axis=-1)
     m2 = gsq + eps * eps
-    kap = m2 ** ((p - 2.0) / 2.0)
-    eye = np.eye(n)
-    outer = grad_vals[..., :, None] * grad_vals[..., None, :]
-    tensor = kap[..., None, None] * (eye + (p - 2.0) * outer / m2[..., None, None])
-    return gamma_vals[..., None, None] * tensor
+    outer = g[..., :, None] * g[..., None, :]
+    tensor = np.eye(g.shape[-1]) + (p - 2.0) * outer / m2[..., None, None]
+    return _kappa(gsq, p, eps)[..., None, None] * tensor
 
 
 def p_energy(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> float:
@@ -170,31 +167,6 @@ def _interior_residual(dom: Domain, gamma_vals, u_flat, p, eps):
     return div.ravel()[dom.interior_flat], g
 
 
-def _energy_and_gradient(dom: Domain, gamma_vals, u_flat, p, eps, w_flat):
-    g = np.stack([(m @ u_flat) for m in dom.diff_matrices], axis=-1)
-    gsq = np.sum(g**2, axis=-1)
-    m2 = gsq + eps * eps
-    energy = float(np.sum(w_flat * gamma_vals.ravel() * m2 ** (p / 2.0))) / p
-    kap = m2 ** ((p - 2.0) / 2.0)
-    coeff = w_flat * gamma_vals.ravel() * kap
-    grad_e = np.zeros_like(u_flat)
-    for a, m in enumerate(dom.diff_matrices):
-        grad_e += m.T @ (coeff * g[..., a])
-    return energy, grad_e, g
-
-
-def _energy_hessian(dom: Domain, gamma_vals, g_flat, p, eps, w_flat) -> sp.csr_matrix:
-    grad_vals = g_flat.reshape(dom.shape + (dom.n,))
-    blocks = _djacobian_values(gamma_vals, grad_vals, p, eps)
-    h = None
-    for a in range(dom.n):
-        for b in range(dom.n):
-            d = sp.diags(w_flat * blocks[..., a, b].ravel())
-            term = dom.diff_matrices[a].T @ d @ dom.diff_matrices[b]
-            h = term if h is None else h + term
-    return h.tocsr()
-
-
 def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveConfig | None = None) -> ForwardSolution:
     """Solve the Dirichlet problem for the weighted p-Laplace equation.
 
@@ -218,7 +190,6 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     if not (dom is f.domain or dom == f.domain):
         raise ValueError("weight and boundary data live on different domains")
     eps = cfg.eps_reg
-    w_flat = dom.volume_weights.ravel()
     int_idx = dom.interior_flat
     bnd_idx = dom.boundary_flat
 
@@ -231,64 +202,21 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     u_flat[int_idx] = spla.splu(lii).solve(rhs)
 
     iterations = 0
-    history: list[float] = []
-
-    # phase 1: damped Newton on the energy (skipped if already at tolerance)
-    energy_gtol = max(cfg.tol, 1e-10)
-    for _ in range(min(cfg.max_energy_iter, cfg.max_iter)):
-        res, _ = _interior_residual(dom, gamma.values, u_flat, p, eps)
-        res_norm = float(np.max(np.abs(res))) if res.size else 0.0
-        history.append(res_norm)
-        if res_norm <= cfg.tol:
-            break
-        energy, grad_e, g = _energy_and_gradient(dom, gamma.values, u_flat, p, eps, w_flat)
-        ge_int = grad_e[int_idx]
-        if float(np.max(np.abs(ge_int))) <= energy_gtol:
-            break
-        hess = _energy_hessian(dom, gamma.values, g, p, eps, w_flat)
-        hii = hess[int_idx][:, int_idx]
-        jac_diag = hii.diagonal()
-        precond = sp.diags(1.0 / np.where(jac_diag > 0, jac_diag, 1.0))
-        step, info = spla.cg(hii, -ge_int, rtol=cfg.cg_rtol, atol=0.0, maxiter=5000, M=precond)
-        if info != 0 or float(step @ ge_int) >= 0.0:
-            step = -ge_int / np.where(jac_diag > 0, jac_diag, 1.0)  # scaled descent fallback
-        slope = float(step @ ge_int)
-        t = 1.0
-        accepted = False
-        for _ls in range(cfg.max_linesearch):
-            trial = np.array(u_flat)
-            trial[int_idx] += t * step
-            e_trial, _, _ = _energy_and_gradient(dom, gamma.values, trial, p, eps, w_flat)
-            if e_trial <= energy + cfg.armijo_c * t * slope:
-                u_flat = trial
-                accepted = True
-                break
-            t *= cfg.armijo_shrink
-        iterations += 1
-        if not accepted:
-            break  # stagnation: hand over to the residual phase
-
-    # phase 2: Newton on the pointwise divergence residual
     res, g = _interior_residual(dom, gamma.values, u_flat, p, eps)
     res_norm = float(np.max(np.abs(res)))
-    history.append(res_norm)
+    history = [res_norm]
     while res_norm > cfg.tol:
         if iterations >= cfg.max_iter:
             raise NonConvergence(
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
             )
-        blocks = _djacobian_values(gamma.values, g, p, eps)
-        jac = None
-        for a in range(dom.n):
-            for b in range(dom.n):
-                d = sp.diags(blocks[..., a, b].ravel())
-                term = dom.diff_matrices[a] @ d @ dom.diff_matrices[b]
-                jac = term if jac is None else jac + term
+        blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
+        jac = anisotropic_operator(dom, blocks)
         jii = jac[int_idx][:, int_idx].tocsc()
         step = spla.splu(jii).solve(-res)
         t = 1.0
-        for _ls in range(cfg.max_linesearch):
+        for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)
             trial[int_idx] += t * step
             res_t, g_t = _interior_residual(dom, gamma.values, trial, p, eps)
@@ -296,7 +224,7 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
             if norm_t < res_norm:
                 u_flat, res, g, res_norm = trial, res_t, g_t, norm_t
                 break
-            t *= cfg.armijo_shrink
+            t *= _STEP_SHRINK
         else:
             raise NonConvergence(
                 f"line search stalled at residual {res_norm:.3e}", history + [res_norm]

@@ -213,6 +213,23 @@ def test_nonpositive_weight_serialized_as_error(tmp_path):
     assert "strictly positive" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "gamma, message",
+    [("1/x1", "finite"), ("x1 - 0.5", "strictly positive")],
+)
+def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
+    cfg = _write(
+        tmp_path,
+        "w.cfg",
+        f"[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = {gamma}\ndata = pseudo1d\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["forward", "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["error"]["type"] == "ValueError"
+    assert message in report["error"]["message"]
+
+
 def test_fixedpoint_solver_error_serialized(tmp_path):
     cfg = _write(
         tmp_path,
@@ -242,6 +259,39 @@ def test_recover_run_and_jobs_merge(tmp_path):
     assert [s["p"] for s in report["results"]["scenarios"]] == [1.5, 3.0]
     assert report["results"]["canonical_theta_det_direct"] == 4.0
     assert report["results"]["canonical_theta_det_closed_form"] == 6.0
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, n_cpus, n_tasks, expected",
+    [(64, 2, 3, [2]), (64, 8, 3, [3]), (2, 8, 5, [2]), (64, 1, 3, []), (4, 8, 1, [])],
+)
+def test_recover_jobs_capped(monkeypatch, jobs, n_cpus, n_tasks, expected):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: n_cpus)
+    monkeypatch.setattr(cli, "_recover_scenario", lambda task: ({"passed": True}, [], [], []))
+    cfg = ExperimentConfig(p_list=tuple(1.5 + 0.5 * k for k in range(n_tasks)))
+    results, _, passed = cli.run_recover(cfg, jobs=jobs)
+    assert passed and len(results["scenarios"]) == n_tasks
+    assert _SerialPool.sizes == expected
 
 
 def test_rescale_run(tmp_path):

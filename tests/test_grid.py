@@ -182,3 +182,5 @@ def test_weight_positivity():
     require_positive_weight(ScalarField.constant(dom, 0.5))
     with pytest.raises(ValueError):
         require_positive_weight(ScalarField.from_function(dom, lambda x, y: x - 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        require_positive_weight(ScalarField.constant(dom, np.inf))

@@ -10,12 +10,13 @@ from plap.psolve import (
     boundary_pairing,
     dn_apply,
     flux_balance,
+    flux_derivative,
     p_energy,
     residual,
     solve_p_laplace,
 )
 
-from oracles import convergence_orders, pseudo1d_fields
+from oracles import convergence_orders, fd_jacobian, pseudo1d_fields
 
 
 @pytest.fixture
@@ -30,6 +31,22 @@ def test_config_validation():
         PSolveConfig(p=0.5)
     with pytest.raises(ValueError):
         PSolveConfig(p=3.0, tol=0.0)
+
+
+def test_flux_derivative_is_jacobian_of_regularized_flux():
+    # a (2, 3) batch of 3-vectors, one of them zero (finite thanks to eps)
+    rng = np.random.default_rng(5)
+    grads = rng.normal(size=(2, 3, 3))
+    grads[1, 2] = 0.0
+    p, eps = 1.5, 0.3
+
+    def flux(v):
+        return (v @ v + eps * eps) ** ((p - 2.0) / 2.0) * v
+
+    tensors = flux_derivative(grads, p, eps)
+    assert tensors.shape == (2, 3, 3, 3)
+    for idx in np.ndindex(2, 3):
+        assert np.allclose(tensors[idx], fd_jacobian(flux, grads[idx]), atol=1e-7)
 
 
 def test_p_energy_unit_gradient(square17):
@@ -79,6 +96,23 @@ def test_pseudo1d_quadrature_solution(p):
         errs.append(np.max(np.abs(sol.u.values - f.values)))
     assert errs[1] < errs[0]
     assert convergence_orders(errs)[0] > 1.8
+
+
+@pytest.mark.parametrize(
+    "case, p",
+    [("pseudo1d", 1.2), ("pseudo1d", 6.0), ("quadratic", 1.05), ("quadratic", 8.0)],
+)
+def test_newton_decreases_residual_monotonically(case, p):
+    if case == "pseudo1d":
+        _, gam, f = pseudo1d_fields(lambda t: 1.0 + t, p, 33)
+    else:
+        dom = build_domain((1.0, 1.0), (33, 33))
+        gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.5 * y**2)
+        f = ScalarField.from_function(dom, lambda x, y: x + 0.2 * (y**2 - y) + 0.3 * x * y)
+    sol = solve_p_laplace(gam, p, f)
+    hist = sol.residual_history
+    assert all(b < a for a, b in zip(hist, hist[1:])), hist
+    assert sol.iterations <= 8
 
 
 def test_solution_in_3d():
