@@ -221,8 +221,8 @@ def _validate_config(cfg: ExperimentConfig):
             jets.parse_expr(cfg.data[len("expr:"):])
         except jets.ParseError as exc:
             raise ConfigError(f"problem.data: {exc}") from exc
-    if cfg.mode not in ("A", "B"):
-        raise ConfigError("recover.mode must be 'A' or 'B'")
+    if cfg.mode != "A":
+        raise ConfigError(f"recover.mode must be 'A', got {cfg.mode!r} (mode B was removed)")
     if cfg.command and cfg.command not in SUBCOMMANDS:
         raise ConfigError(f"run.command must be one of {SUBCOMMANDS}")
     if len(list(cfg.eps_schedule)) < 2 or any(
@@ -520,8 +520,7 @@ def _recover_scenario(args):
     )
     gamma_jet, u0_jet = recover.oracle_tilted_profile(sc)
     bj = recover.synthesize_measurements(gamma_jet, u0_jet, p_val)
-    oracle = (gamma_jet, u0_jet) if cfg.mode == "B" else None
-    state = recover.run_recovery(bj, mode=cfg.mode, oracle=oracle)
+    state = recover.run_recovery(bj)
 
     def relerr(rec, true):
         return abs(rec - true) / max(abs(true), 1.0)

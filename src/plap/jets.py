@@ -673,8 +673,18 @@ def free_variables(e) -> set[int]:
 
 
 def eval_point(e, point) -> float:
-    """Evaluate at a point of floats."""
-    e = _as_expr(e)
+    """Evaluate at a point of floats.
+
+    A value outside the real floats (a division by zero, an overflow, a
+    negative base to a fractional power) raises :class:`JetDomainError`.
+    """
+    try:
+        return _eval_point(_as_expr(e), point)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise JetDomainError(f"{type(exc).__name__} evaluating an expression: {exc}") from exc
+
+
+def _eval_point(e: Expr, point) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -682,14 +692,16 @@ def eval_point(e, point) -> float:
             raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} components")
         return float(point[e.index])
     if isinstance(e, Neg):
-        return -eval_point(e.child, point)
+        return -_eval_point(e.child, point)
     if isinstance(e, BinOp):
         if e.op == "^":
-            base = eval_point(e.left, point)
-            expo = _constant_exponent(e.right)
-            return float(base**expo)
-        a = eval_point(e.left, point)
-        b = eval_point(e.right, point)
+            base = _eval_point(e.left, point)
+            value = base**_constant_exponent(e.right)
+            if isinstance(value, complex):
+                raise JetDomainError(f"negative base {base:g} to a fractional power")
+            return float(value)
+        a = _eval_point(e.left, point)
+        b = _eval_point(e.right, point)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -699,8 +711,8 @@ def eval_point(e, point) -> float:
         if e.op == "/":
             return a / b
     if isinstance(e, Call):
-        x = eval_point(e.arg, point)
-        if e.fn in ("log", "sqrt") and x <= 0.0 and e.fn == "log":
+        x = _eval_point(e.arg, point)
+        if e.fn == "log" and x <= 0.0:
             raise JetDomainError(f"log of non-positive value {x:g}")
         if e.fn == "sqrt" and x < 0.0:
             raise JetDomainError(f"sqrt of negative value {x:g}")

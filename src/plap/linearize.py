@@ -51,7 +51,6 @@ __all__ = [
     "solve_linear",
     "linear_boundary_flux",
     "dn_linear",
-    "dn_finite_difference",
     "verify_linearization",
     "build_linearized_problem",
     "rescale_translation_invariant",
@@ -210,24 +209,6 @@ def build_linearized_problem(
 
 
 # -- quotient verification --------------------------------------------------------
-
-
-def dn_finite_difference(
-    gamma: ScalarField,
-    p: float,
-    phi0: ScalarField,
-    phi: ScalarField,
-    eps: float,
-    cfg: psolve.PSolveConfig | None = None,
-) -> dict:
-    """Difference quotient (DN(phi0 + eps phi) - DN(phi0)) / eps of the nonlinear map."""
-    if cfg is None:
-        cfg = psolve.PSolveConfig(p=p)
-    base = psolve.dn_apply(gamma, p, phi0, cfg)
-    dom = phi0.domain
-    bumped = ScalarField(dom, phi0.values + eps * phi.values)
-    shifted = psolve.dn_apply(gamma, p, bumped, cfg)
-    return face_values_combine(lambda s, b: (s - b) / eps, shifted, base)
 
 
 @dataclass

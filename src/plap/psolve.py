@@ -175,8 +175,9 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     whose ``u`` matches ``f`` on the boundary exactly and whose pointwise
     divergence residual is below ``cfg.tol`` at all interior nodes.
 
-    Raises :class:`NonConvergence` when the iteration budget runs out; warns
-    with :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
+    Raises :class:`NonConvergence` when the iteration budget runs out or the
+    residual is not finite; warns with :class:`DegenerateGradientWarning`
+    when min |grad u| < eps_reg.
     """
     if cfg is None:
         cfg = PSolveConfig(p=p)
@@ -205,7 +206,9 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     res, g = _interior_residual(dom, gamma.values, u_flat, p, eps)
     res_norm = float(np.max(np.abs(res)))
     history = [res_norm]
-    while res_norm > cfg.tol:
+    while not res_norm <= cfg.tol:  # NaN compares false: it enters and is rejected
+        if not np.isfinite(res_norm):
+            raise NonConvergence(f"residual is {res_norm} after {iterations} iterations", history)
         if iterations >= cfg.max_iter:
             raise NonConvergence(
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",

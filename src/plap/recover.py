@@ -33,11 +33,11 @@ normal direction, (ii) the measured normal-normal tensor entry at order m,
 vanishing tangential slope.  The coefficient columns are never hand-expanded:
 each row is an affine functional of (X, Y) evaluated by forward jet
 arithmetic, so probing it at (0,0), (1,0), (0,1) recovers the affine map
-exactly.  Run over the ring of tangential jets instead of scalars, the same
-probing recovers whole tangential expansions per order, which is how mixed
-(tangential x normal) derivatives are filled without finite differencing
-(mode A).  Mode B runs the scalar solves only and copies mixed coefficients
-from the oracle, isolating the linear-system logic for diagnosis.
+exactly.  Each probe builds the jet flux pieces once and forms only the three
+rows it reads: the flux divergence and the entries A_00 and A_22.  Run over
+the ring of tangential jets instead of scalars, the same probing recovers
+whole tangential expansions per order, which is how mixed (tangential x
+normal) derivatives are filled without finite differencing.
 
 The 3x3 determinant is evaluated two ways: a fixed cofactor expansion of the
 assembled matrix (authoritative) and a verbatim closed-form expression kept
@@ -212,38 +212,46 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
     return gamma_jet, u0_jet
 
 
-def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet, list[Jet]]:
-    """Full jets of the tensor entries, the flux, and the gradient components."""
+def _flux_pieces(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[list[Jet], Jet, Jet]:
+    """Jets of grad u0, w2 = |grad u0|^2 and gk = gamma |grad u0|^(p-2)."""
     grads = [jet_partial(u0_jet, a) for a in range(3)]
     w2 = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
     if w2.value <= 0.0:
         raise NormalGradientZero("grad u0 vanishes at z")
-    kappa = jet_pow(w2, (p - 2.0) / 2.0)
-    gk = gamma_jet * kappa
+    gk = gamma_jet * jet_pow(w2, (p - 2.0) / 2.0)
+    return grads, w2, gk
+
+
+def _entry(grads: list[Jet], w2: Jet, gk: Jet, p: float, j: int, k: int) -> Jet:
+    """Jet of the tensor entry A_jk = gk (delta_jk + (p-2) g_j g_k / w2)."""
+    term = (p - 2.0) * jet_div(grads[j] * grads[k], w2)
+    if j == k:
+        term = term + 1.0
+    return gk * term
+
+
+def _divergence(grads: list[Jet], gk: Jet) -> Jet:
+    return (
+        jet_partial(gk * grads[0], 0)
+        + jet_partial(gk * grads[1], 1)
+        + jet_partial(gk * grads[2], 2)
+    )
+
+
+def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet]:
+    """Full jets of the tensor entries and the normal flux."""
+    grads, w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
     entries = {}
     for j in range(3):
         for k in range(j, 3):
-            term = (p - 2.0) * jet_div(grads[j] * grads[k], w2)
-            if j == k:
-                term = term + 1.0
-            entries[(j, k)] = gk * term
-            if j != k:
-                entries[(k, j)] = entries[(j, k)]
-    flux = gk * grads[0]
-    return entries, flux, grads
+            entries[(j, k)] = entries[(k, j)] = _entry(grads, w2, gk, p, j, k)
+    return entries, gk * grads[0]
 
 
 def flux_divergence_jet(gamma_jet: Jet, u0_jet: Jet, p: float) -> Jet:
     """Jet of div(gamma |grad u0|^(p-2) grad u0); identically zero for exact data."""
-    grads = [jet_partial(u0_jet, a) for a in range(3)]
-    w2 = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
-    kappa = jet_pow(w2, (p - 2.0) / 2.0)
-    gk = gamma_jet * kappa
-    out = None
-    for a in range(3):
-        term = jet_partial(gk * grads[a], a)
-        out = term if out is None else out + term
-    return out
+    grads, _w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
+    return _divergence(grads, gk)
 
 
 def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJets:
@@ -251,7 +259,7 @@ def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJe
     n = gamma_jet.order
     if u0_jet.order != n + 1:
         raise ValueError("u0 jet must carry one order more than the gamma jet")
-    entries, flux, _grads = _a_entries(gamma_jet, u0_jet, p)
+    entries, flux = _a_entries(gamma_jet, u0_jet, p)
     a: dict[tuple[int, int], list[Jet]] = {}
     for key, jet in entries.items():
         a[key] = [extract_normal_slice(jet, m) for m in range(n + 1)]
@@ -505,7 +513,6 @@ class RecoveryState:
     gamma: Jet
     u0: Jet
     filled_order: int
-    mode: str
     order0: Order0Result
     conds: list[float] = field(default_factory=list)
     gauge_residuals: list[float] = field(default_factory=list)
@@ -513,22 +520,17 @@ class RecoveryState:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(2))
 
 
-def _candidate_jets(state: RecoveryState, m: int, x: Jet, y: Jet) -> tuple[Jet, Jet]:
-    gam = set_normal_slice(state.gamma, m, x)
-    u0 = set_normal_slice(state.u0, m + 1, y)
-    return gam, u0
-
-
 def _step_functional(state: RecoveryState, m: int):
     """The three affine row functionals of the order-m system."""
+    p = state.p
 
     def rows(x: Jet, y: Jet):
-        gam, u0 = _candidate_jets(state, m, x, y)
-        entries, _flux, _grads = _a_entries(gam, u0, state.p)
-        div = flux_divergence_jet(gam, u0, state.p)
-        f1 = extract_normal_slice(div, m - 1)
-        f2 = extract_normal_slice(entries[(0, 0)], m)
-        f3 = extract_normal_slice(entries[(2, 2)], m)
+        gam = set_normal_slice(state.gamma, m, x)
+        u0 = set_normal_slice(state.u0, m + 1, y)
+        grads, w2, gk = _flux_pieces(gam, u0, p)
+        f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
+        f2 = extract_normal_slice(_entry(grads, w2, gk, p, 0, 0), m)
+        f3 = extract_normal_slice(_entry(grads, w2, gk, p, 2, 2), m)
         return f1, f2, f3
 
     return rows
@@ -603,34 +605,18 @@ def recover_order_m(
     state: RecoveryState,
     bj: BoundaryJets,
     m: int,
-    mode: str | None = None,
-    oracle: tuple[Jet, Jet] | None = None,
     cond_limit: float = 1e8,
 ) -> RecoveryState:
     """One induction step: fill d1^m gamma and d1^(m+1) u0 at z.
 
-    In mode "A" the solve happens over the tangential-jet ring, so the filled
-    rows carry their mixed tangential coefficients.  In mode "B" only the
-    scalar solve runs and mixed coefficients copy from the oracle jets (given
-    in the same frame as the state).
+    The solve happens over the tangential-jet ring, so the filled rows carry
+    their mixed tangential coefficients.
     """
-    mode = mode or state.mode
     rows, rhs, theta = extract_affine_coefficients(state, bj, m)
     cond = theta.cond
     if cond > cond_limit:
         raise IllConditioned(m, cond, cond_limit)
-    if mode == "A":
-        x, y, z = _cramer3(rows, rhs)
-    elif mode == "B":
-        sol = np.linalg.solve(theta.matrix, theta.rhs)
-        nt = state.order - m
-        if oracle is None:
-            raise ValueError("mode B needs the oracle jets")
-        x = _with_value(extract_normal_slice(oracle[0], m), float(sol[0]), nt)
-        y = _with_value(extract_normal_slice(oracle[1], m + 1), float(sol[1]), nt)
-        z = jet_const(2, nt, float(sol[2]))
-    else:
-        raise ValueError(f"unknown recovery mode {mode!r}")
+    x, y, z = _cramer3(rows, rhs)
     state.gamma = set_normal_slice(state.gamma, m, x)
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
@@ -640,21 +626,8 @@ def recover_order_m(
     return state
 
 
-def _with_value(jet: Jet, value: float, order: int) -> Jet:
-    """Copy of a jet at a target order with its constant term replaced."""
-    if jet.order > order:
-        jet = jet_truncate(jet, order)
-    c = np.array(jet.coeffs)
-    if jet.order < order:
-        c = np.pad(c, [(0, order - jet.order)] * jet.nvars)
-    c[(0,) * jet.nvars] = value
-    return Jet(jet.nvars, order, c)
-
-
 def run_recovery(
     bj: BoundaryJets,
-    mode: str = "A",
-    oracle: tuple[Jet, Jet] | None = None,
     max_order: int | None = None,
     cond_limit: float = 1e8,
 ) -> RecoveryState:
@@ -670,43 +643,21 @@ def run_recovery(
     if max_order > n - 2:
         raise ValueError(f"max_order {max_order} exceeds recoverable depth {n - 2}")
     bj_rot, w = rotate_measurements(bj)
-    rot3 = np.eye(3)
-    rot3[1:, 1:] = w
-    if mode == "B":
-        if oracle is None:
-            raise ValueError("mode B needs the oracle jets")
-        oracle = (
-            jet_compose_linear(oracle[0], rot3),
-            jet_compose_linear(oracle[1], rot3),
-        )
-
     o0 = recover_order0(bj_rot)
-    gamma = jet_const(3, n, 0.0)
-    u0 = jet_const(3, n + 1, 0.0)
-    if mode == "B":
-        gamma = set_normal_slice(
-            gamma, 0, _with_value(extract_normal_slice(oracle[0], 0), o0.gamma_z, n)
-        )
-        u0 = set_normal_slice(u0, 0, extract_normal_slice(oracle[1], 0))
-        u0 = set_normal_slice(
-            u0, 1, _with_value(extract_normal_slice(oracle[1], 1), o0.normal_slope, n)
-        )
-    else:
-        gamma = set_normal_slice(gamma, 0, o0.gamma_jet)
-        u0 = set_normal_slice(u0, 0, bj_rot.trace)
-        u0 = set_normal_slice(u0, 1, o0.slope_jet)
+    gamma = set_normal_slice(jet_const(3, n, 0.0), 0, o0.gamma_jet)
+    u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj_rot.trace)
+    u0 = set_normal_slice(u0, 1, o0.slope_jet)
     state = RecoveryState(
         p=bj.p,
         order=n,
         gamma=gamma,
         u0=u0,
         filled_order=0,
-        mode=mode,
         order0=o0,
         rotation=w,
     )
     for m in range(1, max_order + 1):
-        recover_order_m(state, bj_rot, m, mode=mode, oracle=oracle, cond_limit=cond_limit)
+        recover_order_m(state, bj_rot, m, cond_limit=cond_limit)
     if not np.allclose(w, np.eye(2), atol=1e-15):
         back = np.eye(3)
         back[1:, 1:] = w.T

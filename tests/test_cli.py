@@ -230,6 +230,32 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
     assert message in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        (
+            "forward",
+            "[domain]\nresolution = 9 9\n[problem]\np = 1.5\ndata = expr:(x1-0.5)^2\n"
+            "[solver]\neps_reg = 0\n",
+            "NonConvergence",
+        ),
+        (
+            "recover",
+            "[recover]\nprofile = 1/(x1 + 0.18)\nrzeta = 0.6 0.64 0.48\norder = 5\ndepths = 0.3\n",
+            "JetDomainError",
+        ),
+    ],
+    ids=["nan_residual", "profile_pole_at_depth"],
+)
+def test_bad_value_serialized_as_error(tmp_path, command, text, error):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["pass"] is False
+    assert report["error"]["type"] == error
+
+
 def test_fixedpoint_solver_error_serialized(tmp_path):
     cfg = _write(
         tmp_path,
@@ -319,6 +345,13 @@ def test_output_dir_from_config(tmp_path, monkeypatch):
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "[problem]\np = 2\n")
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_recover_mode_b_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "b.cfg", "[recover]\nmode = B\n")
+    assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "recover.mode" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

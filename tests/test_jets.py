@@ -323,3 +323,12 @@ def test_eval_point_domain_checks():
         eval_point(parse_expr("x3"), (1.0, 2.0))
     with pytest.raises(JetDomainError):
         eval_point(parse_expr("log(x1)"), (-1.0,))
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [("1/(x1-x1)", (0.3,)), ("exp(1000)", ()), ("2^5000", ()), ("(0-8)^(1/3)", ())],
+)
+def test_eval_point_out_of_range_is_domain_error(text, point):
+    with pytest.raises(JetDomainError):
+        eval_point(parse_expr(text), point)

@@ -13,7 +13,6 @@ from plap.linearize import (
     assemble_A,
     build_linearized_problem,
     dJ,
-    dn_finite_difference,
     dn_linear,
     rescale_translation_invariant,
     solve_linear,
@@ -244,8 +243,8 @@ def test_quotient_zero_direction(square):
     gam = ScalarField.constant(square, 1.0)
     phi0 = ScalarField.from_function(square, lambda x, y: x)
     zero = ScalarField.constant(square, 0.0)
-    q = dn_finite_difference(gam, 3.0, phi0, zero, 1e-2)
-    assert face_values_max_abs(q) == 0.0
+    rep = verify_linearization(gam, 3.0, phi0, zero, eps_schedule=[1e-2])
+    assert face_values_max_abs(rep.quotients[1e-2]) == 0.0
 
 
 def test_quotient_nearly_linear_problem(square):
@@ -255,9 +254,8 @@ def test_quotient_nearly_linear_problem(square):
     phi = ScalarField.from_function(square, lambda x, y: y**2 - y)
     p = 2.001
     cfg = psolve.PSolveConfig(p=p, tol=1e-12)
-    q1 = dn_finite_difference(gam, p, phi0, phi, 1e-1, cfg)
-    q2 = dn_finite_difference(gam, p, phi0, phi, 1e-3, cfg)
-    assert face_values_max_abs(face_values_combine(lambda a, b: a - b, q1, q2)) < 2e-4
+    q = verify_linearization(gam, p, phi0, phi, eps_schedule=[1e-1, 1e-3], cfg=cfg).quotients
+    assert face_values_max_abs(face_values_combine(lambda a, b: a - b, q[1e-1], q[1e-3])) < 2e-4
 
 
 def test_verify_linearization_monotone(square):

@@ -385,19 +385,6 @@ def test_recovery_mixed_coefficients_mode_a():
     assert np.max(err) < 1e-9
 
 
-def test_recovery_mode_b_matches_oracle():
-    sc = _scenario(profile="1+0.1*x1+0.02*x1^2", p=3.0, order=7)
-    gj, uj = oracle_tilted_profile(sc)
-    bj = synthesize_measurements(gj, uj, sc.p)
-    state = run_recovery(bj, mode="B", oracle=(gj, uj))
-    for m in range(sc.order - 1):
-        assert state.gamma.coefficient((m, 0, 0)) == pytest.approx(
-            gj.coefficient((m, 0, 0)), rel=1e-9, abs=1e-12
-        )
-    with pytest.raises(ValueError):
-        run_recovery(bj, mode="B")  # oracle required
-
-
 def test_recovery_gauge_residuals_small():
     sc = _scenario(profile="1+0.1*x1", p=1.7, order=8)
     gj, uj = oracle_tilted_profile(sc)
