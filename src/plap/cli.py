@@ -518,6 +518,12 @@ def _recover_scenario(args):
         z=np.asarray(cfg.z, dtype=float),
         order=cfg.order,
     )
+    # the true profile at the depths first, so a bad depth fails before any jet work
+    depths = np.asarray(cfg.depths, dtype=float)
+    s0 = float(sc.zeta @ sc.z)
+    truth = np.array(
+        [jets.eval_point(sc.profile, (s0 - sc.zeta[0] * s,)) for s in depths]
+    )
     gamma_jet, u0_jet = recover.oracle_tilted_profile(sc)
     bj = recover.synthesize_measurements(gamma_jet, u0_jet, p_val)
     state = recover.run_recovery(bj)
@@ -539,16 +545,12 @@ def _recover_scenario(args):
         u_rows.append([m, true, rec, abs(rec - true)])
         max_rel = max(max_rel, relerr(rec, true))
 
-    depths = np.asarray(cfg.depths, dtype=float)
     recon = recover.taylor_reconstruct(state, depths)
-    s0 = float(sc.zeta @ sc.z)
-    truth = np.array(
-        [jets.eval_point(sc.profile, (s0 - sc.zeta[0] * s,)) for s in depths]
-    )
     grad0 = np.array(
         [u0_jet.derivative((1, 0, 0)), u0_jet.derivative((0, 1, 0)), u0_jet.derivative((0, 0, 1))]
     )
-    # determinant variants at the scenario point (tangentially rotated frame)
+    # determinant variants at the scenario point, with the tangential slope on
+    # axis 1 and the third row on the orthogonal axis 2
     grad_rot = np.array([grad0[0], float(np.hypot(grad0[1], grad0[2])), 0.0])
     theta = recover.theta_matrix(gamma_jet.value, grad_rot, p_val)
     gauge_max = max(state.gauge_residuals) if state.gauge_residuals else 0.0

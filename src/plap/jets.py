@@ -56,7 +56,6 @@ __all__ = [
     "extract_normal_slice",
     "set_normal_slice",
     "jet_compose1",
-    "jet_compose_linear",
     "Expr",
     "Num",
     "Var",
@@ -414,48 +413,6 @@ def jet_compose1(outer: Jet, inner: Jet) -> Jet:
     if len(series) < inner.order + 1:
         series = np.pad(series, (0, inner.order + 1 - len(series)))
     return _compose_series(series, inner)
-
-
-def jet_compose_linear(j: Jet, matrix: np.ndarray) -> Jet:
-    """Jet of x -> f(M x) for a square matrix M acting on the increments."""
-    m = np.asarray(matrix, dtype=float)
-    n, order = j.nvars, j.order
-    if m.shape != (n, n):
-        raise ValueError("matrix shape must match the number of variables")
-    if order == 0:
-        return Jet(n, 0, np.array(j.coeffs))
-    # variables of the new jet: linear forms with the rows of M as slopes
-    lin = []
-    for i in range(n):
-        c = np.zeros((order + 1,) * n)
-        for k in range(n):
-            e = [0] * n
-            e[k] = 1
-            c[tuple(e)] = m[i, k]
-        lin.append(Jet(n, order, c))
-    # powers of each linear form up to the truncation order
-    powers = []
-    for v in lin:
-        pw = [jet_const(n, order, 1.0)]
-        for _ in range(order):
-            pw.append(jet_mul(pw[-1], v))
-        powers.append(pw)
-    out = np.zeros((order + 1,) * n)
-    for alpha in _indices_by_degree(n, order):
-        ca = j.coeffs[alpha]
-        if ca == 0.0:
-            continue
-        term = None
-        for i, ai in enumerate(alpha):
-            if ai == 0:
-                continue
-            term = powers[i][ai] if term is None else jet_mul(term, powers[i][ai])
-        if term is None:
-            out[(0,) * n] += ca
-        else:
-            out += ca * term.coeffs
-    out[~_degree_mask(n, order)] = 0.0
-    return Jet(n, order, out)
 
 
 # -- expression language --------------------------------------------------------

@@ -63,7 +63,7 @@ _MAX_LINESEARCH = 40
 
 
 class NonConvergence(Exception):
-    """Iteration budget exhausted; carries the residual history."""
+    """The Newton iteration cannot reach the tolerance; carries the residual history."""
 
     def __init__(self, message: str, history):
         super().__init__(message)
@@ -175,9 +175,9 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     whose ``u`` matches ``f`` on the boundary exactly and whose pointwise
     divergence residual is below ``cfg.tol`` at all interior nodes.
 
-    Raises :class:`NonConvergence` when the iteration budget runs out or the
-    residual is not finite; warns with :class:`DegenerateGradientWarning`
-    when min |grad u| < eps_reg.
+    Raises :class:`NonConvergence` when the iteration budget runs out, the
+    residual is not finite or the Newton Jacobian is singular; warns with
+    :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
     """
     if cfg is None:
         cfg = PSolveConfig(p=p)
@@ -217,7 +217,12 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac = anisotropic_operator(dom, blocks)
         jii = jac[int_idx][:, int_idx].tocsc()
-        step = spla.splu(jii).solve(-res)
+        try:  # the factor is dropped at once, so two never coexist
+            step = spla.splu(jii).solve(-res)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NonConvergence(
+                f"Newton Jacobian is singular at residual {res_norm:.3e}: {exc}", history
+            ) from exc
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)

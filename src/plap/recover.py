@@ -29,12 +29,14 @@ linear system for the leading unknowns
 
 whose rows are (i) the interior equation differentiated m-1 times in the
 normal direction, (ii) the measured normal-normal tensor entry at order m,
-(iii) the measured tangential-tangential entry in the rotated direction with
-vanishing tangential slope.  The coefficient columns are never hand-expanded:
-each row is an affine functional of (X, Y) evaluated by forward jet
-arithmetic, so probing it at (0,0), (1,0), (0,1) recovers the affine map
-exactly.  Each probe builds the jet flux pieces once and forms only the three
-rows it reads: the flux divergence and the entries A_00 and A_22.  Run over
+(iii) the measured entry tau . A tau in the tangential direction tau
+orthogonal to the slope at z.  The recovery runs in the frame the
+measurements arrive in: tau is one fixed unit vector, so no coordinate change
+is needed.  The coefficient columns are never hand-expanded: each row is an
+affine functional of (X, Y) evaluated by forward jet arithmetic, so probing
+it at (0,0), (1,0), (0,1) recovers the affine map exactly.  Each probe builds
+the jet flux pieces once and forms only the three rows it reads: the flux
+divergence and the entries A_00 and tau . A tau.  Run over
 the ring of tangential jets instead of scalars, the same probing recovers
 whole tangential expansions per order, which is how mixed (tangential x
 normal) derivatives are filled without finite differencing.
@@ -58,7 +60,6 @@ from .jets import (
     Jet,
     eval_jet,
     jet_compose1,
-    jet_compose_linear,
     jet_const,
     jet_div,
     jet_partial,
@@ -83,13 +84,11 @@ __all__ = [
     "oracle_tilted_profile",
     "flux_divergence_jet",
     "synthesize_measurements",
-    "rotate_measurements",
     "recover_order0",
     "recover_order0_2d",
     "theta_matrix",
     "theta_det_direct",
     "theta_det_closed_form",
-    "probe_affine",
     "extract_affine_coefficients",
     "recover_order_m",
     "run_recovery",
@@ -222,10 +221,12 @@ def _flux_pieces(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[list[Jet], Jet,
     return grads, w2, gk
 
 
-def _entry(grads: list[Jet], w2: Jet, gk: Jet, p: float, j: int, k: int) -> Jet:
-    """Jet of the tensor entry A_jk = gk (delta_jk + (p-2) g_j g_k / w2)."""
-    term = (p - 2.0) * jet_div(grads[j] * grads[k], w2)
-    if j == k:
+def _entry(gu: Jet, gv: Jet, w2: Jet, gk: Jet, p: float, same: bool) -> Jet:
+    """Jet of u . A v = gk (u . v + (p-2) (u . g)(v . g) / w2) for unit
+    directions u, v that are equal (``same``) or orthogonal; ``gu`` and ``gv``
+    are the slopes u . g and v . g."""
+    term = (p - 2.0) * jet_div(gu * gv, w2)
+    if same:
         term = term + 1.0
     return gk * term
 
@@ -244,7 +245,7 @@ def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet]:
     entries = {}
     for j in range(3):
         for k in range(j, 3):
-            entries[(j, k)] = entries[(k, j)] = _entry(grads, w2, gk, p, j, k)
+            entries[(j, k)] = entries[(k, j)] = _entry(grads[j], grads[k], w2, gk, p, j == k)
     return entries, gk * grads[0]
 
 
@@ -270,54 +271,6 @@ def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJe
         trace=extract_normal_slice(u0_jet, 0),
         flux=extract_normal_slice(flux, 0),
         gauge_identity=True,
-    )
-
-
-def rotate_measurements(bj: BoundaryJets) -> tuple[BoundaryJets, np.ndarray]:
-    """Rotate the tangential coordinates so the tangential slope of u0 at z
-    points along the first tangent axis (a Givens rotation applied to jets).
-
-    Returns the rotated package and the 2x2 basis matrix W whose columns are
-    the new tangent directions in the old coordinates.
-    """
-    t1 = bj.trace.derivative((1, 0))
-    t2 = bj.trace.derivative((0, 1))
-    r = math.hypot(t1, t2)
-    if r < 1e-12:
-        raise TangentialDegenerate("tangential slope of the trace vanishes at z")
-    w = np.array([[t1 / r, -t2 / r], [t2 / r, t1 / r]])
-    if np.allclose(w, np.eye(2), atol=1e-15):
-        return bj, np.eye(2)
-    rot3 = np.eye(3)
-    rot3[1:, 1:] = w
-
-    def comp(jet: Jet) -> Jet:
-        return jet_compose_linear(jet, w)
-
-    composed = {key: [comp(s) for s in slices] for key, slices in bj.a.items()}
-    a_new: dict[tuple[int, int], list[Jet]] = {}
-    for aa in range(3):
-        for bb in range(aa, 3):
-            comps = None
-            for j in range(3):
-                for k in range(3):
-                    coef = rot3[j, aa] * rot3[k, bb]
-                    if coef == 0.0:
-                        continue
-                    term = [coef * s for s in composed[(j, k)]]
-                    comps = term if comps is None else [x + y for x, y in zip(comps, term)]
-            a_new[(aa, bb)] = comps
-            a_new[(bb, aa)] = comps  # exact symmetry by sharing
-    return (
-        BoundaryJets(
-            p=bj.p,
-            order=bj.order,
-            a=a_new,
-            trace=comp(bj.trace),
-            flux=comp(bj.flux),
-            gauge_identity=bj.gauge_identity,
-        ),
-        w,
     )
 
 
@@ -419,7 +372,6 @@ class ThetaSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     order: int
-    direction: int
     labels: tuple[str, str, str] = (
         "normal derivative of gamma",
         "next normal derivative of u0",
@@ -436,7 +388,8 @@ def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float, j: int = 2) -> n
     closed-form entries (point values at z).
 
     ``grad_u0`` is the full gradient at z; ``j`` names the tangential axis
-    used for the third row, normally rotated so grad_u0[j] = 0.
+    of the third row, which the recovery reads in the direction with
+    vanishing tangential slope (grad_u0[j] = 0).
     """
     grad_u0 = np.asarray(grad_u0, dtype=float)
     d = grad_u0[0]
@@ -494,18 +447,6 @@ def theta_det_closed_form(gamma_z: float, grad_u0: np.ndarray, p: float) -> floa
     return float(lam * (2.0 * w2 + (p - 2.0) * d * d + p * (p - 2.0) * d**4 / w2))
 
 
-def probe_affine(fn, zero, one):
-    """Exact reconstruction of an affine map (x, y) -> fn(x, y) from three probes.
-
-    Returns (fn(0,0), x-coefficient, y-coefficient); exact because affine maps
-    are determined by finitely many evaluations.
-    """
-    f00 = fn(zero, zero)
-    lx = fn(one, zero) - f00
-    ly = fn(zero, one) - f00
-    return f00, lx, ly
-
-
 @dataclass
 class RecoveryState:
     p: float
@@ -514,26 +455,36 @@ class RecoveryState:
     u0: Jet
     filled_order: int
     order0: Order0Result
+    tangent: np.ndarray       # unit tau = (0, -t2, t1) / |(t1, t2)| of row (iii)
     conds: list[float] = field(default_factory=list)
     gauge_residuals: list[float] = field(default_factory=list)
     theta_systems: list[ThetaSystem] = field(default_factory=list)
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(2))
 
 
 def _step_functional(state: RecoveryState, m: int):
     """The three affine row functionals of the order-m system."""
     p = state.p
+    tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
 
     def rows(x: Jet, y: Jet):
         gam = set_normal_slice(state.gamma, m, x)
         u0 = set_normal_slice(state.u0, m + 1, y)
         grads, w2, gk = _flux_pieces(gam, u0, p)
         f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
-        f2 = extract_normal_slice(_entry(grads, w2, gk, p, 0, 0), m)
-        f3 = extract_normal_slice(_entry(grads, w2, gk, p, 2, 2), m)
+        f2 = extract_normal_slice(_entry(grads[0], grads[0], w2, gk, p, True), m)
+        gt = tau1 * grads[1] + tau2 * grads[2]
+        f3 = extract_normal_slice(_entry(gt, gt, w2, gk, p, True), m)
         return f1, f2, f3
 
     return rows
+
+
+def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> Jet:
+    """Measured tangential jet of tau . A tau at normal order m, truncated."""
+    t1, t2 = float(tau[1]), float(tau[2])
+    a = bj.a
+    jet = t1 * t1 * a[(1, 1)][m] + 2.0 * t1 * t2 * a[(1, 2)][m] + t2 * t2 * a[(2, 2)][m]
+    return jet_truncate(jet, order)
 
 
 def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
@@ -557,7 +508,7 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
     lx = tuple(a - b for a, b in zip(fx, f0))
     ly = tuple(a - b for a, b in zip(fy, f0))
     gauge2 = jet_truncate(bj.a[(0, 0)][0], nt)
-    gauge3 = -jet_truncate(bj.a[(2, 2)][0], nt)
+    gauge3 = -_tangential_entry(bj, state.tangent, 0, nt)
     rows = [
         (lx[0], ly[0], zero),
         (lx[1], ly[1], gauge2),
@@ -566,14 +517,13 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
     rhs = [
         -f0[0],
         jet_truncate(bj.a[(0, 0)][m], nt) - f0[1],
-        jet_truncate(bj.a[(2, 2)][m], nt) - f0[2],
+        _tangential_entry(bj, state.tangent, m, nt) - f0[2],
     ]
     matrix = np.array([[c.value for c in row] for row in rows])
     theta = ThetaSystem(
         matrix=matrix,
         rhs=np.array([r.value for r in rhs]),
         order=m,
-        direction=2,
     )
     return rows, rhs, theta
 
@@ -631,8 +581,9 @@ def run_recovery(
     max_order: int | None = None,
     cond_limit: float = 1e8,
 ) -> RecoveryState:
-    """Full recovery pipeline: rotate, split order 0, run the induction, and
-    rotate the recovered jets back to the input frame.
+    """Full recovery pipeline in the measured frame: fix the tangential
+    direction tau orthogonal to the slope of the trace at z, split order 0,
+    and run the induction, whose third row reads tau . A tau.
 
     ``max_order`` defaults to ``bj.order - 2``, the deepest normal order of
     gamma the measurement package determines exactly.
@@ -642,10 +593,14 @@ def run_recovery(
         max_order = n - 2
     if max_order > n - 2:
         raise ValueError(f"max_order {max_order} exceeds recoverable depth {n - 2}")
-    bj_rot, w = rotate_measurements(bj)
-    o0 = recover_order0(bj_rot)
+    t1 = bj.trace.derivative((1, 0))
+    t2 = bj.trace.derivative((0, 1))
+    r = math.hypot(t1, t2)
+    if r < 1e-12:
+        raise TangentialDegenerate("tangential slope of the trace vanishes at z")
+    o0 = recover_order0(bj)
     gamma = set_normal_slice(jet_const(3, n, 0.0), 0, o0.gamma_jet)
-    u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj_rot.trace)
+    u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj.trace)
     u0 = set_normal_slice(u0, 1, o0.slope_jet)
     state = RecoveryState(
         p=bj.p,
@@ -654,15 +609,10 @@ def run_recovery(
         u0=u0,
         filled_order=0,
         order0=o0,
-        rotation=w,
+        tangent=np.array([0.0, -t2 / r, t1 / r]),
     )
     for m in range(1, max_order + 1):
-        recover_order_m(state, bj_rot, m, cond_limit=cond_limit)
-    if not np.allclose(w, np.eye(2), atol=1e-15):
-        back = np.eye(3)
-        back[1:, 1:] = w.T
-        state.gamma = jet_compose_linear(state.gamma, back)
-        state.u0 = jet_compose_linear(state.u0, back)
+        recover_order_m(state, bj, m, cond_limit=cond_limit)
     return state
 
 

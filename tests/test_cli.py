@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from plap import cli
+from plap import cli, recover
 from plap.cli import (
     ConfigError,
     ExperimentConfig,
@@ -240,12 +240,18 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
             "NonConvergence",
         ),
         (
+            "forward",
+            "[domain]\nresolution = 9 9\n[problem]\np = 3\ndata = expr:(x1-0.5)^2\n"
+            "[solver]\neps_reg = 0\n",
+            "NonConvergence",
+        ),
+        (
             "recover",
             "[recover]\nprofile = 1/(x1 + 0.18)\nrzeta = 0.6 0.64 0.48\norder = 5\ndepths = 0.3\n",
             "JetDomainError",
         ),
     ],
-    ids=["nan_residual", "profile_pole_at_depth"],
+    ids=["nan_residual", "singular_jacobian", "profile_pole_at_depth"],
 )
 def test_bad_value_serialized_as_error(tmp_path, command, text, error):
     cfg = _write(tmp_path, "bad.cfg", text)
@@ -254,6 +260,22 @@ def test_bad_value_serialized_as_error(tmp_path, command, text, error):
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["pass"] is False
     assert report["error"]["type"] == error
+
+
+def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):
+    def no_recovery(*args, **kwargs):
+        raise AssertionError("the recovery ran before the depths were checked")
+
+    monkeypatch.setattr(recover, "run_recovery", no_recovery)
+    cfg = _write(
+        tmp_path,
+        "bad.cfg",
+        "[recover]\nprofile = 1/(x1 + 0.18)\nrzeta = 0.6 0.64 0.48\norder = 5\ndepths = 0.3\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["recover", "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["error"]["type"] == "JetDomainError"
 
 
 def test_fixedpoint_solver_error_serialized(tmp_path):

@@ -21,7 +21,6 @@ from plap.jets import (
     eval_point,
     extract_normal_slice,
     jet_allclose,
-    jet_compose_linear,
     jet_const,
     jet_div,
     jet_mul,
@@ -184,20 +183,6 @@ def test_chain_consistency():
     direct = eval_jet(parse_expr("exp(x1*x2)"), (0.4, -0.7), 5)
     composed = jet_unary("exp", inner)
     assert jet_allclose(direct, composed, rtol=1e-12, atol=1e-12)
-
-
-def test_compose_linear_matches_rotated_expression():
-    theta = 0.53
-    q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    j = eval_jet(parse_expr("sin(x1)+x1*x2^2"), (0.0, 0.0), 5)
-    rotated = jet_compose_linear(j, q)
-    # direct evaluation of f(Q y)
-    y1 = _x(2, 5, 0)
-    y2 = _x(2, 5, 1)
-    x1 = q[0, 0] * y1 + q[0, 1] * y2
-    x2 = q[1, 0] * y1 + q[1, 1] * y2
-    direct = eval_on_jets(parse_expr("sin(x1)+x1*x2^2"), {0: x1, 1: x2})
-    assert jet_allclose(rotated, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_normal_slice_roundtrip():

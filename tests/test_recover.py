@@ -21,10 +21,8 @@ from plap.recover import (
     extract_affine_coefficients,
     flux_divergence_jet,
     oracle_tilted_profile,
-    probe_affine,
     recover_order0,
     recover_order0_2d,
-    rotate_measurements,
     run_recovery,
     synthesize_measurements,
     taylor_reconstruct,
@@ -168,8 +166,7 @@ def test_order0_constant_profile():
     sc = _scenario(profile="1", p=3.0, order=6)
     gj, uj = oracle_tilted_profile(sc)
     bj = synthesize_measurements(gj, uj, sc.p)
-    bj_rot, _ = rotate_measurements(bj)
-    o0 = recover_order0(bj_rot)
+    o0 = recover_order0(bj)
     assert o0.gamma_z == pytest.approx(1.0, abs=1e-12)
     assert o0.normal_slope == pytest.approx(ZETA[0], abs=1e-12)
     assert o0.grad_norm == pytest.approx(1.0, abs=1e-12)
@@ -180,8 +177,7 @@ def test_order0_linear_profile_at_zero_offset():
     sc = _scenario(profile="1+0.1*x1", p=3.0, z=(0.0, 0.0, 0.0), order=6)
     gj, uj = oracle_tilted_profile(sc)
     bj = synthesize_measurements(gj, uj, sc.p)
-    bj_rot, _ = rotate_measurements(bj)
-    o0 = recover_order0(bj_rot)
+    o0 = recover_order0(bj)
     assert o0.gamma_z == pytest.approx(1.0, abs=1e-12)
     assert o0.normal_slope == pytest.approx(ZETA[0], abs=1e-12)  # G'(0) = 1
     assert o0.grad_norm == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +190,7 @@ def test_order0_degenerate_when_gradient_normal():
     uj = _linear_jet([1.0, 0.0, 0.0], 0.0, 3, order + 1)
     bj = synthesize_measurements(gj, uj, 3.0)
     with pytest.raises(TangentialDegenerate):
-        rotate_measurements(bj)
+        run_recovery(bj)
     with pytest.raises(TangentialDegenerate):
         recover_order0(bj)
 
@@ -285,12 +281,6 @@ def test_theta_det_sweep_nonvanishing():
 # -- affine probing ----------------------------------------------------------------------
 
 
-def test_probe_affine_reproduces_fourth_setting():
-    f = lambda x, y: 3.0 + 2.0 * x - 5.0 * y
-    b, lx, ly = probe_affine(f, 0.0, 1.0)
-    assert b + lx * 7.0 + ly * 11.0 == f(7.0, 11.0)
-
-
 def test_extracted_columns_match_theta_formulas():
     # handmade constants: gamma = 2, grad u0 = (0.8, 0.6, 0), p = 2.5
     p = 2.5
@@ -299,10 +289,9 @@ def test_extracted_columns_match_theta_formulas():
     uj = _linear_jet([0.8, 0.6, 0.0], 0.0, 3, order + 1)
     bj = synthesize_measurements(gj, uj, p)
     state = run_recovery(bj, max_order=0)
-    # rebuild the rotated state by hand to probe order 1
-    bj_rot, w = rotate_measurements(bj)
-    assert np.allclose(w, np.eye(2))
-    rows, rhs, theta = extract_affine_coefficients(state, bj_rot, 1)
+    # the tangential slope lies along axis 1, so row (iii) reads axis 2
+    assert np.allclose(state.tangent, [0.0, 0.0, 1.0])
+    rows, rhs, theta = extract_affine_coefficients(state, bj, 1)
     expected = theta_matrix(2.0, np.array([0.8, 0.6, 0.0]), p, j=2)
     assert np.max(np.abs(theta.matrix - expected)) < 1e-10
     # measured data of the exact scenario is consistent with zero unknowns
@@ -403,37 +392,23 @@ def test_recovery_condition_limit():
         run_recovery(bj, cond_limit=1.0)
 
 
-def test_rotation_matches_direct_rotated_synthesis():
-    # synthesizing with the pre-rotated tilt must equal rotating the
-    # measurements of the unrotated synthesis
-    zeta = np.array([0.48, -0.6, 0.64])
-    tang = np.hypot(zeta[1], zeta[2])
-    zeta_rot = np.array([zeta[0], tang, 0.0])
-    order = 6
-    for z_rot, z_orig in [((0.1, 0.0, 0.0), (0.1, 0.0, 0.0))]:
-        sc = Scenario(profile="exp(0.2*x1)", c=1.0, zeta=zeta, p=2.5, z=np.array(z_orig), order=order)
+def test_recovery_invariant_under_tangential_rotation():
+    # a tilt whose tangential part is turned onto the first tangent axis gives
+    # the same normal derivatives and condition numbers (z lies on the normal)
+    order = 7
+    states = []
+    for zeta in ([0.48, -0.6, 0.64], [0.48, math.hypot(0.6, 0.64), 0.0]):
+        sc = _scenario(profile="exp(0.2*x1)", p=2.5, order=order, z=(0.1, 0.0, 0.0), zeta=zeta)
         gj, uj = oracle_tilted_profile(sc)
-        bj_rot, w = rotate_measurements(synthesize_measurements(gj, uj, sc.p))
-        # the rotation maps the tangential tilt onto the first tangent axis
-        assert np.allclose(w @ np.array([1.0, 0.0]), np.array([zeta[1], zeta[2]]) / tang, atol=1e-14)
-        sc2 = Scenario(profile="exp(0.2*x1)", c=1.0, zeta=zeta_rot, p=2.5, z=np.array(z_rot), order=order)
-        gj2, uj2 = oracle_tilted_profile(sc2)
-        bj2 = synthesize_measurements(gj2, uj2, sc2.p)
-        for key in bj2.a:
-            for m in range(order + 1):
-                assert np.allclose(bj_rot.a[key][m].coeffs, bj2.a[key][m].coeffs, atol=1e-12)
-        assert np.allclose(bj_rot.trace.coeffs, bj2.trace.coeffs, atol=1e-12)
-        assert np.allclose(bj_rot.flux.coeffs, bj2.flux.coeffs, atol=1e-12)
-
-
-def test_rotated_measurements_stay_symmetric():
-    sc = _scenario(profile="1+0.1*x1", p=3.0, order=6, zeta=np.array([0.48, -0.6, 0.64]))
-    gj, uj = oracle_tilted_profile(sc)
-    bj_rot, _ = rotate_measurements(synthesize_measurements(gj, uj, sc.p))
-    for j in range(3):
-        for k in range(3):
-            for m in range(sc.order + 1):
-                assert np.array_equal(bj_rot.a[(j, k)][m].coeffs, bj_rot.a[(k, j)][m].coeffs)
+        states.append(run_recovery(synthesize_measurements(gj, uj, sc.p)))
+    a, b = states
+    for m in range(order - 1):
+        ga, gb = a.gamma.derivative((m, 0, 0)), b.gamma.derivative((m, 0, 0))
+        assert abs(ga - gb) <= 1e-12 * max(1.0, abs(gb))
+    for m in range(1, order):
+        ua, ub = a.u0.derivative((m, 0, 0)), b.u0.derivative((m, 0, 0))
+        assert abs(ua - ub) <= 1e-12 * max(1.0, abs(ub))
+    assert np.allclose(a.conds, b.conds, rtol=1e-12, atol=0.0)
 
 
 def test_recovery_with_negative_normal_tilt():
@@ -468,19 +443,18 @@ def test_recovery_order0_identifiability_sensitivity():
     sc = _scenario(profile="1", p=3.0, order=5)
     gj, uj = oracle_tilted_profile(sc)
     bj = synthesize_measurements(gj, uj, sc.p)
-    bj_rot, _ = rotate_measurements(bj)
-    base = recover_order0(bj_rot)
+    base = recover_order0(bj)
     p, gamma, d, t = 2.5, 2.0, 0.8, 0.6
     w2 = d * d + t * t
     kappa = gamma * w2 ** ((p - 2.0) / 2.0)
     a22 = kappa * (1.0 + (p - 2.0) * t * t / w2)
     for delta in (1e-3, 1e-4, 1e-5):
         bumped = BoundaryJets(
-            p=bj_rot.p,
-            order=bj_rot.order,
-            a=bj_rot.a,
-            trace=bj_rot.trace,
-            flux=bj_rot.flux + delta,
+            p=bj.p,
+            order=bj.order,
+            a=bj.a,
+            trace=bj.trace,
+            flux=bj.flux + delta,
             gauge_identity=True,
         )
         o = recover_order0(bumped)
