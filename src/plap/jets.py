@@ -5,13 +5,17 @@ function at a point, for all multi-indices with total degree |alpha| <= order.
 Coefficients are held densely in an (order+1)^nvars hypercube; entries above
 the truncation degree are kept at zero and never consulted, so arithmetic is
 closed at the stated order.  The Taylor normalization keeps high-order
-arithmetic overflow-free.
+arithmetic overflow-free.  Products and quotients read one cached table per
+(nvars, order) of the flat index triples (a, b, a + b) with |a| + |b| <= order:
+a product is one ``np.bincount`` over it, a quotient one ``np.add.at`` per
+degree level.  Each coefficient adds its terms in the same fixed order as a
+loop over multi-indices would.
 
-Division, powers with real exponents, and the unary functions sin, cos, exp,
-log, sqrt are implemented through univariate series composition around the
-constant term; log, sqrt, and non-integer powers need a positive constant
-term, division a nonzero one.  Integer powers fall back to an exact binomial
-recurrence and work for any base.
+Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
+are implemented through univariate series composition around the constant
+term; log, sqrt, and non-integer powers need a positive constant term.
+Division is graded long division and needs a nonzero one.  Integer powers
+fall back to an exact binomial recurrence and work for any base.
 
 The expression language is the carrier for analytic weights.  Grammar
 (ASCII, whitespace insensitive)::
@@ -89,11 +93,51 @@ def _degree_mask(nvars: int, order: int) -> np.ndarray:
     return grids.sum(axis=0) <= order
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lock cached index arrays, which every caller shares."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
-def _indices_by_degree(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
-    idx = [tuple(int(v) for v in a) for a in np.argwhere(_degree_mask(nvars, order))]
-    idx.sort(key=lambda t: (sum(t), t))
-    return tuple(idx)
+def _product_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat hypercube indices (ia, ib, tgt) of every pair of multi-indices
+    a, b with |a| + |b| <= order, and tgt the index of a + b.
+
+    The triples run over a in graded order (total degree, then lexicographic),
+    so each target receives its terms in the order of a graded loop over a.
+    There are C(order + 2 nvars, 2 nvars) of them.
+    """
+    idx = np.argwhere(_degree_mask(nvars, order))  # lexicographic
+    idx = idx[np.argsort(idx.sum(axis=1), kind="stable")]
+    deg = idx.sum(axis=1)
+    strides = (order + 1) ** np.arange(nvars - 1, -1, -1)
+    ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= order)
+    return _read_only(idx[ia] @ strides, idx[ib] @ strides, (idx[ia] + idx[ib]) @ strides)
+
+
+@lru_cache(maxsize=None)
+def _division_levels(nvars: int, order: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per total degree d, the slice of :func:`_product_table` that graded
+    division reads: the flat indices of the degree-d targets, and (ia, ib,
+    pos) over the triples with |a + b| = d and |b| > 0, where pos numbers
+    each triple's target within the level.
+
+    A level's triples run over b in lexicographic order, so each target
+    subtracts its terms in the order of a loop over b.
+    """
+    ia, ib, tgt = _product_table(nvars, order)
+    deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
+    pos = np.zeros(deg.size, dtype=np.intp)
+    levels = []
+    for d in range(order + 1):
+        targets = np.flatnonzero(deg == d)
+        pos[targets] = np.arange(targets.size)
+        sel = np.flatnonzero((deg[tgt] == d) & (deg[ib] > 0))
+        sel = sel[np.argsort(ib[sel], kind="stable")]
+        levels.append(_read_only(targets, ia[sel], ib[sel], pos[tgt[sel]]))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -208,34 +252,30 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product."""
     _check_compatible(a, b)
     n, order = a.nvars, a.order
-    out = np.zeros_like(a.coeffs)
-    for alpha in _indices_by_degree(n, order):
-        ca = a.coeffs[alpha]
-        if ca == 0.0:
-            continue
-        dst = tuple(slice(k, None) for k in alpha)
-        src = tuple(slice(None, out.shape[i] - alpha[i]) for i in range(n))
-        out[dst] += ca * b.coeffs[src]
-    out[~_degree_mask(n, order)] = 0.0
-    return Jet(n, order, out)
+    ia, ib, tgt = _product_table(n, order)
+    terms = a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib]
+    out = np.bincount(tgt, weights=terms, minlength=a.coeffs.size)
+    return Jet(n, order, out.reshape(a.coeffs.shape))
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
-    """Graded long division; the denominator needs a nonzero constant term."""
+    """Graded long division; the denominator needs a nonzero constant term.
+
+    Solves out * b = a one total degree at a time: each degree-d coefficient
+    is (a_gamma - sum_{0 != beta <= gamma} b_beta out_{gamma - beta}) / b0,
+    subtracted term by term with beta in lexicographic order.
+    """
     _check_compatible(a, b)
     b0 = b.value
     if b0 == 0.0:
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
-    n, order = a.nvars, a.order
-    out = np.zeros_like(a.coeffs)
-    for gamma in _indices_by_degree(n, order):
-        acc = a.coeffs[gamma]
-        # subtract sum of b[beta] * out[gamma - beta] over 0 < beta <= gamma
-        for beta in np.ndindex(*[g + 1 for g in gamma]):
-            if any(beta):
-                acc -= b.coeffs[beta] * out[tuple(g - bb for g, bb in zip(gamma, beta))]
-        out[gamma] = acc / b0
-    return Jet(n, order, out)
+    af, bf = a.coeffs.ravel(), b.coeffs.ravel()
+    out = np.zeros(a.coeffs.size)
+    for targets, ia, ib, pos in _division_levels(a.nvars, a.order):
+        acc = af[targets]
+        np.add.at(acc, pos, -(out[ia] * bf[ib]))
+        out[targets] = acc / b0
+    return Jet(a.nvars, a.order, out.reshape(a.coeffs.shape))
 
 
 def _compose_series(series: np.ndarray, g: Jet) -> Jet:

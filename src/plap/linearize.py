@@ -157,9 +157,9 @@ def solve_linear(
 
     ``phi`` gives boundary values (full-grid field, boundary nodes used);
     omitted means zero trace.  ``source`` is a full-grid field read at
-    interior nodes.  Raises :class:`psolve.NonConvergence` if the direct
-    solve leaves a residual above ``tol`` (a singular or absurdly conditioned
-    operator).
+    interior nodes.  Raises :class:`psolve.NonConvergence` if the operator
+    is singular or the direct solve leaves a residual above ``tol`` (an
+    absurdly conditioned operator).
     """
     dom = A.domain
     op = anisotropic_operator(dom, A.values)
@@ -170,7 +170,10 @@ def solve_linear(
     rhs = -(op[int_idx][:, bnd_idx] @ u_flat[bnd_idx])
     if source is not None:
         rhs = rhs - source.values.ravel()[int_idx]
-    u_flat[int_idx] = spla.splu(op[int_idx][:, int_idx].tocsc()).solve(rhs)
+    try:
+        u_flat[int_idx] = spla.splu(op[int_idx][:, int_idx].tocsc()).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise psolve.NonConvergence(f"linear operator is singular: {exc}", []) from exc
     res = op @ u_flat
     if source is not None:
         res = res + source.values.ravel()

@@ -176,7 +176,8 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
     divergence residual is below ``cfg.tol`` at all interior nodes.
 
     Raises :class:`NonConvergence` when the iteration budget runs out, the
-    residual is not finite or the Newton Jacobian is singular; warns with
+    residual is not finite, the Newton Jacobian is singular or, with
+    eps_reg = 0, undefined at an exactly zero gradient; warns with
     :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
     """
     if cfg is None:
@@ -214,6 +215,16 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
             )
+        if eps == 0.0:
+            # nodes whose flux derivative enters the interior Jacobian rows
+            read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
+            n_zero = int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
+            if n_zero:
+                raise NonConvergence(
+                    f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
+                    "the flux derivative is undefined there with eps_reg = 0",
+                    history,
+                )
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac = anisotropic_operator(dom, blocks)
         jii = jac[int_idx][:, int_idx].tocsc()

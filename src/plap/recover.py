@@ -380,6 +380,9 @@ class ThetaSystem:
 
     @property
     def cond(self) -> float:
+        """2-norm condition number; inf for a non-finite matrix."""
+        if not np.all(np.isfinite(self.matrix)):
+            return math.inf
         return float(np.linalg.cond(self.matrix))
 
 

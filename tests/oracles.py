@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
-for Jacobians, and convergence-order measurement.
+for Jacobians, convergence-order measurement, and loop versions of the jet
+product and quotient.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
+from plap.jets import Jet
 
 
 def pseudo1d_boundary_profile(gamma_of_t, p: float, xs: np.ndarray, c: float = 1.0, x0: float = 0.0) -> np.ndarray:
@@ -54,3 +56,39 @@ def gauss_legendre_matrix_integral(fn, npts: int = 64) -> np.ndarray:
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     return sum(wi * np.asarray(fn(ti)) for ti, wi in zip(t, w))
+
+
+def _graded_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
+    idx = [a for a in np.ndindex(*(order + 1,) * nvars) if sum(a) <= order]
+    return sorted(idx, key=lambda a: (sum(a), a))
+
+
+def jet_mul_loop(a: Jet, b: Jet) -> Jet:
+    """Truncated Cauchy product as a loop over a in graded order, adding
+    a_alpha times the shifted b; zero coefficients of a are skipped."""
+    n, order = a.nvars, a.order
+    out = np.zeros((order + 1,) * n)
+    for alpha in _graded_indices(n, order):
+        ca = a.coeffs[alpha]
+        if ca == 0.0:
+            continue
+        dst = tuple(slice(k, None) for k in alpha)
+        src = tuple(slice(None, order + 1 - k) for k in alpha)
+        out[dst] += ca * b.coeffs[src]
+    out[np.indices(out.shape).sum(axis=0) > order] = 0.0
+    return Jet(n, order, out)
+
+
+def jet_div_loop(a: Jet, b: Jet) -> Jet:
+    """Graded long division, one coefficient at a time:
+    out_g = (a_g - sum_{0 != beta <= g} b_beta out_{g - beta}) / b_0."""
+    n, order = a.nvars, a.order
+    b0 = b.coeffs[(0,) * n]
+    out = np.zeros((order + 1,) * n)
+    for g in _graded_indices(n, order):
+        acc = a.coeffs[g]
+        for beta in np.ndindex(*[k + 1 for k in g]):
+            if any(beta):
+                acc -= b.coeffs[beta] * out[tuple(k - kb for k, kb in zip(g, beta))]
+        out[g] = acc / b0
+    return Jet(n, order, out)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,22 @@ def test_bad_value_serialized_as_error(tmp_path, command, text, error):
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["pass"] is False
     assert report["error"]["type"] == error
+
+
+def test_zero_gradient_without_regularization_is_named(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "zero_grad.cfg",
+        "[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = 1\ndata = expr:(x1-0.5)^2\n"
+        "[solver]\neps_reg = 0\n",
+    )
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["forward", "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["error"]["type"] == "NonConvergence"
+    assert "gradient is exactly zero" in report["error"]["message"]
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import jet_div_loop, jet_mul_loop
 from plap.jets import (
     BinOp,
     Call,
@@ -32,6 +33,7 @@ from plap.jets import (
     parse_expr,
     set_normal_slice,
 )
+from plap.jets import _product_table
 
 
 def _x(nvars, order, axis, base=0.0):
@@ -85,6 +87,8 @@ def test_integer_pow_allows_nonpositive_base():
 def test_division_requires_nonzero_constant_term():
     with pytest.raises(DivisionByZeroConstantTerm):
         jet_div(jet_const(1, 2, 1.0), _x(1, 2, 0))
+    with pytest.raises(DivisionByZeroConstantTerm):
+        jet_div(jet_const(3, 4, 1.0), _x(3, 4, 0) * (1.0 + _x(3, 4, 2)))
 
 
 def test_unary_domain_errors():
@@ -175,6 +179,60 @@ def test_division_roundtrip():
     b.coeffs[(0, 0)] = 1.5
     q = jet_div(a, b)
     assert np.allclose(jet_mul(q, b).coeffs, a.coeffs, atol=1e-12)
+
+
+_SHAPES = [(n, order) for n in (1, 2, 3) for order in range(10)]
+
+
+def _random_pairs(nvars, order, count=5):
+    """Random jet pairs, masked to degree, with some exact and negative zeros;
+    the divisor's constant term is kept away from zero."""
+    rng = np.random.default_rng(100 * nvars + order)
+    shape = (order + 1,) * nvars
+    pairs = []
+    for _ in range(count):
+        a = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
+        b = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
+        a.coeffs[rng.uniform(size=shape) < 0.2] = -0.0
+        b.coeffs[rng.uniform(size=shape) < 0.2] = 0.0
+        b.coeffs[(0,) * nvars] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        pairs.append((a, b))
+    return pairs
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("nvars, order", _SHAPES)
+def test_mul_and_div_bitwise_equal_loop_reference(nvars, order):
+    for a, b in _random_pairs(nvars, order):
+        assert _same_bits(jet_mul(a, b).coeffs, jet_mul_loop(a, b).coeffs)
+        q = jet_div(a, b)
+        assert _same_bits(q.coeffs, jet_div_loop(a, b).coeffs)
+        back = jet_mul(q, b)
+        assert np.max(np.abs(back.coeffs - a.coeffs)) <= 1e-13 * np.max(np.abs(q.coeffs))
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 6), (2, 5), (3, 4)])
+def test_coefficients_above_degree_stay_zero(nvars, order):
+    rng = np.random.default_rng(7)
+    shape = (order + 1,) * nvars
+    a = Jet(nvars, order, rng.uniform(-1.0, 1.0, shape))  # nonzero above the degree too
+    b = Jet(nvars, order, rng.uniform(-1.0, 1.0, shape))
+    b.coeffs[(0,) * nvars] = 1.5
+    above = np.indices(shape).sum(axis=0) > order
+    for out in (jet_mul(a, b), jet_div(a, b)):
+        assert np.all(out.coeffs[above] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "nvars, order, size", [(1, 0, 1), (1, 8, 45), (2, 8, 495), (3, 8, 3003), (3, 12, 18564)]
+)
+def test_product_table_size(nvars, order, size):
+    assert size == math.comb(order + 2 * nvars, 2 * nvars)
+    ia, ib, tgt = _product_table(nvars, order)
+    assert ia.size == ib.size == tgt.size == size
 
 
 def test_chain_consistency():

@@ -187,6 +187,13 @@ def test_solve_linear_constant_anisotropic(square):
     assert np.max(np.abs(u.values - square.coords[0])) < 1e-11
 
 
+def test_solve_linear_singular_operator_is_nonconvergence():
+    dom = build_domain((1.0, 1.0), (9, 9))
+    zero = TensorField(dom, np.zeros(dom.shape + (2, 2)))
+    with pytest.raises(psolve.NonConvergence, match="singular"):
+        solve_linear(zero, ScalarField.from_function(dom, lambda x, y: x))
+
+
 def test_base_solution_solves_its_own_linearization():
     # the linear problem with trace of u0 reproduces u0 itself
     dom = build_domain((1.0, 1.0), (33, 33))

@@ -11,6 +11,7 @@ from plap.jets import (
     extract_normal_slice,
     parse_expr,
 )
+from plap import recover
 from plap.recover import (
     BoundaryJets,
     IllConditioned,
@@ -29,6 +30,7 @@ from plap.recover import (
     theta_det_direct,
     theta_det_closed_form,
     theta_matrix,
+    ThetaSystem,
 )
 
 ZETA = np.array([0.6, 0.64, 0.48])
@@ -390,6 +392,16 @@ def test_recovery_condition_limit():
     bj = synthesize_measurements(gj, uj, sc.p)
     with pytest.raises(IllConditioned):
         run_recovery(bj, cond_limit=1.0)
+
+
+def test_non_finite_order_system_is_ill_conditioned(monkeypatch):
+    matrix = np.eye(3)
+    matrix[1, 2] = np.nan
+    theta = ThetaSystem(matrix=matrix, rhs=np.zeros(3), order=1)
+    assert theta.cond == math.inf
+    monkeypatch.setattr(recover, "extract_affine_coefficients", lambda state, bj, m: (None, None, theta))
+    with pytest.raises(IllConditioned):
+        recover.recover_order_m(None, None, 1)
 
 
 def test_recovery_invariant_under_tangential_rotation():
