@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import criticalfree, jets, linearize, planecheck, psolve, recover
 from .grid import (
@@ -344,6 +343,8 @@ def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
     def slope(t: float) -> float:
         return (cfg.c / jets.eval_point(expr, (t,))) ** exponent
 
+    from scipy.integrate import quad  # here, not at module top: it slows every import of plap
+
     xs = dom.axes[0]
     vals = np.empty_like(xs)
     for i, x in enumerate(xs):
@@ -399,6 +400,8 @@ def run_forward(cfg: ExperimentConfig, jobs: int = 1):
     flux = psolve.boundary_flux(gamma, cfg.p, sol.u, cfg.eps_reg)
     results = {
         "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
+        "krylov_iterations": sol.krylov_iterations,
         "residual_norm": sol.residual_norm,
         "min_interior_gradient": sol.min_gradient,
         "energy": sol.energy,
@@ -423,13 +426,15 @@ def run_dn(cfg: ExperimentConfig, jobs: int = 1):
     flux = psolve.boundary_flux(gamma, cfg.p, sol.u, cfg.eps_reg)
     results = {
         "residual_norm": sol.residual_norm,
+        "factorizations": sol.factorizations,
+        "krylov_iterations": sol.krylov_iterations,
         "flux_balance": psolve.flux_balance(dom, flux),
         "pairing": psolve.boundary_pairing(f, flux),
         "interior_energy_times_p": cfg.p * psolve.p_energy(gamma, cfg.p, sol.u, 0.0),
     }
     tables = {"flux": _flux_tables(dom, flux)}
     if cfg.dn_matrix:
-        matrix, index = _dense_dn_matrix(gamma, cfg)
+        matrix, index = linearize.dn_matrix(linearize.assemble_A(gamma, cfg.p, sol.u))
         tables["dn_matrix"] = (
             ["row", "col", "value"],
             [[i, j, matrix[i, j]] for i in range(matrix.shape[0]) for j in range(matrix.shape[1])],
@@ -437,21 +442,6 @@ def run_dn(cfg: ExperimentConfig, jobs: int = 1):
         results["dn_matrix_nodes"] = len(index)
     passed = sol.residual_norm <= cfg.tol
     return results, tables, passed
-
-
-def _dense_dn_matrix(gamma: ScalarField, cfg: ExperimentConfig):
-    """Dense linear DN matrix over nodal boundary bumps (opt-in reporting)."""
-    dom = gamma.domain
-    f0, _ = _data_field(cfg, dom)
-    problem = linearize.build_linearized_problem(gamma, cfg.p, f0, _solver_cfg(cfg))
-    bidx = [tuple(int(v) for v in idx) for idx in np.argwhere(dom.boundary_mask)]
-    cols = []
-    for node in bidx:
-        bump = np.zeros(dom.shape)
-        bump[node] = 1.0
-        flux = linearize.dn_linear(problem.A, ScalarField(dom, bump))
-        cols.append(np.concatenate([flux[f.key].ravel() for f in dom.faces]))
-    return np.stack(cols, axis=1), bidx
 
 
 def run_linearize(cfg: ExperimentConfig, jobs: int = 1):

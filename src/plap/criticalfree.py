@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import linearize, psolve
 from .grid import (
@@ -122,6 +121,8 @@ def assemble_B(
             f"some segment passes within {min_dist:.2e} of the origin"
         )
 
+    import scipy.integrate  # here, not at module top: it slows every import of plap
+
     integral, _err = scipy.integrate.quad_vec(
         lambda t: psolve.flux_derivative(zeta + t * xi, p),
         0.0,
@@ -162,6 +163,7 @@ def fixed_point_u0(
     history: list[float] = []
     converged = False
     iterations = 0
+    lu = psolve._ReusedLU(history)  # the LU of step 0 preconditions the later steps
     for k in range(cfg.max_iter):
         grad_v = gradient(ScalarField(dom, v))
         sup_grad = float(np.max(np.sqrt(np.sum(grad_v.values**2, axis=-1))))
@@ -169,7 +171,7 @@ def fixed_point_u0(
         if sup_grad >= cfg.ball_radius:
             raise BallEscape(k, sup_grad)
         b = assemble_B(gamma, p, grad_v, zeta=zeta, quad_tol=cfg.quad_tol)
-        u_next = linearize.solve_linear(b, phi=None, source=rhs)
+        u_next = linearize.solve_linear(b, phi=None, source=rhs, lu=lu)
         iterations = k + 1
         diff = float(np.max(np.abs(u_next.values - v)))
         v = u_next.values

@@ -240,11 +240,6 @@ def build_domain(extents, resolution, origin=None) -> Domain:
 # -- fields -------------------------------------------------------------------
 
 
-def _check_same_domain(d1: Domain, d2: Domain):
-    if not (d1 is d2 or d1 == d2):
-        raise ValueError("fields live on different domains")
-
-
 @dataclass
 class ScalarField:
     domain: Domain

@@ -409,9 +409,9 @@ def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None
         order = j.order - m
     sl = [slice(0, order + 1)] * j.nvars
     sl[axis] = m
-    c = np.array(j.coeffs[tuple(sl)]) * math.factorial(m)
-    pad = [(0, order + 1 - s) for s in c.shape]
-    c = np.pad(c, pad)
+    block = j.coeffs[tuple(sl)]
+    c = np.zeros((order + 1,) * (j.nvars - 1))
+    c[tuple(slice(0, s) for s in block.shape)] = block * math.factorial(m)
     c[~_degree_mask(j.nvars - 1, order)] = 0.0
     return Jet(j.nvars - 1, order, c)
 

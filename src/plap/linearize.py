@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.sparse.linalg as spla
 
 from . import psolve
 from .grid import (
@@ -51,6 +49,7 @@ __all__ = [
     "solve_linear",
     "linear_boundary_flux",
     "dn_linear",
+    "dn_matrix",
     "verify_linearization",
     "build_linearized_problem",
     "rescale_translation_invariant",
@@ -116,6 +115,8 @@ def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
     if segment_min_distance(xi, zeta) < 1e-9 * scale:
         raise SegmentDegenerate("segment from xi to zeta passes through the origin")
     d = zeta - xi
+    import scipy.integrate  # here, not at module top: it slows every import of plap
+
     integral, _err = scipy.integrate.quad_vec(
         lambda t: dJ(xi + t * d, p), 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol
     )
@@ -147,44 +148,50 @@ def assemble_A(gamma: ScalarField, p: float, u0: ScalarField, grad_threshold: fl
     return TensorField(u0.domain, gamma.values[..., None, None] * psolve.flux_derivative(g, p))
 
 
+def _solve_interior(dom: Domain, op, u, source, tol: float, lu: psolve._ReusedLU):
+    """Fill the interior rows of ``u`` (nodes, or nodes x columns) from its
+    boundary rows; raises as :func:`solve_linear` documents."""
+    int_idx, bnd_idx = dom.interior_flat, dom.boundary_flat
+    rhs = -(op[int_idx][:, bnd_idx] @ u[bnd_idx])
+    if source is not None:
+        rhs = rhs - source.values.ravel()[int_idx]
+    u[int_idx] = lu.solve(op[int_idx][:, int_idx], rhs, psolve._LINEAR_RTOL, "linear operator")
+    res = op @ u
+    if source is not None:
+        res = res + source.values.ravel()
+    res_norm = float(np.max(np.abs(res[int_idx])))
+    # singularity guard: a healthy solve leaves residual near machine
+    # precision times the operator scale
+    op_scale = max(1.0, float(np.max(np.abs(op.data), initial=0.0)))
+    op_scale *= max(1.0, float(np.max(np.abs(u))))
+    if not np.isfinite(res_norm) or res_norm > tol * op_scale:
+        raise psolve.NonConvergence(f"linear solve left residual {res_norm:.3e}", [res_norm])
+
+
 def solve_linear(
     A: TensorField,
     phi: ScalarField | None = None,
     source: ScalarField | None = None,
     tol: float = 1e-8,
+    lu: psolve._ReusedLU | None = None,
 ) -> ScalarField:
-    """Solve div(A grad u) = -source with Dirichlet trace phi, by sparse LU.
+    """Solve div(A grad u) = -source with Dirichlet trace phi.
 
     ``phi`` gives boundary values (full-grid field, boundary nodes used);
     omitted means zero trace.  ``source`` is a full-grid field read at
-    interior nodes.  Raises :class:`psolve.NonConvergence` if the operator
-    is singular or the direct solve leaves a residual above ``tol`` (an
-    absurdly conditioned operator).
+    interior nodes.  Without ``lu`` the interior block is factored by sparse
+    LU; a ``lu`` that holds the factor of a nearby operator (an earlier
+    call's, as in a Picard iteration) preconditions GMRES instead and is
+    refactored when that misses.  Raises :class:`psolve.NonConvergence` if
+    the operator is singular or the solve leaves a residual above ``tol``
+    (an absurdly conditioned operator).
     """
     dom = A.domain
-    op = anisotropic_operator(dom, A.values)
-    int_idx, bnd_idx = dom.interior_flat, dom.boundary_flat
     u_flat = np.zeros(dom.n_nodes)
     if phi is not None:
-        u_flat[bnd_idx] = phi.values.ravel()[bnd_idx]
-    rhs = -(op[int_idx][:, bnd_idx] @ u_flat[bnd_idx])
-    if source is not None:
-        rhs = rhs - source.values.ravel()[int_idx]
-    try:
-        u_flat[int_idx] = spla.splu(op[int_idx][:, int_idx].tocsc()).solve(rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise psolve.NonConvergence(f"linear operator is singular: {exc}", []) from exc
-    res = op @ u_flat
-    if source is not None:
-        res = res + source.values.ravel()
-    res_norm = float(np.max(np.abs(res[int_idx])))
-    # singularity guard: a healthy LU solve leaves residual near machine
-    # precision times the operator scale
-    op_scale = max(1.0, float(np.max(np.abs(op.data)))) * max(1.0, float(np.max(np.abs(u_flat))))
-    if not np.isfinite(res_norm) or res_norm > tol * op_scale:
-        raise psolve.NonConvergence(
-            f"direct linear solve left residual {res_norm:.3e}", [res_norm]
-        )
+        u_flat[dom.boundary_flat] = phi.values.ravel()[dom.boundary_flat]
+    op = anisotropic_operator(dom, A.values)
+    _solve_interior(dom, op, u_flat, source, tol, psolve._ReusedLU() if lu is None else lu)
     return ScalarField(dom, u_flat.reshape(dom.shape))
 
 
@@ -200,6 +207,31 @@ def dn_linear(A: TensorField, phi: ScalarField, tol: float = 1e-8) -> dict:
     """Linear DN map for div(A grad u) = 0: Dirichlet data -> conormal flux."""
     u = solve_linear(A, phi, tol=tol)
     return linear_boundary_flux(A, u)
+
+
+def dn_matrix(A: TensorField, tol: float = 1e-8) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Dense linear DN matrix over nodal boundary bumps, with its node list.
+
+    Column j is the :func:`dn_linear` flux of the unit bump at the j-th
+    boundary node (C order), its faces concatenated in ``domain.faces``
+    order.  All columns come from one LU and one multi-column solve.
+    """
+    dom = A.domain
+    bnd_idx = dom.boundary_flat
+    u = np.zeros((dom.n_nodes, bnd_idx.size))
+    u[bnd_idx, np.arange(bnd_idx.size)] = 1.0
+    _solve_interior(dom, anisotropic_operator(dom, A.values), u, None, tol, psolve._ReusedLU())
+    tensor = A.values.reshape(dom.n_nodes, dom.n, dom.n)
+    node = np.arange(dom.n_nodes).reshape(dom.shape)
+    rows = []
+    for face in dom.faces:
+        at = node[dom.face_slice(face)].ravel()
+        ag = sum(
+            tensor[at, face.axis, b][:, None] * (m[at] @ u) for b, m in enumerate(dom.diff_matrices)
+        )
+        rows.append(float(face.side) * ag)
+    nodes = [tuple(int(i) for i in np.unravel_index(k, dom.shape)) for k in bnd_idx]
+    return np.concatenate(rows), nodes
 
 
 def build_linearized_problem(
@@ -254,14 +286,17 @@ def verify_linearization(
     if cfg is None:
         cfg = psolve.PSolveConfig(p=p, tol=1e-10)
     problem = build_linearized_problem(gamma, p, phi0, cfg)
-    reference = dn_linear(problem.A, phi, tol=tol_linear)
+    v = solve_linear(problem.A, phi, tol=tol_linear)
+    reference = linear_boundary_flux(problem.A, v)
     base = psolve.boundary_flux(gamma, p, problem.u0, cfg.eps_reg)
     dom = phi0.domain
     deviations = []
     quotients = {}
     for eps in eps_schedule:
         bumped = ScalarField(dom, phi0.values + eps * phi.values)
-        shifted = psolve.dn_apply(gamma, p, bumped, cfg)
+        # Newton starts from the first-order guess u0 + eps v
+        start = ScalarField(dom, problem.u0.values + eps * v.values)
+        shifted = psolve.dn_apply(gamma, p, bumped, cfg, start)
         quotient = face_values_combine(lambda s, b: (s - b) / eps, shifted, base)
         quotients[eps] = quotient
         deviations.append(

@@ -11,11 +11,16 @@ well-posed where the equation degenerates (grad u -> 0); with the default
 tolerance.
 
 Solution strategy: start from the solution of the isotropic linear problem
-div(gamma grad u) = 0 with the same boundary data, then run Newton on the
-pointwise divergence residual (sparse LU on the exact Jacobian) until its
-max norm over the interior nodes is below the requested tolerance.  Each
-Newton step is halved until that max norm drops.  Everything is
-deterministic: fixed iteration order, no randomness.
+div(gamma grad u) = 0 with the same boundary data (or from a given interior
+start), then run Newton on the pointwise divergence residual until its max
+norm over the interior nodes is below the requested tolerance.  The steps
+are inexact and share one sparse LU: GMRES, right-preconditioned by the LU
+of the isotropic operator (or, from a given start, of the first Jacobian),
+solves each Jacobian to a relative residual of 1e-4.  Only when one restart
+cycle misses is the current Jacobian refactored, its factor replacing the
+old one, which is dropped first.  Each Newton step is halved until the max
+norm of the residual drops.  Everything is deterministic: fixed iteration
+order, no randomness.
 """
 
 from __future__ import annotations
@@ -61,6 +66,12 @@ __all__ = [
 _STEP_SHRINK = 0.5
 _MAX_LINESEARCH = 40
 
+# Reused LU (see _ReusedLU): relative residual of an inexact Newton step, of
+# a linear solve with a reused factor, and the GMRES restart length
+_NEWTON_FORCING = 1e-4
+_LINEAR_RTOL = 1e-12
+_KRYLOV_RESTART = 50
+
 
 class NonConvergence(Exception):
     """The Newton iteration cannot reach the tolerance; carries the residual history."""
@@ -100,6 +111,8 @@ class ForwardSolution:
     energy: float
     residual_history: list[float] = field(default_factory=list)
     degenerate_gradient: bool = False
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
 
 # -- nodewise flux algebra -------------------------------------------------------
@@ -158,27 +171,80 @@ def min_interior_gradient(u: ScalarField) -> float:
 # -- solver ----------------------------------------------------------------------
 
 
-def _interior_residual(dom: Domain, gamma_vals, u_flat, p, eps):
-    g = np.stack([(m @ u_flat).reshape(dom.shape) for m in dom.diff_matrices], axis=-1)
+class _ReusedLU:
+    """One sparse LU of an interior block, reused while the matrices stay near.
+
+    ``solve(mat, rhs, rtol, name)`` solves mat x = rhs.  With no factor held
+    it factors ``mat`` and solves directly; ``rhs`` may then be 2-D, one
+    column per right-hand side.  Otherwise GMRES, right-preconditioned by the
+    held factor, runs one restart cycle, and its result stands when the true
+    residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
+    is dropped and ``mat`` factored in its place.  A singular factorization
+    raises :class:`NonConvergence` carrying ``history``.
+    """
+
+    def __init__(self, history=()):
+        self.history = history
+        self.factorizations = 0
+        self.krylov_iterations = 0
+        self._lu = None
+
+    def solve(self, mat, rhs, rtol: float, name: str):
+        if self._lu is not None:
+            x = self._preconditioned_gmres(mat, rhs, rtol)
+            if np.linalg.norm(mat @ x - rhs) <= rtol * np.linalg.norm(rhs):
+                return x
+        self._lu = None  # never two factors at once
+        try:
+            self._lu = spla.splu(mat.tocsc())
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NonConvergence(f"{name} is singular: {exc}", self.history) from exc
+        self.factorizations += 1
+        return self._lu.solve(rhs)
+
+    def _preconditioned_gmres(self, mat, rhs, rtol: float):
+        # right preconditioning, so GMRES minimizes the true residual; the
+        # operator's closure holds the factor only until this returns
+        lu = self._lu
+        op = spla.LinearOperator(mat.shape, matvec=lambda y: mat @ lu.solve(y), dtype=float)
+        y, _info = spla.gmres(
+            op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_RESTART, maxiter=1,
+            callback=self._count_iteration, callback_type="pr_norm",
+        )
+        return lu.solve(y)
+
+    def _count_iteration(self, _residual):
+        self.krylov_iterations += 1
+
+
+def _interior_residual(dom: Domain, gamma_vals, g, p, eps):
     f = _flux_values(gamma_vals, g, p, eps)
     div = np.zeros(dom.shape)
     for a, m in enumerate(dom.diff_matrices):
         div += (m @ f[..., a].ravel()).reshape(dom.shape)
-    return div.ravel()[dom.interior_flat], g
+    return div.ravel()[dom.interior_flat]
 
 
-def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveConfig | None = None) -> ForwardSolution:
+def solve_p_laplace(
+    gamma: ScalarField,
+    p: float,
+    f: ScalarField,
+    cfg: PSolveConfig | None = None,
+    start: ScalarField | None = None,
+) -> ForwardSolution:
     """Solve the Dirichlet problem for the weighted p-Laplace equation.
 
     ``f`` supplies the boundary values (a full-grid field whose boundary nodes
-    are used; interior values are ignored).  Returns a :class:`ForwardSolution`
-    whose ``u`` matches ``f`` on the boundary exactly and whose pointwise
-    divergence residual is below ``cfg.tol`` at all interior nodes.
+    are used; interior values are ignored).  ``start``, if given, supplies
+    the interior values Newton starts from instead of the isotropic linear
+    solve.  Returns a :class:`ForwardSolution` whose ``u`` matches ``f`` on
+    the boundary exactly and whose pointwise divergence residual is below
+    ``cfg.tol`` at all interior nodes.
 
     Raises :class:`NonConvergence` when the iteration budget runs out, the
-    residual is not finite, the Newton Jacobian is singular or, with
-    eps_reg = 0, undefined at an exactly zero gradient; warns with
-    :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
+    residual is not finite, a Newton Jacobian is singular or, with
+    eps_reg = 0, the flux is undefined at an exactly zero gradient; warns
+    with :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
     """
     if cfg is None:
         cfg = PSolveConfig(p=p)
@@ -189,24 +255,51 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
         raise ValueError("boundary data must be finite")
 
     dom = gamma.domain
-    if not (dom is f.domain or dom == f.domain):
-        raise ValueError("weight and boundary data live on different domains")
+    for other in (f, start):
+        if other is not None and not (other.domain is dom or other.domain == dom):
+            raise ValueError("weight, boundary data and start live on different domains")
     eps = cfg.eps_reg
     int_idx = dom.interior_flat
     bnd_idx = dom.boundary_flat
 
+    history: list[float] = []
+    lu = _ReusedLU(history)
     u_flat = np.array(f.values, dtype=float).ravel()
-    # initial guess: linear solve with tensor gamma*I, same boundary data
-    eye_t = gamma.values[..., None, None] * np.eye(dom.n)
-    lin_op = anisotropic_operator(dom, eye_t)
-    lii = lin_op[int_idx][:, int_idx].tocsc()
-    rhs = -(lin_op[int_idx][:, bnd_idx] @ u_flat[bnd_idx])
-    u_flat[int_idx] = spla.splu(lii).solve(rhs)
+    if start is None:
+        # initial guess: linear solve with tensor gamma*I, same boundary data;
+        # its LU then preconditions the Newton steps
+        eye_t = gamma.values[..., None, None] * np.eye(dom.n)
+        lin_op = anisotropic_operator(dom, eye_t)
+        rhs = -(lin_op[int_idx][:, bnd_idx] @ u_flat[bnd_idx])
+        u_flat[int_idx] = lu.solve(
+            lin_op[int_idx][:, int_idx], rhs, _NEWTON_FORCING, "isotropic operator"
+        )
+    else:
+        u_flat[int_idx] = start.values.ravel()[int_idx]
+
+    # with eps_reg = 0 the flux (p < 2) and its derivative are undefined at a
+    # zero gradient; these are the nodes the interior equations read
+    read = None
+    if eps == 0.0:
+        read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
+
+    def zero_gradients(g) -> int:
+        if read is None:
+            return 0
+        return int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
 
     iterations = 0
-    res, g = _interior_residual(dom, gamma.values, u_flat, p, eps)
+    g = gradient(ScalarField(dom, u_flat.reshape(dom.shape))).values
+    n_zero = zero_gradients(g)
+    if n_zero:
+        raise NonConvergence(
+            f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
+            "the flux and its derivative are undefined there with eps_reg = 0",
+            history,
+        )
+    res = _interior_residual(dom, gamma.values, g, p, eps)
     res_norm = float(np.max(np.abs(res)))
-    history = [res_norm]
+    history.append(res_norm)
     while not res_norm <= cfg.tol:  # NaN compares false: it enters and is rejected
         if not np.isfinite(res_norm):
             raise NonConvergence(f"residual is {res_norm} after {iterations} iterations", history)
@@ -215,34 +308,20 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
             )
-        if eps == 0.0:
-            # nodes whose flux derivative enters the interior Jacobian rows
-            read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
-            n_zero = int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
-            if n_zero:
-                raise NonConvergence(
-                    f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
-                    "the flux derivative is undefined there with eps_reg = 0",
-                    history,
-                )
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac = anisotropic_operator(dom, blocks)
-        jii = jac[int_idx][:, int_idx].tocsc()
-        try:  # the factor is dropped at once, so two never coexist
-            step = spla.splu(jii).solve(-res)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NonConvergence(
-                f"Newton Jacobian is singular at residual {res_norm:.3e}: {exc}", history
-            ) from exc
+        step = lu.solve(jac[int_idx][:, int_idx], -res, _NEWTON_FORCING, "Newton Jacobian")
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)
             trial[int_idx] += t * step
-            res_t, g_t = _interior_residual(dom, gamma.values, trial, p, eps)
-            norm_t = float(np.max(np.abs(res_t)))
-            if norm_t < res_norm:
-                u_flat, res, g, res_norm = trial, res_t, g_t, norm_t
-                break
+            g_t = gradient(ScalarField(dom, trial.reshape(dom.shape))).values
+            if not zero_gradients(g_t):
+                res_t = _interior_residual(dom, gamma.values, g_t, p, eps)
+                norm_t = float(np.max(np.abs(res_t)))
+                if norm_t < res_norm:
+                    u_flat, res, g, res_norm = trial, res_t, g_t, norm_t
+                    break
             t *= _STEP_SHRINK
         else:
             raise NonConvergence(
@@ -269,6 +348,8 @@ def solve_p_laplace(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveCon
         energy=p_energy(gamma, p, u, eps),
         residual_history=history,
         degenerate_gradient=degenerate,
+        factorizations=lu.factorizations,
+        krylov_iterations=lu.krylov_iterations,
     )
 
 
@@ -292,11 +373,20 @@ def boundary_flux(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float =
     return out
 
 
-def dn_apply(gamma: ScalarField, p: float, f: ScalarField, cfg: PSolveConfig | None = None) -> dict:
-    """Nonlinear Dirichlet-to-Neumann map: boundary data -> boundary flux."""
+def dn_apply(
+    gamma: ScalarField,
+    p: float,
+    f: ScalarField,
+    cfg: PSolveConfig | None = None,
+    start: ScalarField | None = None,
+) -> dict:
+    """Nonlinear Dirichlet-to-Neumann map: boundary data -> boundary flux.
+
+    ``start`` is passed on to :func:`solve_p_laplace`.
+    """
     if cfg is None:
         cfg = PSolveConfig(p=p)
-    sol = solve_p_laplace(gamma, p, f, cfg)
+    sol = solve_p_laplace(gamma, p, f, cfg, start)
     return boundary_flux(gamma, p, sol.u, cfg.eps_reg)
 
 

@@ -264,19 +264,44 @@ def test_bad_value_serialized_as_error(tmp_path, command, text, error):
 
 
 def test_zero_gradient_without_regularization_is_named(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "zero_grad.cfg",
-        "[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = 1\ndata = expr:(x1-0.5)^2\n"
-        "[solver]\neps_reg = 0\n",
-    )
-    out = str(tmp_path / "out")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["forward", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
-    assert report["error"]["type"] == "NonConvergence"
-    assert "gradient is exactly zero" in report["error"]["message"]
+    # p < 2: the flux itself is undefined at the zero gradient, so the check
+    # must come before the first residual
+    for p in ("3", "1.5"):
+        cfg = _write(
+            tmp_path,
+            f"zero_grad_{p}.cfg",
+            f"[domain]\nresolution = 9 9\n[problem]\np = {p}\ngamma = 1\ndata = expr:(x1-0.5)^2\n"
+            "[solver]\neps_reg = 0\n",
+        )
+        out = str(tmp_path / f"out_{p}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["forward", "--config", cfg, "--out", out]) == 3
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["error"]["type"] == "NonConvergence"
+        assert "gradient is exactly zero" in report["error"]["message"]
+
+
+def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
+    text = "[domain]\nresolution = 17 17\n[problem]\np = 3\ndata = linear\nzeta = 0.8 0.6\n"
+    for command in ("forward", "dn"):
+        cfg = _write(tmp_path, f"{command}.cfg", text)
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+        assert results["factorizations"] == 1
+        assert isinstance(results["krylov_iterations"], int)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, plap.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

@@ -101,6 +101,19 @@ def test_slow_weight_certificates(p):
     assert rep.residual_norm < 1e-6
 
 
+def test_picard_steps_share_one_factor(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    dom = build_domain((1.0, 1.0), (33, 33))
+    gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.05 * x)
+    rep = fixed_point_u0(gam, 1.5, np.array([1.0, 0.0]))
+    assert rep.iterations >= 3
+    assert len(calls) == 1
+
+
 def test_fixed_point_in_3d():
     # the construction is dimension-agnostic; run it once on a small cube
     dom = build_domain((1.0, 1.0, 1.0), (9, 9, 9))

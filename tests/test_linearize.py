@@ -14,6 +14,7 @@ from plap.linearize import (
     build_linearized_problem,
     dJ,
     dn_linear,
+    dn_matrix,
     rescale_translation_invariant,
     solve_linear,
     taylor_identity_check,
@@ -192,6 +193,36 @@ def test_solve_linear_singular_operator_is_nonconvergence():
     zero = TensorField(dom, np.zeros(dom.shape + (2, 2)))
     with pytest.raises(psolve.NonConvergence, match="singular"):
         solve_linear(zero, ScalarField.from_function(dom, lambda x, y: x))
+
+
+def test_solve_linear_singular_operator_with_reused_factor():
+    # a held factor of a healthy operator: GMRES misses, the refactor is singular
+    dom = build_domain((1.0, 1.0), (9, 9))
+    phi = ScalarField.from_function(dom, lambda x, y: x)
+    lu = psolve._ReusedLU()
+    solve_linear(TensorField(dom, np.broadcast_to(np.eye(2), dom.shape + (2, 2)).copy()), phi, lu=lu)
+    zero = TensorField(dom, np.zeros(dom.shape + (2, 2)))
+    with pytest.raises(psolve.NonConvergence, match="singular"):
+        solve_linear(zero, phi, source=ScalarField.constant(dom, 1.0), lu=lu)
+    assert lu.factorizations == 1
+
+
+def test_dn_matrix_matches_per_column_dn_linear():
+    dom = build_domain((1.0, 1.0), (17, 17))
+    gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    phi0 = ScalarField.from_function(dom, lambda x, y: np.cos(0.3) * x + np.sin(0.3) * y)
+    a = build_linearized_problem(gam, 2.7, phi0).A
+    matrix, nodes = dn_matrix(a)
+    assert nodes == [tuple(int(i) for i in k) for k in np.argwhere(dom.boundary_mask)]
+    cols = []
+    for node in nodes:
+        bump = np.zeros(dom.shape)
+        bump[node] = 1.0
+        flux = dn_linear(a, ScalarField(dom, bump))
+        cols.append(np.concatenate([flux[f.key].ravel() for f in dom.faces]))
+    loop = np.stack(cols, axis=1)
+    assert matrix.shape == loop.shape == (68, 64)
+    assert np.max(np.abs(matrix - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
 def test_base_solution_solves_its_own_linearization():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from plap.grid import ScalarField, build_domain
+from plap import psolve
+from plap.grid import ScalarField, anisotropic_operator, build_domain
 from plap.psolve import (
     DegenerateGradientWarning,
     NonConvergence,
@@ -245,6 +247,81 @@ def test_nonconvergence_reports_history(square17):
     with pytest.raises(NonConvergence) as err:
         solve_p_laplace(gam, 3.0, f, cfg)
     assert len(err.value.history) >= 1
+
+
+def _count_factorizations(monkeypatch) -> list:
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def _wavy_problem(n):
+    dom = build_domain((1.0, 1.0), (n, n))
+    gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    f = ScalarField.from_function(dom, lambda x, y: np.cos(0.3) * x + np.sin(0.3) * y + 0.2 * x * y)
+    return gam, f
+
+
+def test_newton_reuses_one_factor(monkeypatch):
+    gam, f = _wavy_problem(33)
+    calls = _count_factorizations(monkeypatch)
+    sol = solve_p_laplace(gam, 3.0, f)
+    assert sol.residual_norm <= 1e-8
+    assert sol.iterations >= 2 and sol.krylov_iterations > 0
+    assert len(calls) == sol.factorizations <= 2
+
+
+def test_start_skips_isotropic_solve(monkeypatch):
+    gam, f = _wavy_problem(33)
+    cold = solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, tol=1e-11))
+    start = ScalarField(f.domain, cold.u.values + 1e-3 * np.sin(np.pi * f.domain.coords[0]))
+    calls = _count_factorizations(monkeypatch)
+    warm = solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, tol=1e-11), start=start)
+    assert len(calls) == warm.factorizations == 1
+    assert warm.residual_norm <= 1e-11
+    assert np.max(np.abs(warm.u.values - cold.u.values)) < 1e-10
+    assert np.array_equal(warm.u.values[f.domain.boundary_mask], f.values[f.domain.boundary_mask])
+
+
+def test_singular_newton_jacobian_is_nonconvergence(square17, monkeypatch):
+    gam = ScalarField.from_function(square17, lambda x, y: 1.0 + 0.4 * x)
+    f = ScalarField.from_function(square17, lambda x, y: x + 0.2 * y**2)
+    # an all-zero Jacobian: GMRES misses, the refactor finds it singular
+    monkeypatch.setattr(psolve, "flux_derivative", lambda g, p, eps=0.0: np.zeros(g.shape + (2,)))
+    with pytest.raises(NonConvergence, match="Newton Jacobian is singular") as err:
+        solve_p_laplace(gam, 3.0, f)
+    assert len(err.value.history) == 1
+
+
+def test_reused_lu_solves_many_and_near(square17):
+    # the interior blocks of two nearby isotropic operators
+    idx = square17.interior_flat
+
+    def block(scale):
+        eye = (1.0 + scale * square17.coords[0])[..., None, None] * np.eye(2)
+        return anisotropic_operator(square17, eye)[idx][:, idx]
+
+    mat0, mat1 = block(0.0), block(0.3)
+    rhs = np.random.default_rng(0).standard_normal((idx.size, 3))
+    lu = psolve._ReusedLU()
+    cols = lu.solve(mat0, rhs, 1e-10, "test operator")
+    for k in range(3):
+        one = psolve._ReusedLU().solve(mat0, np.array(rhs[:, k]), 1e-10, "test operator")
+        assert np.array_equal(cols[:, k], one)
+    x = lu.solve(mat1, rhs[:, 0], 1e-10, "test operator")
+    assert lu.factorizations == 1 and lu.krylov_iterations > 0
+    assert np.linalg.norm(mat1 @ x - rhs[:, 0]) <= 1e-10 * np.linalg.norm(rhs[:, 0])
+    # far from the held factor: one restart cycle misses and the matrix is factored
+    far = anisotropic_operator(square17, np.broadcast_to(np.diag([1.0, 1e-4]), square17.shape + (2, 2)))
+    x = lu.solve(far[idx][:, idx], rhs[:, 1], 1e-12, "test operator")
+    assert lu.factorizations == 2
+    assert np.linalg.norm(far[idx][:, idx] @ x - rhs[:, 1]) <= 1e-12 * np.linalg.norm(rhs[:, 1])
 
 
 def test_degenerate_gradient_warning(square17):
