@@ -209,7 +209,7 @@ def dn_linear(A: TensorField, phi: ScalarField, tol: float = 1e-8) -> dict:
     return linear_boundary_flux(A, u)
 
 
-def dn_matrix(A: TensorField, tol: float = 1e-8) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def dn_matrix(A: TensorField) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense linear DN matrix over nodal boundary bumps, with its node list.
 
     Column j is the :func:`dn_linear` flux of the unit bump at the j-th
@@ -220,18 +220,13 @@ def dn_matrix(A: TensorField, tol: float = 1e-8) -> tuple[np.ndarray, list[tuple
     bnd_idx = dom.boundary_flat
     u = np.zeros((dom.n_nodes, bnd_idx.size))
     u[bnd_idx, np.arange(bnd_idx.size)] = 1.0
-    _solve_interior(dom, anisotropic_operator(dom, A.values), u, None, tol, psolve._ReusedLU())
-    tensor = A.values.reshape(dom.n_nodes, dom.n, dom.n)
-    node = np.arange(dom.n_nodes).reshape(dom.shape)
-    rows = []
-    for face in dom.faces:
-        at = node[dom.face_slice(face)].ravel()
-        ag = sum(
-            tensor[at, face.axis, b][:, None] * (m[at] @ u) for b, m in enumerate(dom.diff_matrices)
-        )
-        rows.append(float(face.side) * ag)
+    _solve_interior(dom, anisotropic_operator(dom, A.values), u, None, 1e-8, psolve._ReusedLU())
+    cols = []
+    for column in u.T:
+        flux = linear_boundary_flux(A, ScalarField(dom, column.reshape(dom.shape)))
+        cols.append(np.concatenate([flux[f.key].ravel() for f in dom.faces]))
     nodes = [tuple(int(i) for i in np.unravel_index(k, dom.shape)) for k in bnd_idx]
-    return np.concatenate(rows), nodes
+    return np.stack(cols, axis=1), nodes
 
 
 def build_linearized_problem(

@@ -243,7 +243,8 @@ def solve_p_laplace(
 
     Raises :class:`NonConvergence` when the iteration budget runs out, the
     residual is not finite, a Newton Jacobian is singular or, with
-    eps_reg = 0, the flux is undefined at an exactly zero gradient; warns
+    eps_reg = 0, the gradient is exactly zero where the flux (p < 2) or its
+    derivative is needed; warns
     with :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
     """
     if cfg is None:
@@ -277,8 +278,9 @@ def solve_p_laplace(
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
 
-    # with eps_reg = 0 the flux (p < 2) and its derivative are undefined at a
-    # zero gradient; these are the nodes the interior equations read
+    # with eps_reg = 0 the flux derivative (any p) and the flux itself
+    # (p < 2 only) are undefined at a zero gradient; these are the nodes the
+    # interior equations read
     read = None
     if eps == 0.0:
         read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
@@ -288,15 +290,19 @@ def solve_p_laplace(
             return 0
         return int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
 
+    def require_nonzero_gradient(g, undefined: str):
+        n_zero = zero_gradients(g)
+        if n_zero:
+            raise NonConvergence(
+                f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
+                f"the {undefined} undefined there with eps_reg = 0",
+                history,
+            )
+
     iterations = 0
     g = gradient(ScalarField(dom, u_flat.reshape(dom.shape))).values
-    n_zero = zero_gradients(g)
-    if n_zero:
-        raise NonConvergence(
-            f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
-            "the flux and its derivative are undefined there with eps_reg = 0",
-            history,
-        )
+    if p < 2.0:
+        require_nonzero_gradient(g, "flux and its derivative are")
     res = _interior_residual(dom, gamma.values, g, p, eps)
     res_norm = float(np.max(np.abs(res)))
     history.append(res_norm)
@@ -308,6 +314,7 @@ def solve_p_laplace(
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
             )
+        require_nonzero_gradient(g, "flux derivative is")
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac = anisotropic_operator(dom, blocks)
         step = lu.solve(jac[int_idx][:, int_idx], -res, _NEWTON_FORCING, "Newton Jacobian")
@@ -316,7 +323,7 @@ def solve_p_laplace(
             trial = np.array(u_flat)
             trial[int_idx] += t * step
             g_t = gradient(ScalarField(dom, trial.reshape(dom.shape))).values
-            if not zero_gradients(g_t):
+            if p >= 2.0 or not zero_gradients(g_t):
                 res_t = _interior_residual(dom, gamma.values, g_t, p, eps)
                 norm_t = float(np.max(np.abs(res_t)))
                 if norm_t < res_norm:

@@ -280,6 +280,19 @@ def test_zero_gradient_without_regularization_is_named(tmp_path):
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["error"]["type"] == "NonConvergence"
         assert "gradient is exactly zero" in report["error"]["message"]
+    # p > 2: the flux is 0 at a zero gradient, so zero data solves at once
+    cfg = _write(
+        tmp_path,
+        "zero_data_3.cfg",
+        "[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = 1\ndata = expr:0\n"
+        "[solver]\neps_reg = 0\n",
+    )
+    out = str(tmp_path / "out_zero_data")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["forward", "--config", cfg, "--out", out]) == 0
+    results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+    assert results["iterations"] == 0 and results["residual_norm"] == 0.0
 
 
 def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
