@@ -392,7 +392,7 @@ def _flux_tables(dom, flux: dict) -> tuple[list[str], list[list]]:
 # -- subcommand runners --------------------------------------------------------------
 
 
-def run_forward(cfg: ExperimentConfig, jobs: int = 1):
+def run_forward(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     f, extension = _data_field(cfg, dom)
@@ -417,7 +417,7 @@ def run_forward(cfg: ExperimentConfig, jobs: int = 1):
     return results, tables, passed
 
 
-def run_dn(cfg: ExperimentConfig, jobs: int = 1):
+def run_dn(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     f, _ = _data_field(cfg, dom)
@@ -444,7 +444,7 @@ def run_dn(cfg: ExperimentConfig, jobs: int = 1):
     return results, tables, passed
 
 
-def run_linearize(cfg: ExperimentConfig, jobs: int = 1):
+def run_linearize(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     phi0, _ = _data_field(cfg, dom)
@@ -459,6 +459,8 @@ def run_linearize(cfg: ExperimentConfig, jobs: int = 1):
         "floor_index": report.floor_index,
         "floor_value": report.floor_value,
         "monotone_verdict": report.passed,
+        "factorizations": report.factorizations,
+        "krylov_iterations": report.krylov_iterations,
     }
     tables = {
         "deviation_vs_eps": (
@@ -469,7 +471,7 @@ def run_linearize(cfg: ExperimentConfig, jobs: int = 1):
     return results, tables, report.passed
 
 
-def run_fixedpoint(cfg: ExperimentConfig, jobs: int = 1):
+def run_fixedpoint(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     zeta = np.asarray(cfg.zeta, dtype=float)
@@ -478,6 +480,8 @@ def run_fixedpoint(cfg: ExperimentConfig, jobs: int = 1):
     rep = criticalfree.fixed_point_u0(gamma, cfg.p, zeta, fcfg)
     results = {
         "iterations": rep.iterations,
+        "factorizations": rep.factorizations,
+        "krylov_iterations": rep.krylov_iterations,
         "converged": rep.converged,
         "sup_grad_R": rep.sup_grad_R,
         "min_grad_u0": rep.min_grad_u0,
@@ -491,7 +495,7 @@ def run_fixedpoint(cfg: ExperimentConfig, jobs: int = 1):
     }
     passed = (
         rep.converged
-        and rep.sup_grad_R <= 0.5
+        and rep.sup_grad_R <= fcfg.ball_radius
         and rep.min_grad_u0 > 0.5
         and rep.residual_norm < fcfg.residual_tol
     )
@@ -602,7 +606,7 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
     return results, tables, passed
 
 
-def run_checks(cfg: ExperimentConfig, jobs: int = 1):
+def run_checks(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
 
@@ -678,7 +682,7 @@ def run_checks(cfg: ExperimentConfig, jobs: int = 1):
     return results, tables, passed
 
 
-def run_rescale(cfg: ExperimentConfig, jobs: int = 1):
+def run_rescale(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     zeta = np.asarray(cfg.zeta, dtype=float)
@@ -720,7 +724,6 @@ _RUNNERS = {
     "dn": run_dn,
     "linearize": run_linearize,
     "fixedpoint": run_fixedpoint,
-    "recover": run_recover,
     "checks": run_checks,
     "rescale": run_rescale,
 }
@@ -738,7 +741,10 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
     exit_code = 0
     tables: dict = {}
     try:
-        results, tables, passed = _RUNNERS[command](cfg, jobs=jobs)
+        if command == "recover":
+            results, tables, passed = run_recover(cfg, jobs=jobs)
+        else:
+            results, tables, passed = _RUNNERS[command](cfg)
         report["results"] = results
         report["pass"] = bool(passed)
         if not passed:

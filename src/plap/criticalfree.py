@@ -28,6 +28,7 @@ certifies the extremum count by scanning the boundary cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,11 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre rule of assemble_B: the most nodes before a segment counts
+# as degenerate
+_MAX_QUAD_NODES = 64
+
+
 class BallEscape(Exception):
     """An iterate left the sup-norm gradient ball of radius 1/2."""
 
@@ -72,6 +78,9 @@ class FixedPointConfig:
     tol: float = 1e-10
     max_iter: int = 60
     ball_radius: float = 0.5
+    # error target of the Gauss-Legendre rule of assemble_B, which takes
+    # ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes for the Bernstein-ellipse
+    # parameter rho of the nearest singularity (12 nodes at most in the ball)
     quad_tol: float = 1e-12
     residual_tol: float = 1e-6
 
@@ -87,6 +96,8 @@ class FixedPointReport:
     sup_grad_R: float = float("nan")
     min_grad_u0: float = float("nan")
     residual_norm: float = float("nan")
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
 
 def assemble_B(
@@ -96,11 +107,18 @@ def assemble_B(
     zeta=None,
     quad_tol: float = 1e-12,
 ) -> TensorField:
-    """Nodewise B = gamma * int_0^1 dJ(zeta + t xi) dt by adaptive quadrature.
+    """Nodewise B = gamma * int_0^1 dJ(zeta + t xi) dt by Gauss-Legendre quadrature.
 
+    The integrand is analytic in t away from the complex zeros of
+    |zeta + t xi|^2.  The nearest zero over all nodes lies on the Bernstein
+    ellipse of [0, 1] with semi-axis sum rho = a + sqrt(a^2 - 1),
+    a = (|zeta| + |zeta + xi|) / |xi|, and one fixed rule of
+    ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes serves every node (one
+    node, exact, when xi = 0 everywhere); 7 to 12 nodes while sup |xi| < 1/2.
     ``zeta`` defaults to the first coordinate direction.  Fails with
     :class:`~plap.linearize.SegmentDegenerate` when some segment comes too
-    close to the origin (guaranteed not to happen while sup |xi| < 1).
+    close to the origin (guaranteed not to happen while sup |xi| < 1) or the
+    rule would need more than 64 nodes.
     """
     require_positive_weight(gamma)
     dom = gamma.domain
@@ -121,15 +139,22 @@ def assemble_B(
             f"some segment passes within {min_dist:.2e} of the origin"
         )
 
-    import scipy.integrate  # here, not at module top: it slows every import of plap
-
-    integral, _err = scipy.integrate.quad_vec(
-        lambda t: psolve.flux_derivative(zeta + t * xi, p),
-        0.0,
-        1.0,
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-    )
+    moving = xx > 0.0
+    n_nodes = 1
+    if np.any(moving):
+        ends = np.linalg.norm(zeta) + np.sqrt(np.sum((zeta + xi[moving]) ** 2, axis=-1))
+        a = float(np.min(ends / np.sqrt(xx[moving])))
+        rho = a + np.sqrt(a * a - 1.0)
+        n_nodes = math.ceil(math.log(1.0 / quad_tol) / (2.0 * math.log(rho))) + 4
+        if n_nodes > _MAX_QUAD_NODES:
+            raise linearize.SegmentDegenerate(
+                f"some segment passes within {min_dist:.2e} of the origin; the "
+                f"quadrature in t would need {n_nodes} > {_MAX_QUAD_NODES} nodes"
+            )
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    integral = np.zeros(xi.shape + (dom.n,))
+    for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        integral += w * psolve.flux_derivative(zeta + t * xi, p)
     return TensorField(dom, gamma.values[..., None, None] * integral)
 
 
@@ -202,6 +227,8 @@ def fixed_point_u0(
         sup_grad_R=sup_grad_r,
         min_grad_u0=psolve.min_interior_gradient(u0),
         residual_norm=res_norm,
+        factorizations=lu.factorizations,
+        krylov_iterations=lu.krylov_iterations,
     )
     return report
 

@@ -56,7 +56,6 @@ __all__ = [
     "jet_unary",
     "jet_partial",
     "jet_truncate",
-    "jet_allclose",
     "extract_normal_slice",
     "set_normal_slice",
     "jet_compose1",
@@ -390,11 +389,6 @@ def jet_truncate(j: Jet, order: int) -> Jet:
     c = np.array(j.coeffs[sl])
     c[~_degree_mask(j.nvars, order)] = 0.0
     return Jet(j.nvars, order, c)
-
-
-def jet_allclose(a: Jet, b: Jet, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-    _check_compatible(a, b)
-    return bool(np.allclose(a.coeffs, b.coeffs, rtol=rtol, atol=atol))
 
 
 def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None) -> Jet:

@@ -250,6 +250,8 @@ class LinearizationReport:
     floor_index: int = -1
     floor_value: float = float("nan")
     passed: bool = False
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
     def __post_init__(self):
         eps = self.eps_schedule
@@ -273,25 +275,30 @@ def verify_linearization(
 
     The verdict passes when the max-norm deviation from the linear DN flux is
     strictly decreasing up to its minimum (the discretization/solver floor);
-    a failing verdict still returns the full history.
+    a failing verdict still returns the full history.  The reference linear
+    solve factors A once; that LU preconditions the Newton steps of every
+    quotient solve, which start from the first-order guess u0 + eps v.  The
+    report counts the factorizations and Krylov iterations of the whole call,
+    base solve included.
     """
     if eps_schedule is None:
         eps_schedule = [10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0)]
     eps_schedule = [float(e) for e in eps_schedule]
     if cfg is None:
         cfg = psolve.PSolveConfig(p=p, tol=1e-10)
-    problem = build_linearized_problem(gamma, p, phi0, cfg)
-    v = solve_linear(problem.A, phi, tol=tol_linear)
-    reference = linear_boundary_flux(problem.A, v)
-    base = psolve.boundary_flux(gamma, p, problem.u0, cfg.eps_reg)
+    sol = psolve.solve_p_laplace(gamma, p, phi0, cfg)
+    A = assemble_A(gamma, p, sol.u)
+    lu = psolve._ReusedLU()
+    v = solve_linear(A, phi, tol=tol_linear, lu=lu)
+    reference = linear_boundary_flux(A, v)
+    base = psolve.boundary_flux(gamma, p, sol.u, cfg.eps_reg)
     dom = phi0.domain
     deviations = []
     quotients = {}
     for eps in eps_schedule:
         bumped = ScalarField(dom, phi0.values + eps * phi.values)
-        # Newton starts from the first-order guess u0 + eps v
-        start = ScalarField(dom, problem.u0.values + eps * v.values)
-        shifted = psolve.dn_apply(gamma, p, bumped, cfg, start)
+        start = ScalarField(dom, sol.u.values + eps * v.values)
+        shifted = psolve.dn_apply(gamma, p, bumped, cfg, start, lu)
         quotient = face_values_combine(lambda s, b: (s - b) / eps, shifted, base)
         quotients[eps] = quotient
         deviations.append(
@@ -309,6 +316,8 @@ def verify_linearization(
         floor_index=floor_index,
         floor_value=deviations[floor_index],
         passed=decreasing,
+        factorizations=sol.factorizations + lu.factorizations,
+        krylov_iterations=sol.krylov_iterations + lu.krylov_iterations,
     )
 
 

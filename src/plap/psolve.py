@@ -15,10 +15,11 @@ div(gamma grad u) = 0 with the same boundary data (or from a given interior
 start), then run Newton on the pointwise divergence residual until its max
 norm over the interior nodes is below the requested tolerance.  The steps
 are inexact and share one sparse LU: GMRES, right-preconditioned by the LU
-of the isotropic operator (or, from a given start, of the first Jacobian),
-solves each Jacobian to a relative residual of 1e-4.  Only when one restart
-cycle misses is the current Jacobian refactored, its factor replacing the
-old one, which is dropped first.  Each Newton step is halved until the max
+of the isotropic operator (or, from a given start, by the caller's factor of
+a nearby operator, or else the first Jacobian's), solves each Jacobian to a
+relative residual of 1e-4.  Only when one restart cycle misses is the
+current Jacobian refactored, its factor replacing the old one, which is
+dropped first.  Each Newton step is halved until the max
 norm of the residual drops.  Everything is deterministic: fixed iteration
 order, no randomness.
 """
@@ -180,7 +181,8 @@ class _ReusedLU:
     held factor, runs one restart cycle, and its result stands when the true
     residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
     is dropped and ``mat`` factored in its place.  A singular factorization
-    raises :class:`NonConvergence` carrying ``history``.
+    raises :class:`NonConvergence` carrying ``history``, which a solver
+    sharing the object points at its own residual list.
     """
 
     def __init__(self, history=()):
@@ -231,15 +233,20 @@ def solve_p_laplace(
     f: ScalarField,
     cfg: PSolveConfig | None = None,
     start: ScalarField | None = None,
+    lu: _ReusedLU | None = None,
 ) -> ForwardSolution:
     """Solve the Dirichlet problem for the weighted p-Laplace equation.
 
     ``f`` supplies the boundary values (a full-grid field whose boundary nodes
     are used; interior values are ignored).  ``start``, if given, supplies
     the interior values Newton starts from instead of the isotropic linear
-    solve.  Returns a :class:`ForwardSolution` whose ``u`` matches ``f`` on
-    the boundary exactly and whose pointwise divergence residual is below
-    ``cfg.tol`` at all interior nodes.
+    solve.  ``lu``, if given, is a :class:`_ReusedLU` whose factor (of a
+    nearby operator, such as the linearization at a neighbouring solution)
+    preconditions the Newton steps; it is refactored on a miss and keeps
+    whatever factor the solve ends with.  Returns a :class:`ForwardSolution`
+    whose ``u`` matches ``f`` on the boundary exactly, whose pointwise
+    divergence residual is below ``cfg.tol`` at all interior nodes, and whose
+    counts are this solve's own.
 
     Raises :class:`NonConvergence` when the iteration budget runs out, the
     residual is not finite, a Newton Jacobian is singular or, with
@@ -264,7 +271,10 @@ def solve_p_laplace(
     bnd_idx = dom.boundary_flat
 
     history: list[float] = []
-    lu = _ReusedLU(history)
+    if lu is None:
+        lu = _ReusedLU()
+    lu.history = history  # a singular factor reports this solve's residuals
+    factorizations, krylov_iterations = lu.factorizations, lu.krylov_iterations
     u_flat = np.array(f.values, dtype=float).ravel()
     if start is None:
         # initial guess: linear solve with tensor gamma*I, same boundary data;
@@ -355,8 +365,8 @@ def solve_p_laplace(
         energy=p_energy(gamma, p, u, eps),
         residual_history=history,
         degenerate_gradient=degenerate,
-        factorizations=lu.factorizations,
-        krylov_iterations=lu.krylov_iterations,
+        factorizations=lu.factorizations - factorizations,
+        krylov_iterations=lu.krylov_iterations - krylov_iterations,
     )
 
 
@@ -386,14 +396,15 @@ def dn_apply(
     f: ScalarField,
     cfg: PSolveConfig | None = None,
     start: ScalarField | None = None,
+    lu: _ReusedLU | None = None,
 ) -> dict:
     """Nonlinear Dirichlet-to-Neumann map: boundary data -> boundary flux.
 
-    ``start`` is passed on to :func:`solve_p_laplace`.
+    ``start`` and ``lu`` are passed on to :func:`solve_p_laplace`.
     """
     if cfg is None:
         cfg = PSolveConfig(p=p)
-    sol = solve_p_laplace(gamma, p, f, cfg, start)
+    sol = solve_p_laplace(gamma, p, f, cfg, start, lu)
     return boundary_flux(gamma, p, sol.u, cfg.eps_reg)
 
 

@@ -82,10 +82,8 @@ __all__ = [
     "Order0Result",
     "RecoveryState",
     "oracle_tilted_profile",
-    "flux_divergence_jet",
     "synthesize_measurements",
     "recover_order0",
-    "recover_order0_2d",
     "theta_matrix",
     "theta_det_direct",
     "theta_det_closed_form",
@@ -249,12 +247,6 @@ def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet]:
     return entries, gk * grads[0]
 
 
-def flux_divergence_jet(gamma_jet: Jet, u0_jet: Jet, p: float) -> Jet:
-    """Jet of div(gamma |grad u0|^(p-2) grad u0); identically zero for exact data."""
-    grads, _w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
-    return _divergence(grads, gk)
-
-
 def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJets:
     """Boundary measurement package from exact jets, in the trivial gauge."""
     n = gamma_jet.order
@@ -327,41 +319,6 @@ def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
         kappa_jet=kappa,
         consistency=float(np.max(np.abs(cons.coeffs))),
     )
-
-
-def recover_order0_2d(a_tangent: float, tangential_slope: float, flux: float, p: float):
-    """Order-0 identification in two dimensions (single tangent direction).
-
-    Unknowns gamma and d = normal slope from the tangential tensor entry
-    q = tau . A tau, the tangential slope t of the trace, and the flux value.
-    Eliminating gamma leaves the cubic q d (d^2 + t^2) = flux (d^2 + (p-1) t^2)
-    whose unique admissible root (sign matching the flux) is required.
-    """
-    q, t, phi = float(a_tangent), float(tangential_slope), float(flux)
-    if abs(t) < 1e-12:
-        raise TangentialDegenerate("tangential slope vanishes; 2D split needs it")
-    if abs(phi) < 1e-14:
-        raise NormalGradientZero("flux vanishes at z, so the normal slope does too")
-    roots = np.roots([q, -phi, q * t * t, -phi * (p - 1.0) * t * t])
-    admissible: list[float] = []
-    for root in roots:
-        if abs(root.imag) > 1e-9 * max(1.0, abs(root)):
-            continue
-        d = float(root.real)
-        if d * phi <= 0.0:
-            continue
-        # keep distinct roots only (np.roots may split a double root)
-        if all(abs(d - other) > 1e-9 * max(1.0, abs(d)) for other in admissible):
-            admissible.append(d)
-    if len(admissible) != 1:
-        raise RecoveryError(
-            f"expected a unique admissible normal slope, found {sorted(admissible)}"
-        )
-    d = admissible[0]
-    kappa = phi / d
-    w2 = d * d + t * t
-    gamma = kappa * w2 ** ((2.0 - p) / 2.0)
-    return gamma, d, math.sqrt(w2)
 
 
 # -- the 3x3 induction system -------------------------------------------------------

@@ -2,17 +2,21 @@
 
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
-for Jacobians, convergence-order measurement, and loop versions of the jet
-product and quotient.
+for Jacobians, convergence-order measurement, loop versions of the jet
+product and quotient, coefficientwise jet comparison, the jet of the flux
+divergence, and the closed-form order-0 split in two dimensions.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
-from plap.jets import Jet
+from plap.jets import Jet, jet_partial, jet_pow
+from plap.recover import NormalGradientZero, RecoveryError, TangentialDegenerate
 
 
 def pseudo1d_boundary_profile(gamma_of_t, p: float, xs: np.ndarray, c: float = 1.0, x0: float = 0.0) -> np.ndarray:
@@ -92,3 +96,63 @@ def jet_div_loop(a: Jet, b: Jet) -> Jet:
                 acc -= b.coeffs[beta] * out[tuple(k - kb for k, kb in zip(g, beta))]
         out[g] = acc / b0
     return Jet(n, order, out)
+
+
+def jet_allclose(a: Jet, b: Jet, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
+    """Coefficientwise np.allclose of two jets of equal shape."""
+    if (a.nvars, a.order) != (b.nvars, b.order):
+        raise ValueError(f"jet mismatch: {(a.nvars, a.order)} vs {(b.nvars, b.order)}")
+    return bool(np.allclose(a.coeffs, b.coeffs, rtol=rtol, atol=atol))
+
+
+def flux_divergence_jet(gamma_jet: Jet, u0_jet: Jet, p: float) -> Jet:
+    """Jet of div(gamma |grad u0|^(p-2) grad u0); identically zero for exact data.
+
+    ``u0_jet`` carries one order more than ``gamma_jet``, so the gradient
+    jets match the weight's order.
+    """
+    grads = [jet_partial(u0_jet, a) for a in range(u0_jet.nvars)]
+    w2 = grads[0] * grads[0]
+    for g in grads[1:]:
+        w2 = w2 + g * g
+    gk = gamma_jet * jet_pow(w2, (p - 2.0) / 2.0)
+    div = jet_partial(gk * grads[0], 0)
+    for a in range(1, len(grads)):
+        div = div + jet_partial(gk * grads[a], a)
+    return div
+
+
+def recover_order0_2d(a_tangent: float, tangential_slope: float, flux: float, p: float):
+    """Order-0 identification in two dimensions (single tangent direction).
+
+    Unknowns gamma and d = normal slope from the tangential tensor entry
+    q = tau . A tau, the tangential slope t of the trace, and the flux value.
+    Eliminating gamma leaves the cubic q d (d^2 + t^2) = flux (d^2 + (p-1) t^2)
+    whose unique admissible root (sign matching the flux) is required.
+    Returns (gamma, d, |grad u0|).
+    """
+    q, t, phi = float(a_tangent), float(tangential_slope), float(flux)
+    if abs(t) < 1e-12:
+        raise TangentialDegenerate("tangential slope vanishes; 2D split needs it")
+    if abs(phi) < 1e-14:
+        raise NormalGradientZero("flux vanishes at z, so the normal slope does too")
+    roots = np.roots([q, -phi, q * t * t, -phi * (p - 1.0) * t * t])
+    admissible: list[float] = []
+    for root in roots:
+        if abs(root.imag) > 1e-9 * max(1.0, abs(root)):
+            continue
+        d = float(root.real)
+        if d * phi <= 0.0:
+            continue
+        # keep distinct roots only (np.roots may split a double root)
+        if all(abs(d - other) > 1e-9 * max(1.0, abs(d)) for other in admissible):
+            admissible.append(d)
+    if len(admissible) != 1:
+        raise RecoveryError(
+            f"expected a unique admissible normal slope, found {sorted(admissible)}"
+        )
+    d = admissible[0]
+    kappa = phi / d
+    w2 = d * d + t * t
+    gamma = kappa * w2 ** ((2.0 - p) / 2.0)
+    return gamma, d, math.sqrt(w2)

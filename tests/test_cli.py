@@ -187,6 +187,9 @@ def test_linearize_run(tmp_path):
     assert report["results"]["monotone_verdict"] is True
     devs = report["results"]["deviations"]
     assert devs[0] > devs[-1]
+    # the base solve's LU and the LU of A, shared by the three quotient solves
+    assert report["results"]["factorizations"] == 2
+    assert isinstance(report["results"]["krylov_iterations"], int)
 
 
 def test_fixedpoint_run(tmp_path):
@@ -200,6 +203,8 @@ def test_fixedpoint_run(tmp_path):
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["results"]["sup_grad_R"] < 0.5
     assert report["results"]["min_grad_u0"] > 0.5
+    assert report["results"]["factorizations"] == 1
+    assert report["results"]["krylov_iterations"] > 0
 
 
 def test_nonpositive_weight_serialized_as_error(tmp_path):
@@ -306,7 +311,7 @@ def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
         assert isinstance(results["krylov_iterations"], int)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     import subprocess
     import sys
 
@@ -315,6 +320,15 @@ def test_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # nor does a fixedpoint run: B comes from a fixed Gauss-Legendre rule
+    cfg = _write(tmp_path, "fp.cfg", "[domain]\nresolution = 9 9\n[problem]\np = 1.5\ngamma = 1+0.05*x1\n")
+    code = (
+        "import sys, plap.cli; "
+        f"code = plap.cli.main(['fixedpoint', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

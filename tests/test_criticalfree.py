@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plap.grid import ScalarField, VectorField, build_domain
-from plap import linearize, psolve
+from plap import criticalfree, linearize, psolve
 from plap.criticalfree import (
     BallEscape,
     FixedPointConfig,
@@ -12,7 +12,6 @@ from plap.criticalfree import (
     fixed_point_u0,
     min_gradient,
 )
-from plap.linearize import dJ
 
 from oracles import gauss_legendre_matrix_integral
 
@@ -43,14 +42,22 @@ def test_b_p2_is_identity(square):
     assert np.max(np.abs(b.values - expected)) < 1e-12
 
 
-def test_b_against_gauss_legendre_oracle(square):
-    gam = ScalarField.constant(square, 1.0)
-    p = 3.0
-    xi = np.array([0.0, 0.3])
-    b = assemble_B(gam, p, _const_vector_field(square, xi))
+def test_b_against_gauss_legendre_oracle():
+    # xi of one length in every direction, and anti-aligned with zeta at one
+    # node, where the singularity of the integrand comes nearest to [0, 1]
+    dom = build_domain((1.0, 1.0), (9, 9))
+    gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.2 * x * y)
+    angle = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, dom.shape)
     e1 = np.array([1.0, 0.0])
-    oracle = gauss_legendre_matrix_integral(lambda t: dJ(e1 + t * xi, p), npts=64)
-    assert np.max(np.abs(b.values[4, 7] - oracle)) < 1e-8
+    for p in (1.1, 1.5, 3.0, 6.0, 12.0):
+        for radius in (0.02, 0.3, 0.49, 0.9):
+            xi = radius * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+            xi[4, 5] = -radius * e1
+            b = assemble_B(gam, p, VectorField(dom, xi))
+            oracle = gam.values[..., None, None] * gauss_legendre_matrix_integral(
+                lambda t: psolve.flux_derivative(e1 + t * xi, p), npts=64
+            )
+            assert np.max(np.abs(b.values - oracle)) <= 1e-13 * np.max(np.abs(oracle)), (p, radius)
 
 
 def test_b_ellipticity_bounds(square):
@@ -71,6 +78,18 @@ def test_b_rejects_degenerate_segment(square):
     gam = ScalarField.constant(square, 1.0)
     with pytest.raises(linearize.SegmentDegenerate):
         assemble_B(gam, 1.5, _const_vector_field(square, [-1.0, 0.0]))
+
+
+def test_b_rejects_segment_needing_too_many_nodes(square):
+    # |xi| = 0.99 anti-aligned: the segment stays 0.01 from the origin, but
+    # the rule for quad_tol = 1e-12 would need 73 > 64 nodes
+    gam = ScalarField.constant(square, 1.0)
+    xi = np.zeros(square.shape + (2,))
+    xi[8, 8] = [-0.99, 0.0]
+    with pytest.raises(linearize.SegmentDegenerate, match="73 > 64 nodes"):
+        assemble_B(gam, 3.0, VectorField(square, xi))
+    xi[8, 8] = [-0.9, 0.0]  # 26 nodes
+    assemble_B(gam, 3.0, VectorField(square, xi))
 
 
 # -- fixed point ------------------------------------------------------------------------
@@ -112,6 +131,32 @@ def test_picard_steps_share_one_factor(monkeypatch):
     rep = fixed_point_u0(gam, 1.5, np.array([1.0, 0.0]))
     assert rep.iterations >= 3
     assert len(calls) == 1
+    assert rep.factorizations == 1
+    assert rep.krylov_iterations > 0
+
+
+def test_picard_step_quadrature_stays_small(monkeypatch):
+    # the first step has xi = 0 and takes one node; the later steps stay in
+    # the 1/2 ball, which bounds the rule at 12 nodes
+    calls = []
+    flux_derivative = psolve.flux_derivative
+    monkeypatch.setattr(
+        psolve, "flux_derivative", lambda *a, **k: calls.append(1) or flux_derivative(*a, **k)
+    )
+    b_calls = []
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = assemble_B(*args, **kwargs)
+        b_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(criticalfree, "assemble_B", counted)
+    dom = build_domain((1.0, 1.0), (33, 33))
+    gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.05 * x)
+    fixed_point_u0(gam, 1.5, np.array([1.0, 0.0]))
+    assert b_calls[0] == 1
+    assert len(b_calls) >= 3 and max(b_calls) <= 12
 
 
 def test_fixed_point_in_3d():

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jet_div_loop, jet_mul_loop
+from oracles import jet_allclose, jet_div_loop, jet_mul_loop
 from plap.jets import (
     BinOp,
     Call,
@@ -21,7 +21,6 @@ from plap.jets import (
     eval_on_jets,
     eval_point,
     extract_normal_slice,
-    jet_allclose,
     jet_const,
     jet_div,
     jet_mul,

@@ -306,6 +306,53 @@ def test_verify_linearization_monotone(square):
     assert list(rep.quotients) == list(rep.eps_schedule)
 
 
+def _sample_problem():
+    # the linearize sample config: 33^2, p = 3, gamma = 1, data x1, phi = x2^2 - x2
+    dom = build_domain((1.0, 1.0), (33, 33))
+    gam = ScalarField.constant(dom, 1.0)
+    phi0 = ScalarField.from_function(dom, lambda x, y: x)
+    phi = ScalarField.from_function(dom, lambda x, y: y**2 - y)
+    return gam, phi0, phi, psolve.PSolveConfig(p=3.0, tol=1e-10)
+
+
+def test_verify_linearization_factors_twice(monkeypatch):
+    # the base solve's LU, and the LU of A that serves the reference solve
+    # and preconditions all five quotient solves
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    gam, phi0, phi, cfg = _sample_problem()
+    rep = verify_linearization(gam, 3.0, phi0, phi, cfg=cfg)
+    assert rep.passed
+    assert len(calls) == 2
+    assert rep.factorizations == 2
+    assert rep.krylov_iterations > 0
+
+
+def test_failing_quotient_solve_reports_its_own_history(monkeypatch):
+    gam, phi0, phi, cfg = _sample_problem()
+    dn_apply = psolve.dn_apply
+    histories = []
+
+    def first_ok_then_zero_jacobians(*args, **kwargs):
+        # after the first quotient solve every Newton Jacobian is zero: GMRES
+        # misses and the refactor of the shared LU is singular
+        flux = dn_apply(*args, **kwargs)
+        histories.append(list(args[-1].history))
+        monkeypatch.setattr(psolve, "flux_derivative", lambda g, p, eps=0.0: np.zeros(g.shape + (2,)))
+        return flux
+
+    monkeypatch.setattr(psolve, "dn_apply", first_ok_then_zero_jacobians)
+    with pytest.raises(psolve.NonConvergence, match="Newton Jacobian is singular") as err:
+        verify_linearization(gam, 3.0, phi0, phi, cfg=cfg)
+    # the second solve's starting residual alone, not the first solve's history
+    assert len(histories) == 1 and len(histories[0]) > 1
+    assert len(err.value.history) == 1
+    assert err.value.history[0] > cfg.tol
+
+
 def test_report_validates_schedule():
     with pytest.raises(ValueError):
         linearize.LinearizationReport(eps_schedule=[1e-2, 1e-1], deviations=[1.0, 2.0])

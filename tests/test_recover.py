@@ -11,6 +11,7 @@ from plap.jets import (
     extract_normal_slice,
     parse_expr,
 )
+from oracles import flux_divergence_jet, recover_order0_2d
 from plap import recover
 from plap.recover import (
     BoundaryJets,
@@ -20,10 +21,8 @@ from plap.recover import (
     Scenario,
     TangentialDegenerate,
     extract_affine_coefficients,
-    flux_divergence_jet,
     oracle_tilted_profile,
     recover_order0,
-    recover_order0_2d,
     run_recovery,
     synthesize_measurements,
     taylor_reconstruct,
