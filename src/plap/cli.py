@@ -401,6 +401,7 @@ def run_forward(cfg: ExperimentConfig):
     results = {
         "iterations": sol.iterations,
         "factorizations": sol.factorizations,
+        "factor_fill": sol.factor_fill,
         "krylov_iterations": sol.krylov_iterations,
         "residual_norm": sol.residual_norm,
         "min_interior_gradient": sol.min_gradient,
@@ -427,7 +428,9 @@ def run_dn(cfg: ExperimentConfig):
     results = {
         "residual_norm": sol.residual_norm,
         "factorizations": sol.factorizations,
+        "factor_fill": sol.factor_fill,
         "krylov_iterations": sol.krylov_iterations,
+        "degenerate_gradient": sol.degenerate_gradient,
         "flux_balance": psolve.flux_balance(dom, flux),
         "pairing": psolve.boundary_pairing(f, flux),
         "interior_energy_times_p": cfg.p * psolve.p_energy(gamma, cfg.p, sol.u, 0.0),
@@ -460,6 +463,7 @@ def run_linearize(cfg: ExperimentConfig):
         "floor_value": report.floor_value,
         "monotone_verdict": report.passed,
         "factorizations": report.factorizations,
+        "factor_fill": report.factor_fill,
         "krylov_iterations": report.krylov_iterations,
     }
     tables = {
@@ -481,6 +485,7 @@ def run_fixedpoint(cfg: ExperimentConfig):
     results = {
         "iterations": rep.iterations,
         "factorizations": rep.factorizations,
+        "factor_fill": rep.factor_fill,
         "krylov_iterations": rep.krylov_iterations,
         "converged": rep.converged,
         "sup_grad_R": rep.sup_grad_R,

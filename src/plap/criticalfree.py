@@ -28,7 +28,6 @@ certifies the extremum count by scanning the boundary cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +53,6 @@ __all__ = [
     "extremal_boundary_data_2d",
     "boundary_cycle",
 ]
-
-
-# Gauss-Legendre rule of assemble_B: the most nodes before a segment counts
-# as degenerate
-_MAX_QUAD_NODES = 64
 
 
 class BallEscape(Exception):
@@ -98,6 +92,7 @@ class FixedPointReport:
     residual_norm: float = float("nan")
     factorizations: int = 0
     krylov_iterations: int = 0
+    factor_fill: int = 0
 
 
 def assemble_B(
@@ -109,52 +104,20 @@ def assemble_B(
 ) -> TensorField:
     """Nodewise B = gamma * int_0^1 dJ(zeta + t xi) dt by Gauss-Legendre quadrature.
 
-    The integrand is analytic in t away from the complex zeros of
-    |zeta + t xi|^2.  The nearest zero over all nodes lies on the Bernstein
-    ellipse of [0, 1] with semi-axis sum rho = a + sqrt(a^2 - 1),
-    a = (|zeta| + |zeta + xi|) / |xi|, and one fixed rule of
-    ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes serves every node (one
-    node, exact, when xi = 0 everywhere); 7 to 12 nodes while sup |xi| < 1/2.
-    ``zeta`` defaults to the first coordinate direction.  Fails with
-    :class:`~plap.linearize.SegmentDegenerate` when some segment comes too
-    close to the origin (guaranteed not to happen while sup |xi| < 1) or the
-    rule would need more than 64 nodes.
+    One rule in t serves every node: :func:`~plap.linearize.segment_integral_dJ`
+    sizes it from the Bernstein ellipse of the nearest complex singularity
+    (one node, exact, when xi = 0 everywhere; 7 to 12 nodes while
+    sup |xi| < 1/2).  ``zeta`` defaults to the first coordinate direction.
+    Fails with :class:`~plap.linearize.SegmentDegenerate` when some segment
+    comes too close to the origin (guaranteed not to happen while
+    sup |xi| < 1) or the rule would need more than 64 nodes.
     """
     require_positive_weight(gamma)
     dom = gamma.domain
     if zeta is None:
         zeta = np.zeros(dom.n)
         zeta[0] = 1.0
-    zeta = np.asarray(zeta, dtype=float)
-    xi = xi_field.values
-
-    # closed-form minimum of |zeta + t xi| over t in [0,1], per node
-    xx = np.sum(xi**2, axis=-1)
-    zx = np.tensordot(xi, zeta, axes=([-1], [0]))
-    tstar = np.where(xx > 0.0, np.clip(-zx / np.where(xx > 0, xx, 1.0), 0.0, 1.0), 0.0)
-    seg = zeta + tstar[..., None] * xi
-    min_dist = float(np.sqrt(np.min(np.sum(seg**2, axis=-1))))
-    if min_dist < 1e-6:
-        raise linearize.SegmentDegenerate(
-            f"some segment passes within {min_dist:.2e} of the origin"
-        )
-
-    moving = xx > 0.0
-    n_nodes = 1
-    if np.any(moving):
-        ends = np.linalg.norm(zeta) + np.sqrt(np.sum((zeta + xi[moving]) ** 2, axis=-1))
-        a = float(np.min(ends / np.sqrt(xx[moving])))
-        rho = a + np.sqrt(a * a - 1.0)
-        n_nodes = math.ceil(math.log(1.0 / quad_tol) / (2.0 * math.log(rho))) + 4
-        if n_nodes > _MAX_QUAD_NODES:
-            raise linearize.SegmentDegenerate(
-                f"some segment passes within {min_dist:.2e} of the origin; the "
-                f"quadrature in t would need {n_nodes} > {_MAX_QUAD_NODES} nodes"
-            )
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    integral = np.zeros(xi.shape + (dom.n,))
-    for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-        integral += w * psolve.flux_derivative(zeta + t * xi, p)
+    integral = linearize.segment_integral_dJ(zeta, xi_field.values, p, quad_tol)
     return TensorField(dom, gamma.values[..., None, None] * integral)
 
 
@@ -229,6 +192,7 @@ def fixed_point_u0(
         residual_norm=res_norm,
         factorizations=lu.factorizations,
         krylov_iterations=lu.krylov_iterations,
+        factor_fill=lu.factor_fill,
     )
     return report
 

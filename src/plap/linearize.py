@@ -17,6 +17,7 @@ conductivity problem on a stretched box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "J",
     "dJ",
     "taylor_identity_check",
+    "segment_integral_dJ",
     "assemble_A",
     "solve_linear",
     "linear_boundary_flux",
@@ -92,34 +94,79 @@ def dJ(xi, p: float) -> np.ndarray:
     return psolve.flux_derivative(xi, p)
 
 
-def segment_min_distance(xi, zeta) -> float:
-    """Distance from the origin to the segment [xi, zeta]."""
+# Gauss-Legendre rule of segment_integral_dJ: the most nodes it takes by
+# default before a segment counts as degenerate, and the most for the single
+# segment of taylor_identity_check
+_MAX_QUAD_NODES = 64
+_MAX_TAYLOR_NODES = 256
+
+
+def segment_min_distance(xi, zeta):
+    """Distance from the origin to the segment [xi, zeta], per vector along the last axis."""
     xi = np.asarray(xi, dtype=float)
     d = np.asarray(zeta, dtype=float) - xi
-    dd = float(d @ d)
-    t = 0.0 if dd == 0.0 else float(np.clip(-(xi @ d) / dd, 0.0, 1.0))
-    return float(np.linalg.norm(xi + t * d))
+    dd = np.sum(d * d, axis=-1)
+    moving = dd > 0.0
+    t = np.where(moving, np.clip(-np.sum(xi * d, axis=-1) / np.where(moving, dd, 1.0), 0.0, 1.0), 0.0)
+    return np.sqrt(np.sum((xi + t[..., None] * d) ** 2, axis=-1))
+
+
+def segment_integral_dJ(
+    start, step, p: float, quad_tol: float = 1e-12, max_nodes: int = _MAX_QUAD_NODES
+) -> np.ndarray:
+    """int_0^1 dJ(start + t step) dt for every segment, by one Gauss-Legendre rule.
+
+    ``start`` and ``step`` hold vectors along their last axis and broadcast
+    against each other; the result has one n x n matrix per segment.  The
+    integrand is analytic in t away from the complex zeros of
+    |start + t step|^2.  The nearest zero over all segments lies on the
+    Bernstein ellipse of [0, 1] with semi-axis sum rho = a + sqrt(a^2 - 1),
+    a = (|start| + |start + step|) / |step|, and one rule of
+    ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes serves every segment (one
+    node, exact, when every step is zero).  Raises :class:`SegmentDegenerate`
+    when some segment passes within 1e-6 times the largest end-point norm of
+    the origin, or the rule would need more than ``max_nodes`` nodes.
+    """
+    start, step = np.broadcast_arrays(np.asarray(start, dtype=float), np.asarray(step, dtype=float))
+    end = start + step
+    start_norm = np.sqrt(np.sum(start**2, axis=-1))
+    end_norm = np.sqrt(np.sum(end**2, axis=-1))
+    min_dist = float(np.min(segment_min_distance(start, end)))
+    if min_dist < 1e-6 * max(float(np.max(start_norm)), float(np.max(end_norm))):
+        raise SegmentDegenerate(f"some segment passes within {min_dist:.2e} of the origin")
+
+    step_sq = np.sum(step**2, axis=-1)
+    moving = step_sq > 0.0
+    n_nodes = 1
+    if np.any(moving):
+        a = float(np.min((start_norm[moving] + end_norm[moving]) / np.sqrt(step_sq[moving])))
+        rho = a + math.sqrt(a * a - 1.0)
+        n_nodes = math.ceil(math.log(1.0 / quad_tol) / (2.0 * math.log(rho))) + 4
+        if n_nodes > max_nodes:
+            raise SegmentDegenerate(
+                f"some segment passes within {min_dist:.2e} of the origin; the "
+                f"quadrature in t would need {n_nodes} > {max_nodes} nodes"
+            )
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    integral = np.zeros(step.shape + (step.shape[-1],))
+    for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        integral += w * psolve.flux_derivative(start + t * step, p)
+    return integral
 
 
 def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
     """Defect of J(zeta) = J(xi) + [int_0^1 dJ(xi + t (zeta - xi)) dt] (zeta - xi).
 
-    The integral uses adaptive quadrature; the defect should sit at the
-    quadrature tolerance whenever the segment stays away from the origin.
+    The integral takes the Gauss-Legendre rule of :func:`segment_integral_dJ`
+    (at most 256 nodes); the defect should sit at roundoff whenever the
+    segment stays away from the origin.
     """
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if np.array_equal(xi, zeta):
         return 0.0
-    scale = max(np.linalg.norm(xi), np.linalg.norm(zeta))
-    if segment_min_distance(xi, zeta) < 1e-9 * scale:
-        raise SegmentDegenerate("segment from xi to zeta passes through the origin")
     d = zeta - xi
-    import scipy.integrate  # here, not at module top: it slows every import of plap
-
-    integral, _err = scipy.integrate.quad_vec(
-        lambda t: dJ(xi + t * d, p), 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol
-    )
+    integral = segment_integral_dJ(xi, d, p, quad_tol, _MAX_TAYLOR_NODES)
     defect = J(zeta, p) - J(xi, p) - integral @ d
     return float(np.max(np.abs(defect)))
 
@@ -252,6 +299,7 @@ class LinearizationReport:
     passed: bool = False
     factorizations: int = 0
     krylov_iterations: int = 0
+    factor_fill: int = 0
 
     def __post_init__(self):
         eps = self.eps_schedule
@@ -278,8 +326,8 @@ def verify_linearization(
     a failing verdict still returns the full history.  The reference linear
     solve factors A once; that LU preconditions the Newton steps of every
     quotient solve, which start from the first-order guess u0 + eps v.  The
-    report counts the factorizations and Krylov iterations of the whole call,
-    base solve included.
+    report counts the factorizations, their fill and the Krylov iterations
+    of the whole call, base solve included.
     """
     if eps_schedule is None:
         eps_schedule = [10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0)]
@@ -318,6 +366,7 @@ def verify_linearization(
         passed=decreasing,
         factorizations=sol.factorizations + lu.factorizations,
         krylov_iterations=sol.krylov_iterations + lu.krylov_iterations,
+        factor_fill=sol.factor_fill + lu.factor_fill,
     )
 
 

@@ -19,9 +19,11 @@ of the isotropic operator (or, from a given start, by the caller's factor of
 a nearby operator, or else the first Jacobian's), solves each Jacobian to a
 relative residual of 1e-4.  Only when one restart cycle misses is the
 current Jacobian refactored, its factor replacing the old one, which is
-dropped first.  Each Newton step is halved until the max
-norm of the residual drops.  Everything is deterministic: fixed iteration
-order, no randomness.
+dropped first.  Interior unknowns come in the nested-dissection order of
+:attr:`~plap.grid.Domain.interior_flat`, and the LU factors each interior
+block as given, without a column permutation of its own.  Each Newton step
+is halved until the max norm of the residual drops.  Everything is
+deterministic: fixed iteration order, no randomness.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class ForwardSolution:
     degenerate_gradient: bool = False
     factorizations: int = 0
     krylov_iterations: int = 0
+    factor_fill: int = 0
 
 
 # -- nodewise flux algebra -------------------------------------------------------
@@ -176,19 +179,25 @@ class _ReusedLU:
     """One sparse LU of an interior block, reused while the matrices stay near.
 
     ``solve(mat, rhs, rtol, name)`` solves mat x = rhs.  With no factor held
-    it factors ``mat`` and solves directly; ``rhs`` may then be 2-D, one
-    column per right-hand side.  Otherwise GMRES, right-preconditioned by the
+    it factors ``mat`` as given, rows and columns in the nested-dissection
+    order of :attr:`~plap.grid.Domain.interior_flat` (SuperLU's natural
+    column order, its default partial pivoting), and solves directly; ``rhs``
+    may then be 2-D, one column per right-hand side.  Otherwise GMRES, right-preconditioned by the
     held factor, runs one restart cycle, and its result stands when the true
     residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
     is dropped and ``mat`` factored in its place.  A singular factorization
     raises :class:`NonConvergence` carrying ``history``, which a solver
-    sharing the object points at its own residual list.
+    sharing the object points at its own residual list.  ``factor_fill``
+    sums the entries SuperLU stores for L and U (``SuperLU.nnz``) over the
+    factorizations; reading ``L.nnz + U.nnz`` instead would make scipy build
+    CSC copies of both factors and keep them as long as the factor.
     """
 
     def __init__(self, history=()):
         self.history = history
         self.factorizations = 0
         self.krylov_iterations = 0
+        self.factor_fill = 0
         self._lu = None
 
     def solve(self, mat, rhs, rtol: float, name: str):
@@ -198,10 +207,11 @@ class _ReusedLU:
                 return x
         self._lu = None  # never two factors at once
         try:
-            self._lu = spla.splu(mat.tocsc())
+            self._lu = spla.splu(mat.tocsc(), permc_spec="NATURAL")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NonConvergence(f"{name} is singular: {exc}", self.history) from exc
         self.factorizations += 1
+        self.factor_fill += self._lu.nnz
         return self._lu.solve(rhs)
 
     def _preconditioned_gmres(self, mat, rhs, rtol: float):
@@ -217,14 +227,6 @@ class _ReusedLU:
 
     def _count_iteration(self, _residual):
         self.krylov_iterations += 1
-
-
-def _interior_residual(dom: Domain, gamma_vals, g, p, eps):
-    f = _flux_values(gamma_vals, g, p, eps)
-    div = np.zeros(dom.shape)
-    for a, m in enumerate(dom.diff_matrices):
-        div += (m @ f[..., a].ravel()).reshape(dom.shape)
-    return div.ravel()[dom.interior_flat]
 
 
 def solve_p_laplace(
@@ -274,7 +276,7 @@ def solve_p_laplace(
     if lu is None:
         lu = _ReusedLU()
     lu.history = history  # a singular factor reports this solve's residuals
-    factorizations, krylov_iterations = lu.factorizations, lu.krylov_iterations
+    factorizations, krylov_iterations, fill = lu.factorizations, lu.krylov_iterations, lu.factor_fill
     u_flat = np.array(f.values, dtype=float).ravel()
     if start is None:
         # initial guess: linear solve with tensor gamma*I, same boundary data;
@@ -295,13 +297,17 @@ def solve_p_laplace(
     if eps == 0.0:
         read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
 
-    def zero_gradients(g) -> int:
+    def as_field(values) -> ScalarField:
+        return ScalarField(dom, values.reshape(dom.shape))
+
+    def zero_gradients(values) -> int:
         if read is None:
             return 0
+        g = gradient(as_field(values)).values
         return int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
 
-    def require_nonzero_gradient(g, undefined: str):
-        n_zero = zero_gradients(g)
+    def require_nonzero_gradient(values, undefined: str):
+        n_zero = zero_gradients(values)
         if n_zero:
             raise NonConvergence(
                 f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
@@ -309,11 +315,13 @@ def solve_p_laplace(
                 history,
             )
 
+    def interior_residual(values) -> np.ndarray:
+        return residual(gamma, p, as_field(values), eps).values.ravel()[int_idx]
+
     iterations = 0
-    g = gradient(ScalarField(dom, u_flat.reshape(dom.shape))).values
     if p < 2.0:
-        require_nonzero_gradient(g, "flux and its derivative are")
-    res = _interior_residual(dom, gamma.values, g, p, eps)
+        require_nonzero_gradient(u_flat, "flux and its derivative are")
+    res = interior_residual(u_flat)
     res_norm = float(np.max(np.abs(res)))
     history.append(res_norm)
     while not res_norm <= cfg.tol:  # NaN compares false: it enters and is rejected
@@ -324,7 +332,8 @@ def solve_p_laplace(
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
             )
-        require_nonzero_gradient(g, "flux derivative is")
+        require_nonzero_gradient(u_flat, "flux derivative is")
+        g = gradient(as_field(u_flat)).values
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac = anisotropic_operator(dom, blocks)
         step = lu.solve(jac[int_idx][:, int_idx], -res, _NEWTON_FORCING, "Newton Jacobian")
@@ -332,12 +341,11 @@ def solve_p_laplace(
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)
             trial[int_idx] += t * step
-            g_t = gradient(ScalarField(dom, trial.reshape(dom.shape))).values
-            if p >= 2.0 or not zero_gradients(g_t):
-                res_t = _interior_residual(dom, gamma.values, g_t, p, eps)
+            if p >= 2.0 or not zero_gradients(trial):
+                res_t = interior_residual(trial)
                 norm_t = float(np.max(np.abs(res_t)))
                 if norm_t < res_norm:
-                    u_flat, res, g, res_norm = trial, res_t, g_t, norm_t
+                    u_flat, res, res_norm = trial, res_t, norm_t
                     break
             t *= _STEP_SHRINK
         else:
@@ -347,7 +355,7 @@ def solve_p_laplace(
         iterations += 1
         history.append(res_norm)
 
-    u = ScalarField(dom, u_flat.reshape(dom.shape))
+    u = as_field(u_flat)
     min_grad = min_interior_gradient(u)
     degenerate = min_grad < eps
     if degenerate:
@@ -367,6 +375,7 @@ def solve_p_laplace(
         degenerate_gradient=degenerate,
         factorizations=lu.factorizations - factorizations,
         krylov_iterations=lu.krylov_iterations - krylov_iterations,
+        factor_fill=lu.factor_fill - fill,
     )
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plap import cli, recover
+from plap import cli, psolve, recover
 from plap.cli import (
     ConfigError,
     ExperimentConfig,
@@ -189,6 +189,7 @@ def test_linearize_run(tmp_path):
     assert devs[0] > devs[-1]
     # the base solve's LU and the LU of A, shared by the three quotient solves
     assert report["results"]["factorizations"] == 2
+    assert report["results"]["factor_fill"] > 0
     assert isinstance(report["results"]["krylov_iterations"], int)
 
 
@@ -204,6 +205,7 @@ def test_fixedpoint_run(tmp_path):
     assert report["results"]["sup_grad_R"] < 0.5
     assert report["results"]["min_grad_u0"] > 0.5
     assert report["results"]["factorizations"] == 1
+    assert report["results"]["factor_fill"] > 0
     assert report["results"]["krylov_iterations"] > 0
 
 
@@ -300,6 +302,20 @@ def test_zero_gradient_without_regularization_is_named(tmp_path):
     assert results["iterations"] == 0 and results["residual_norm"] == 0.0
 
 
+def test_degenerate_gradient_still_passes_forward_and_dn(tmp_path):
+    # constant data: the Dirichlet solution is constant, a valid solve with
+    # zero gradient; the flag warns only about linearizing there
+    cfg = _write(tmp_path, "const.cfg", "[domain]\nresolution = 3 3\n[problem]\np = 3\ndata = expr:1\n")
+    for command in ("forward", "dn"):
+        out = str(tmp_path / command)
+        with pytest.warns(psolve.DegenerateGradientWarning):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["pass"] is True
+        assert report["results"]["degenerate_gradient"] is True
+        assert report["results"]["residual_norm"] == 0.0
+
+
 def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
     text = "[domain]\nresolution = 17 17\n[problem]\np = 3\ndata = linear\nzeta = 0.8 0.6\n"
     for command in ("forward", "dn"):
@@ -308,6 +324,7 @@ def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
         assert main([command, "--config", cfg, "--out", out]) == 0
         results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
         assert results["factorizations"] == 1
+        assert results["factor_fill"] > 0
         assert isinstance(results["krylov_iterations"], int)
 
 
@@ -329,6 +346,13 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 False"
+    # nor does the Taylor identity check, which takes the same rule
+    code = (
+        "import sys, plap.linearize as lin; "
+        "print(lin.taylor_identity_check([2.0, 0.5], [1.0, 0.0], 1.5) < 1e-12, 'scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True False"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

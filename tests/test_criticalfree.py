@@ -123,15 +123,22 @@ def test_slow_weight_certificates(p):
 def test_picard_steps_share_one_factor(monkeypatch):
     import scipy.sparse.linalg as spla
 
-    calls = []
+    fills = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+
+    def counting(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counting)
     dom = build_domain((1.0, 1.0), (33, 33))
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.05 * x)
     rep = fixed_point_u0(gam, 1.5, np.array([1.0, 0.0]))
     assert rep.iterations >= 3
-    assert len(calls) == 1
+    assert len(fills) == 1
     assert rep.factorizations == 1
+    assert rep.factor_fill == fills[0]
     assert rep.krylov_iterations > 0
 
 

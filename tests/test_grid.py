@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from plap.grid import (
+    Domain,
     ScalarField,
     TensorField,
     VectorField,
+    anisotropic_operator,
     boundary_trace,
     build_domain,
     divergence,
@@ -53,6 +55,51 @@ def test_partition_and_spacing():
         sl[dom.face_slice(f)] = True
         on_face |= sl
     assert np.array_equal(on_face, dom.boundary_mask)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9, 33), (129, 129), (5, 5, 17), (17, 17, 17)])
+def test_interior_order_is_a_deterministic_permutation(shape):
+    dom = build_domain((1.0,) * len(shape), shape)
+    order = dom.interior_flat
+    assert np.array_equal(np.sort(order), np.flatnonzero(dom.interior_mask.ravel()))
+    assert np.array_equal(Domain((1.0,) * len(shape), shape).interior_flat, order)
+
+
+def test_small_grids_keep_c_order():
+    # fewer than 8 interior nodes on every axis: one leaf, C order
+    for shape in [(9, 9), (3, 9), (9, 9, 9)]:
+        dom = build_domain((1.0,) * len(shape), shape)
+        assert np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
+    dom = build_domain((1.0, 1.0), (10, 10))
+    assert not np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
+def test_top_separator_separates_full_stencil(shape):
+    # a full symmetric tensor couples nodes two apart along an axis and
+    # diagonal neighbours; the two halves still meet only through the
+    # separator, the last two node planes of the order
+    dom = build_domain((1.0,) * len(shape), shape)
+    n = dom.n
+    tensor = np.eye(n) + 0.3 * (np.ones((n, n)) - np.eye(n))
+    op = anisotropic_operator(dom, np.broadcast_to(tensor, dom.shape + (n, n)))
+    order = dom.interior_flat
+    block = op[order][:, order].tocoo()
+    m = order.size
+    plane = m // (shape[0] - 2)
+    left = (shape[0] - 2 - 2) // 2 * plane
+    sep = m - 2 * plane
+    first = block.row < left
+    second = (block.row >= left) & (block.row < sep)
+    assert not np.any(first & (block.col >= left) & (block.col < sep))
+    assert not np.any(second & (block.col < left))
+    # and the separator is the top plane pair of the first axis, its nodes
+    # grouped by index parity, C order within a group
+    idx = np.unravel_index(order[sep:], shape)
+    assert set(idx[0].tolist()) == {1 + (shape[0] - 4) // 2, 2 + (shape[0] - 4) // 2}
+    parity = sum((i % 2) << a for a, i in enumerate(idx))
+    assert np.array_equal(order[sep:], order[sep:][np.lexsort((order[sep:], parity))])
+    assert len(set(parity.tolist())) == 2**n
 
 
 def test_gradient_affine_exact():

@@ -320,14 +320,21 @@ def test_verify_linearization_factors_twice(monkeypatch):
     # and preconditions all five quotient solves
     import scipy.sparse.linalg as spla
 
-    calls = []
+    fills = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+
+    def counting(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counting)
     gam, phi0, phi, cfg = _sample_problem()
     rep = verify_linearization(gam, 3.0, phi0, phi, cfg=cfg)
     assert rep.passed
-    assert len(calls) == 2
+    assert len(fills) == 2
     assert rep.factorizations == 2
+    assert rep.factor_fill == sum(fills)
     assert rep.krylov_iterations > 0
 
 

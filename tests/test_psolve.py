@@ -324,6 +324,55 @@ def test_reused_lu_solves_many_and_near(square17):
     assert np.linalg.norm(far[idx][:, idx] @ x - rhs[:, 1]) <= 1e-12 * np.linalg.norm(rhs[:, 1])
 
 
+def test_lu_factors_in_the_grid_order(monkeypatch):
+    specs = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: specs.append(k.get("permc_spec")) or splu(*a, **k))
+    gam, f = _wavy_problem(17)
+    solve_p_laplace(gam, 3.0, f)
+    assert specs == ["NATURAL"]
+
+
+def _isotropic_block(shape):
+    dom = build_domain((1.0,) * len(shape), shape)
+    gam = 1.0 + 0.3 * np.sin(np.pi * dom.coords[0]) * np.cos(np.pi * dom.coords[-1])
+    op = anisotropic_operator(dom, gam[..., None, None] * np.eye(dom.n))
+    return dom, op
+
+
+@pytest.mark.parametrize("shape, most", [((129, 129), 1_100_000), ((17, 17, 17), 750_000)])
+def test_isotropic_lu_fill(shape, most, monkeypatch):
+    # C order with COLAMD: L.nnz + U.nnz = 1.46M at 129^2 and 0.98M at 17^3
+    factors = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(splu(*a, **k)) or factors[-1])
+    dom, op = _isotropic_block(shape)
+    idx = dom.interior_flat
+    lu = psolve._ReusedLU()
+    lu.solve(op[idx][:, idx], np.ones(idx.size), 1e-12, "isotropic operator")
+    assert len(factors) == lu.factorizations == 1
+    assert lu.factor_fill == factors[0].nnz
+    assert factors[0].L.nnz + factors[0].U.nnz <= most
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)])
+def test_isotropic_solve_matches_colamd_reference(shape):
+    dom, op = _isotropic_block(shape)
+    rng = np.random.default_rng(3)
+    u_bnd = rng.standard_normal(dom.boundary_flat.size)
+    c_order = np.flatnonzero(dom.interior_mask.ravel())
+    ref = np.zeros(dom.n_nodes)
+    ref[c_order] = spla.splu(op[c_order][:, c_order].tocsc(), permc_spec="COLAMD").solve(
+        -(op[c_order][:, dom.boundary_flat] @ u_bnd)
+    )
+    idx = dom.interior_flat
+    got = np.zeros(dom.n_nodes)
+    got[idx] = psolve._ReusedLU().solve(
+        op[idx][:, idx], -(op[idx][:, dom.boundary_flat] @ u_bnd), 1e-12, "isotropic operator"
+    )
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_degenerate_gradient_warning(square17):
     gam = ScalarField.constant(square17, 1.0)
     f = ScalarField.constant(square17, 0.0)
