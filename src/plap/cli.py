@@ -307,17 +307,23 @@ def to_json(obj) -> str:
     return "".join(out)
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
 def write_csv(path: str, header: list[str], rows: list[list]):
+    """Write a table: floats (numpy floats too) as ``%.17g``, other cells as ``str``.
+
+    Each row is formatted in one ``%`` operation, with a format string kept
+    per tuple of cell types.
+    """
+    formats: dict[tuple, str] = {}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join(
+                    "%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in types
+                ) + "\n"
+            fh.write(fmt % tuple(row))
 
 
 # -- field construction helpers -----------------------------------------------------
@@ -440,7 +446,7 @@ def run_dn(cfg: ExperimentConfig):
         matrix, index = linearize.dn_matrix(linearize.assemble_A(gamma, cfg.p, sol.u))
         tables["dn_matrix"] = (
             ["row", "col", "value"],
-            [[i, j, matrix[i, j]] for i in range(matrix.shape[0]) for j in range(matrix.shape[1])],
+            [[i, j, v] for i, row in enumerate(matrix.tolist()) for j, v in enumerate(row)],
         )
         results["dn_matrix_nodes"] = len(index)
     passed = sol.residual_norm <= cfg.tol

@@ -11,6 +11,11 @@ Volume sums use tensor-product trapezoid weights (half weight on boundary
 nodes), face sums use the same rule restricted to a face.  Both are exact for
 fields with constant integrand, which several test oracles rely on.
 
+The divergence-form operator u -> div(T grad u) of the solvers is assembled
+only as they use it: its interior rows, split into the interior block and
+the boundary columns.  Three sparse products build both blocks from the
+tensor values; their tensor-independent factors are built once per grid.
+
 All operations here are pure functions of immutable inputs and are evaluated
 with a fixed summation order, so repeated calls are bitwise reproducible.
 """
@@ -114,18 +119,17 @@ def _stencil_1d(n: int, h: float) -> sp.csr_matrix:
     Central differences at rows 1..n-2, 3-point one-sided at the end rows.
     Exact for quadratics at every row.
     """
-    s = sp.lil_matrix((n, n))
     inv = 1.0 / (2.0 * h)
-    s[0, 0] = -3.0 * inv
-    s[0, 1] = 4.0 * inv
-    s[0, 2] = -1.0 * inv
-    for i in range(1, n - 1):
-        s[i, i - 1] = -inv
-        s[i, i + 1] = inv
-    s[n - 1, n - 3] = 1.0 * inv
-    s[n - 1, n - 2] = -4.0 * inv
-    s[n - 1, n - 1] = 3.0 * inv
-    return s.tocsr()
+    mid = np.arange(1, n - 1)
+    rows = np.concatenate([[0, 0, 0], mid, mid, [n - 1] * 3])
+    cols = np.concatenate([[0, 1, 2], mid - 1, mid + 1, [n - 3, n - 2, n - 1]])
+    vals = np.concatenate([
+        [-3.0 * inv, 4.0 * inv, -1.0 * inv],
+        np.full(n - 2, -inv),
+        np.full(n - 2, inv),
+        [1.0 * inv, -4.0 * inv, 3.0 * inv],
+    ])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 class Domain:
@@ -199,8 +203,9 @@ class Domain:
     def interior_flat(self) -> np.ndarray:
         """Flat (C-order) indices of the interior nodes, in nested-dissection order.
 
-        Every interior block op[interior_flat][:, interior_flat] and every
-        interior vector of the solvers comes in this order, so a sparse LU
+        The rows and interior columns of the blocks that
+        :func:`anisotropic_operator` returns, and every interior vector of
+        the solvers, come in this order, so a sparse LU
         factors the block as given, with no column permutation of its own,
         and keeps the fill of the separator tree; :func:`_nested_dissection`
         builds it.  Grids with fewer than 10 nodes on every axis keep C order.
@@ -278,6 +283,30 @@ class Domain:
                 m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
             mats.append(m.tocsr())
         return tuple(mats)
+
+    @cached_property
+    def _operator_chain(self) -> tuple:
+        """The per-grid factors of :func:`anisotropic_operator`'s sparse chain.
+
+        With Dcat = [D_0 ... D_{n-1}] (nodes x n nodes), Dstack its vertical
+        counterpart and Tblk the node-block-diagonal n nodes x n nodes matrix
+        with entry ((a, k), (b, k)) = T[k, a, b], the operator is
+        Dcat Tblk Dstack.  Holds, as CSR, the transpose of the interior rows
+        of Dcat and the interior and boundary rows of Dstack^T, then the
+        ``indices`` and ``indptr`` of Tblk^T, whose row (a, k) holds the
+        columns (b, k) for b = 0..n-1.
+        """
+        mats = self.diff_matrices
+        n_nodes, n = self.n_nodes, self.n
+        dcat_int_t = sp.hstack(mats, format="csr")[self.interior_flat].T.tocsr()
+        dstack_t = sp.hstack([m.T for m in mats], format="csr")
+        node = np.arange(n * n_nodes) % n_nodes
+        t_indices = (node[:, None] + n_nodes * np.arange(n)).ravel()
+        t_indptr = np.arange(0, n * n * n_nodes + 1, n)
+        return (
+            dcat_int_t, dstack_t[self.interior_flat], dstack_t[self.boundary_flat],
+            t_indices, t_indptr,
+        )
 
     def __eq__(self, other):
         return (
@@ -400,21 +429,33 @@ def normal_component(v: VectorField) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-def anisotropic_operator(domain: Domain, tensor_values: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix of u -> div(T grad u) built from the difference stencils.
+def anisotropic_operator(
+    domain: Domain, tensor_values: np.ndarray
+) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """Interior rows of u -> div(T grad u) = sum_ab D_a diag(T_ab) D_b u.
 
-    ``tensor_values`` has shape grid + (n, n).  Rows are defined at every node;
-    only interior rows are a consistent approximation of the divergence form.
+    ``tensor_values`` has shape grid + (n, n).  Returns the blocks
+    ``(A_II, A_IB)`` of the interior rows, which are the consistent
+    approximation of the divergence form: rows and the columns of ``A_II``
+    in ``domain.interior_flat`` order, the columns of ``A_IB`` in
+    ``domain.boundary_flat`` order.  Both are CSC; ``A_II`` has sorted
+    indices, so a sparse LU takes it as given.
+
+    The blocks are transposes of three sparse products over the per-grid
+    chain of :attr:`Domain._operator_chain`: M = Tblk^T Dcat_I^T, then
+    Dstack^T restricted to interior or boundary rows times M.  The data of
+    Tblk^T is T with its last two axes swapped, so a non-symmetric T comes
+    out right.  The products drop exact-zero sums, so the zero off-diagonal
+    entries of a diagonal T store nothing.
     """
-    mats = domain.diff_matrices
-    n = domain.n
-    total = None
-    for a in range(n):
-        for b in range(n):
-            d = sp.diags(tensor_values[..., a, b].ravel())
-            term = mats[a] @ d @ mats[b]
-            total = term if total is None else total + term
-    return total.tocsr()
+    dcat_int_t, dstack_int_t, dstack_bnd_t, t_indices, t_indptr = domain._operator_chain
+    n_nodes, n = domain.n_nodes, domain.n
+    t_data = np.reshape(tensor_values, (n_nodes, n, n)).transpose(2, 0, 1).ravel()
+    tblk_t = sp.csr_matrix((t_data, t_indices, t_indptr), shape=(n * n_nodes, n * n_nodes))
+    m = tblk_t @ dcat_int_t
+    a_ii = (dstack_int_t @ m).T
+    a_ii.sort_indices()
+    return a_ii, (dstack_bnd_t @ m).T
 
 
 # -- quadrature helpers ---------------------------------------------------------

@@ -195,21 +195,22 @@ def assemble_A(gamma: ScalarField, p: float, u0: ScalarField, grad_threshold: fl
     return TensorField(u0.domain, gamma.values[..., None, None] * psolve.flux_derivative(g, p))
 
 
-def _solve_interior(dom: Domain, op, u, source, tol: float, lu: psolve._ReusedLU):
+def _solve_interior(dom: Domain, blocks, u, source, tol: float, lu: psolve._ReusedLU):
     """Fill the interior rows of ``u`` (nodes, or nodes x columns) from its
-    boundary rows; raises as :func:`solve_linear` documents."""
-    int_idx, bnd_idx = dom.interior_flat, dom.boundary_flat
-    rhs = -(op[int_idx][:, bnd_idx] @ u[bnd_idx])
+    boundary rows, with ``blocks`` = (A_II, A_IB) from
+    :func:`~plap.grid.anisotropic_operator`; raises as :func:`solve_linear`
+    documents."""
+    a_ii, a_ib = blocks
+    int_idx = dom.interior_flat
+    rhs = -(a_ib @ u[dom.boundary_flat])
     if source is not None:
         rhs = rhs - source.values.ravel()[int_idx]
-    u[int_idx] = lu.solve(op[int_idx][:, int_idx], rhs, psolve._LINEAR_RTOL, "linear operator")
-    res = op @ u
-    if source is not None:
-        res = res + source.values.ravel()
-    res_norm = float(np.max(np.abs(res[int_idx])))
+    u[int_idx] = lu.solve(a_ii, rhs, psolve._LINEAR_RTOL, "linear operator")
+    # the interior rows A_II u_I + A_IB u_B + source
+    res_norm = float(np.max(np.abs(a_ii @ u[int_idx] - rhs)))
     # singularity guard: a healthy solve leaves residual near machine
-    # precision times the operator scale
-    op_scale = max(1.0, float(np.max(np.abs(op.data), initial=0.0)))
+    # precision times the scale of the rows it solves
+    op_scale = max(1.0, *(float(np.max(np.abs(b.data), initial=0.0)) for b in blocks))
     op_scale *= max(1.0, float(np.max(np.abs(u))))
     if not np.isfinite(res_norm) or res_norm > tol * op_scale:
         raise psolve.NonConvergence(f"linear solve left residual {res_norm:.3e}", [res_norm])
@@ -237,8 +238,8 @@ def solve_linear(
     u_flat = np.zeros(dom.n_nodes)
     if phi is not None:
         u_flat[dom.boundary_flat] = phi.values.ravel()[dom.boundary_flat]
-    op = anisotropic_operator(dom, A.values)
-    _solve_interior(dom, op, u_flat, source, tol, psolve._ReusedLU() if lu is None else lu)
+    blocks = anisotropic_operator(dom, A.values)
+    _solve_interior(dom, blocks, u_flat, source, tol, psolve._ReusedLU() if lu is None else lu)
     return ScalarField(dom, u_flat.reshape(dom.shape))
 
 

@@ -20,10 +20,12 @@ a nearby operator, or else the first Jacobian's), solves each Jacobian to a
 relative residual of 1e-4.  Only when one restart cycle misses is the
 current Jacobian refactored, its factor replacing the old one, which is
 dropped first.  Interior unknowns come in the nested-dissection order of
-:attr:`~plap.grid.Domain.interior_flat`, and the LU factors each interior
-block as given, without a column permutation of its own.  Each Newton step
-is halved until the max norm of the residual drops.  Everything is
-deterministic: fixed iteration order, no randomness.
+:attr:`~plap.grid.Domain.interior_flat`.  The isotropic operator and each
+Jacobian are assembled directly as their interior blocks in that order
+(:func:`~plap.grid.anisotropic_operator`), already in CSC, and the LU
+factors each block as given, without a column permutation of its own.
+Each Newton step is halved until the max norm of the residual drops.
+Everything is deterministic: fixed iteration order, no randomness.
 """
 
 from __future__ import annotations
@@ -178,13 +180,14 @@ def min_interior_gradient(u: ScalarField) -> float:
 class _ReusedLU:
     """One sparse LU of an interior block, reused while the matrices stay near.
 
-    ``solve(mat, rhs, rtol, name)`` solves mat x = rhs.  With no factor held
-    it factors ``mat`` as given, rows and columns in the nested-dissection
-    order of :attr:`~plap.grid.Domain.interior_flat` (SuperLU's natural
-    column order, its default partial pivoting), and solves directly; ``rhs``
-    may then be 2-D, one column per right-hand side.  Otherwise GMRES, right-preconditioned by the
-    held factor, runs one restart cycle, and its result stands when the true
-    residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
+    ``solve(mat, rhs, rtol, name)`` solves mat x = rhs for a CSC interior
+    block ``mat``.  With no factor held it factors ``mat`` as given, rows and
+    columns in the nested-dissection order of
+    :attr:`~plap.grid.Domain.interior_flat` (SuperLU's natural column order,
+    its default partial pivoting), and solves directly; ``rhs`` may then be
+    2-D, one column per right-hand side.  Otherwise GMRES, right-preconditioned
+    by the held factor, runs one restart cycle, and its result stands when the
+    true residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
     is dropped and ``mat`` factored in its place.  A singular factorization
     raises :class:`NonConvergence` carrying ``history``, which a solver
     sharing the object points at its own residual list.  ``factor_fill``
@@ -207,7 +210,7 @@ class _ReusedLU:
                 return x
         self._lu = None  # never two factors at once
         try:
-            self._lu = spla.splu(mat.tocsc(), permc_spec="NATURAL")
+            self._lu = spla.splu(mat, permc_spec="NATURAL")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NonConvergence(f"{name} is singular: {exc}", self.history) from exc
         self.factorizations += 1
@@ -270,7 +273,6 @@ def solve_p_laplace(
             raise ValueError("weight, boundary data and start live on different domains")
     eps = cfg.eps_reg
     int_idx = dom.interior_flat
-    bnd_idx = dom.boundary_flat
 
     history: list[float] = []
     if lu is None:
@@ -282,10 +284,9 @@ def solve_p_laplace(
         # initial guess: linear solve with tensor gamma*I, same boundary data;
         # its LU then preconditions the Newton steps
         eye_t = gamma.values[..., None, None] * np.eye(dom.n)
-        lin_op = anisotropic_operator(dom, eye_t)
-        rhs = -(lin_op[int_idx][:, bnd_idx] @ u_flat[bnd_idx])
+        lin_ii, lin_ib = anisotropic_operator(dom, eye_t)
         u_flat[int_idx] = lu.solve(
-            lin_op[int_idx][:, int_idx], rhs, _NEWTON_FORCING, "isotropic operator"
+            lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator"
         )
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
@@ -335,8 +336,8 @@ def solve_p_laplace(
         require_nonzero_gradient(u_flat, "flux derivative is")
         g = gradient(as_field(u_flat)).values
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
-        jac = anisotropic_operator(dom, blocks)
-        step = lu.solve(jac[int_idx][:, int_idx], -res, _NEWTON_FORCING, "Newton Jacobian")
+        jac, _ = anisotropic_operator(dom, blocks)
+        step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian")
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)

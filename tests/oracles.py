@@ -4,7 +4,8 @@ Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
 for Jacobians, convergence-order measurement, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
-divergence, and the closed-form order-0 split in two dimensions.
+divergence, the closed-form order-0 split in two dimensions, and the full
+divergence-form operator as a sum of sparse triple products.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
@@ -156,3 +158,15 @@ def recover_order0_2d(a_tangent: float, tangential_slope: float, flux: float, p:
     w2 = d * d + t * t
     gamma = kappa * w2 ** ((2.0 - p) / 2.0)
     return gamma, d, math.sqrt(w2)
+
+
+def anisotropic_operator_loop(domain, tensor_values) -> sp.csr_matrix:
+    """Sparse matrix of u -> div(T grad u) on every node, in C order: the sum
+    over a, b of the triple products D_a diag(T_ab) D_b."""
+    mats = domain.diff_matrices
+    total = None
+    for a in range(domain.n):
+        for b in range(domain.n):
+            term = mats[a] @ sp.diags(tensor_values[..., a, b].ravel()) @ mats[b]
+            total = term if total is None else total + term
+    return total.tocsr()

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plap import cli, psolve, recover
 from plap.cli import (
@@ -14,6 +15,7 @@ from plap.cli import (
     main,
     parse_config_text,
     to_json,
+    write_csv,
 )
 
 
@@ -477,3 +479,49 @@ def test_run_command_mismatch(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "[run]\ncommand = checks\n")
     with pytest.raises(ConfigError, match="does not match"):
         cli.run("forward", load_config(cfg), str(tmp_path / "o"))
+
+
+_WAVY = (
+    "[domain]\nresolution = {n} {n}\n[problem]\np = 2.7\n"
+    "gamma = 1 + 0.3*sin(3.14159265358979*x1)*sin(3.14159265358979*x2)\n"
+    "data = linear\nzeta = 0.955336489125606 0.29552020666134\n{extra}"
+)
+
+
+@pytest.mark.parametrize("command, n, extra, fills", [
+    ("forward", 65, "", [215_859]),
+    ("dn", 33, "[dn]\ndn_matrix = true\n", [39_939, 74_216]),
+])
+def test_factor_counts_are_pinned(tmp_path, monkeypatch, command, n, extra, fills):
+    # the fill of an LU depends only on the pattern of the block it factors:
+    # an assembly that stores zeros or reorders the unknowns changes it
+    factors = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(splu(*a, **k)) or factors[-1])
+    cfg = _write(tmp_path, "wavy.cfg", _WAVY.format(n=n, extra=extra))
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+    assert results["factorizations"] == 1
+    assert results["factor_fill"] == fills[0]
+    assert [lu.nnz for lu in factors] == fills
+
+
+def test_write_csv_formats_mixed_cells(tmp_path):
+    # floats of every kind at 17 significant digits, anything else by str,
+    # the types of a column free to change between rows
+    rows = [
+        [0, 0.1, np.float64(1.0) / 3.0, "x1+"],
+        [np.int64(7), np.float32(0.1), -0.0, True],
+        [2.5, 3, float("nan"), float("-inf")],
+        [0, 1e-300, np.float64(2.0), "x2-"],
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b", "c", "d"], rows)
+    assert path.read_text() == (
+        "a,b,c,d\n"
+        "0,0.10000000000000001,0.33333333333333331,x1+\n"
+        "7,0.10000000149011612,-0,True\n"
+        "2.5,3,nan,-inf\n"
+        "0,1e-300,2,x2-\n"
+    )

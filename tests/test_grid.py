@@ -15,9 +15,10 @@ from plap.grid import (
     integrate_volume,
     normal_component,
     require_positive_weight,
+    _stencil_1d,
 )
 
-from oracles import convergence_orders
+from oracles import anisotropic_operator_loop, convergence_orders
 
 
 def test_counting_2d():
@@ -82,9 +83,8 @@ def test_top_separator_separates_full_stencil(shape):
     dom = build_domain((1.0,) * len(shape), shape)
     n = dom.n
     tensor = np.eye(n) + 0.3 * (np.ones((n, n)) - np.eye(n))
-    op = anisotropic_operator(dom, np.broadcast_to(tensor, dom.shape + (n, n)))
+    block = anisotropic_operator(dom, np.broadcast_to(tensor, dom.shape + (n, n)))[0].tocoo()
     order = dom.interior_flat
-    block = op[order][:, order].tocoo()
     m = order.size
     plane = m // (shape[0] - 2)
     left = (shape[0] - 2 - 2) // 2 * plane
@@ -100,6 +100,51 @@ def test_top_separator_separates_full_stencil(shape):
     parity = sum((i % 2) << a for a, i in enumerate(idx))
     assert np.array_equal(order[sep:], order[sep:][np.lexsort((order[sep:], parity))])
     assert len(set(parity.tolist())) == 2**n
+
+
+def _tensor(kind, dom):
+    rng = np.random.default_rng(7)
+    n = dom.n
+    if kind == "zero":
+        return np.zeros(dom.shape + (n, n))
+    if kind == "diagonal":
+        return rng.uniform(0.5, 2.0, dom.shape + (n,))[..., None] * np.eye(n)
+    t = rng.standard_normal(dom.shape + (n, n))
+    if kind == "symmetric":
+        return t @ np.swapaxes(t, -1, -2) + np.eye(n)
+    return t
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "diagonal", "nonsymmetric", "zero"])
+@pytest.mark.parametrize("shape", [(9, 9), (33, 33), (65, 65), (5, 5, 17), (17, 17, 17)])
+def test_operator_blocks_match_loop_oracle(shape, kind):
+    dom = build_domain((1.0, 0.7, 1.3)[: len(shape)], shape)
+    tensor = _tensor(kind, dom)
+    a_ii, a_ib = anisotropic_operator(dom, tensor)
+    full = anisotropic_operator_loop(dom, tensor)[dom.interior_flat]
+    ref_ii, ref_ib = full[:, dom.interior_flat], full[:, dom.boundary_flat]
+    scale = abs(full).max()
+    for got, ref in [(a_ii, ref_ii), (a_ib, ref_ib)]:
+        assert got.format == "csc" and got.shape == ref.shape
+        assert abs(got - ref).max() <= 1e-13 * scale
+        if kind in ("diagonal", "zero"):
+            # the zero off-diagonal entries store nothing
+            assert got.nnz == ref.nnz
+    assert a_ii.has_canonical_format
+
+
+def test_stencil_1d_matches_hand_written():
+    inv = 1.0 / (2.0 * 0.25)
+    expect = inv * np.array([
+        [-3.0, 4.0, -1.0, 0.0, 0.0],
+        [-1.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, -4.0, 3.0],
+    ])
+    s = _stencil_1d(5, 0.25)
+    assert s.format == "csr" and s.has_canonical_format and s.nnz == 12
+    assert np.array_equal(s.toarray(), expect)
 
 
 def test_gradient_affine_exact():

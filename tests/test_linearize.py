@@ -207,6 +207,23 @@ def test_solve_linear_singular_operator_with_reused_factor():
     assert lu.factorizations == 1
 
 
+@pytest.mark.parametrize("error, raises", [(1e-12, False), (1e-4, True)])
+def test_linear_residual_guard(monkeypatch, error, raises):
+    # the interior vector of each solve is off by a relative error: the guard
+    # on A_II u_I + A_IB u_B lets rounding through and stops a wrong solve
+    dom = build_domain((1.0, 1.0), (9, 9))
+    a = TensorField(dom, np.broadcast_to(np.diag([1.0, 2.0]), dom.shape + (2, 2)).copy())
+    phi = ScalarField.from_function(dom, lambda x, y: x + y**2)
+    solve = psolve._ReusedLU.solve
+    monkeypatch.setattr(psolve._ReusedLU, "solve", lambda *args: solve(*args) * (1.0 + error))
+    for run in (lambda: solve_linear(a, phi), lambda: dn_matrix(a)):
+        if raises:
+            with pytest.raises(psolve.NonConvergence, match="linear solve left residual"):
+                run()
+        else:
+            run()
+
+
 def test_dn_matrix_matches_per_column_dn_linear():
     dom = build_domain((1.0, 1.0), (17, 17))
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
