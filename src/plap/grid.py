@@ -75,10 +75,16 @@ def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     D_a diag(T) D_b couple nodes two apart along an axis and a one-plane
     separator would not separate.  The two halves come first, each ordered
     the same way, then the separator, its nodes sorted stably by index
-    parity sum_a (i_a mod 2) << a: the isotropic operator couples only nodes
-    of equal parity away from the boundary, and grouping them lets the LU
-    form supernodes.  A box whose every axis has fewer than 8 nodes stays in
-    C order.
+    parity sum_a (i_a mod 2) << a: a diagonal tensor couples only nodes of
+    equal parity away from the boundary.  On a grid of odd resolution the
+    LU already splits such a block into its parity lattices, the strongly
+    connected components that the one-sided boundary-flux rows join in one
+    direction only, and factors them one after another, each in this order;
+    there the sort changes nothing.  It still pays where the lattices meet
+    in a cycle, on an axis of even resolution, and for full tensors: LU
+    fill without and with it 216k -> 212k for the isotropic block at 64^2,
+    2.23M -> 2.20M for a full-tensor one at 129^2.  A box whose every axis
+    has fewer than 8 nodes stays in C order.
     """
     n = len(shape)
     boxes: list[tuple[list[int], list[int], bool]] = []  # (lo, hi, separator) in order
@@ -211,6 +217,13 @@ class Domain:
         builds it.  Grids with fewer than 10 nodes on every axis keep C order.
         """
         return _nested_dissection(self.shape)
+
+    @property
+    def interior_in_c_order(self) -> bool:
+        """Whether :attr:`interior_flat` is plain C order: every interior axis
+        is shorter than a nested-dissection leaf, as on grids with at most 9
+        nodes per axis."""
+        return max(self.shape) - 2 < _ND_LEAF
 
     @cached_property
     def boundary_flat(self) -> np.ndarray:

@@ -205,7 +205,7 @@ def _solve_interior(dom: Domain, blocks, u, source, tol: float, lu: psolve._Reus
     rhs = -(a_ib @ u[dom.boundary_flat])
     if source is not None:
         rhs = rhs - source.values.ravel()[int_idx]
-    u[int_idx] = lu.solve(a_ii, rhs, psolve._LINEAR_RTOL, "linear operator")
+    u[int_idx] = lu.solve(a_ii, rhs, psolve._LINEAR_RTOL, "linear operator", dom.interior_in_c_order)
     # the interior rows A_II u_I + A_IB u_B + source
     res_norm = float(np.max(np.abs(a_ii @ u[int_idx] - rhs)))
     # singularity guard: a healthy solve leaves residual near machine

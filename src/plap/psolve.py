@@ -22,8 +22,13 @@ current Jacobian refactored, its factor replacing the old one, which is
 dropped first.  Interior unknowns come in the nested-dissection order of
 :attr:`~plap.grid.Domain.interior_flat`.  The isotropic operator and each
 Jacobian are assembled directly as their interior blocks in that order
-(:func:`~plap.grid.anisotropic_operator`), already in CSC, and the LU
-factors each block as given, without a column permutation of its own.
+(:func:`~plap.grid.anisotropic_operator`), already in CSC.  The LU takes
+no column permutation of its own: it orders a block only by its strongly
+connected components, block lower triangularly, keeping the grid order
+inside each.  The isotropic operator of an odd-resolution grid splits into
+2^n parity lattices this way, and its fill drops by a quarter in 2-D and
+by half in 3-D; a Jacobian, with its full tensor, is one component and is
+factored as given.
 Each Newton step is halved until the max norm of the residual drops.
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -34,7 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import (
     Domain,
@@ -177,23 +181,66 @@ def min_interior_gradient(u: ScalarField) -> float:
 # -- solver ----------------------------------------------------------------------
 
 
+def _block_triangular_order(mat):
+    """Symmetric permutation that makes ``mat`` block lower triangular, or None.
+
+    The diagonal blocks are the strongly connected components of the graph
+    of ``mat``, sorted topologically so that every entry between two
+    components lies below the block diagonal: a column's component comes
+    before its row's (the block-triangular preorder of Duff & Reid, ACM
+    TOMS 4, 1978, as in KLU).  Inside a component the rows keep their given
+    order.  A matrix with one component gets None.  The diagonal-tensor
+    blocks of the solvers, the isotropic operator and Picard step 0, split
+    into the 2^n parity lattices of the wide stencil on grids of odd
+    resolution; full-tensor blocks do not split.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    mat = mat.tocsc()
+    # the transpose, a CSR view, has the same components and spares a copy
+    count, labels = connected_components(mat.T, directed=True, connection="strong")
+    if count == 1:
+        return None
+    row, col = labels[mat.indices], np.repeat(labels, np.diff(mat.indptr))
+    cross = row != col
+    src, dst = col[cross], row[cross]
+    # longest-path depth of each component in the acyclic component graph,
+    # one pass per link of its longest chain
+    depth = np.zeros(count, dtype=np.int64)
+    while True:
+        deeper = depth.copy()
+        np.maximum.at(deeper, dst, depth[src] + 1)
+        if np.array_equal(deeper, depth):
+            return np.argsort(depth[labels] * count + labels, kind="stable")
+        depth = deeper
+
+
 class _ReusedLU:
     """One sparse LU of an interior block, reused while the matrices stay near.
 
-    ``solve(mat, rhs, rtol, name)`` solves mat x = rhs for a CSC interior
-    block ``mat``.  With no factor held it factors ``mat`` as given, rows and
-    columns in the nested-dissection order of
-    :attr:`~plap.grid.Domain.interior_flat` (SuperLU's natural column order,
-    its default partial pivoting), and solves directly; ``rhs`` may then be
-    2-D, one column per right-hand side.  Otherwise GMRES, right-preconditioned
-    by the held factor, runs one restart cycle, and its result stands when the
-    true residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old factor
-    is dropped and ``mat`` factored in its place.  A singular factorization
-    raises :class:`NonConvergence` carrying ``history``, which a solver
-    sharing the object points at its own residual list.  ``factor_fill``
-    sums the entries SuperLU stores for L and U (``SuperLU.nnz``) over the
+    ``solve(mat, rhs, rtol, name, keep_order)`` solves mat x = rhs for a CSC
+    interior block ``mat``.  With no factor held it factors ``mat`` and
+    solves directly; ``rhs`` may then be 2-D, one column per right-hand
+    side.  The factor is one SuperLU (natural column order, default partial
+    pivoting) of ``P mat P^T``, where ``P`` orders the strongly connected
+    components of ``mat`` block lower triangularly
+    (:func:`_block_triangular_order`) and keeps the nested-dissection order
+    of :attr:`~plap.grid.Domain.interior_flat` inside each; right-hand sides
+    are permuted in and solutions out.  A matrix with one component, or a
+    call with ``keep_order`` (a grid whose interior stays in C order,
+    :attr:`~plap.grid.Domain.interior_in_c_order`), is factored as given.
+    With a factor held, GMRES, right-preconditioned by it, runs one restart
+    cycle, and its result stands when the true residual satisfies
+    |mat x - rhs| <= rtol |rhs|; on a miss the old factor is dropped and
+    ``mat`` factored in its place.  A singular factorization raises
+    :class:`NonConvergence` carrying ``history``, which a solver sharing the
+    object points at its own residual list.  ``factor_fill`` sums the
+    entries SuperLU stores for L and U (``SuperLU.nnz``) over the
     factorizations; reading ``L.nnz + U.nnz`` instead would make scipy build
     CSC copies of both factors and keep them as long as the factor.
+    ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` are imported at the
+    first factorization, and ``splu`` is looked up on its module at every
+    call.
     """
 
     def __init__(self, history=()):
@@ -202,31 +249,45 @@ class _ReusedLU:
         self.krylov_iterations = 0
         self.factor_fill = 0
         self._lu = None
+        self._perm = None
 
-    def solve(self, mat, rhs, rtol: float, name: str):
+    def solve(self, mat, rhs, rtol: float, name: str, keep_order: bool = False):
         if self._lu is not None:
             x = self._preconditioned_gmres(mat, rhs, rtol)
             if np.linalg.norm(mat @ x - rhs) <= rtol * np.linalg.norm(rhs):
                 return x
+        import scipy.sparse.linalg as spla
+
         self._lu = None  # never two factors at once
+        self._perm = None if keep_order else _block_triangular_order(mat)
         try:
-            self._lu = spla.splu(mat, permc_spec="NATURAL")
+            self._lu = spla.splu(
+                mat if self._perm is None else mat[self._perm][:, self._perm], permc_spec="NATURAL"
+            )
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NonConvergence(f"{name} is singular: {exc}", self.history) from exc
         self.factorizations += 1
         self.factor_fill += self._lu.nnz
-        return self._lu.solve(rhs)
+        return self._factor_solve(rhs)
+
+    def _factor_solve(self, rhs):
+        if self._perm is None:
+            return self._lu.solve(rhs)
+        y = self._lu.solve(rhs[self._perm])
+        x = np.empty_like(y)
+        x[self._perm] = y
+        return x
 
     def _preconditioned_gmres(self, mat, rhs, rtol: float):
-        # right preconditioning, so GMRES minimizes the true residual; the
-        # operator's closure holds the factor only until this returns
-        lu = self._lu
-        op = spla.LinearOperator(mat.shape, matvec=lambda y: mat @ lu.solve(y), dtype=float)
+        import scipy.sparse.linalg as spla
+
+        # right preconditioning, so GMRES minimizes the true residual
+        op = spla.LinearOperator(mat.shape, matvec=lambda y: mat @ self._factor_solve(y), dtype=float)
         y, _info = spla.gmres(
             op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_RESTART, maxiter=1,
             callback=self._count_iteration, callback_type="pr_norm",
         )
-        return lu.solve(y)
+        return self._factor_solve(y)
 
     def _count_iteration(self, _residual):
         self.krylov_iterations += 1
@@ -286,7 +347,8 @@ def solve_p_laplace(
         eye_t = gamma.values[..., None, None] * np.eye(dom.n)
         lin_ii, lin_ib = anisotropic_operator(dom, eye_t)
         u_flat[int_idx] = lu.solve(
-            lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator"
+            lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator",
+            dom.interior_in_c_order,
         )
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
@@ -337,7 +399,7 @@ def solve_p_laplace(
         g = gradient(as_field(u_flat)).values
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac, _ = anisotropic_operator(dom, blocks)
-        step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian")
+        step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian", dom.interior_in_c_order)
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)

@@ -335,10 +335,11 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     import sys
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, plap.cli; print('scipy.integrate' in sys.modules)"
+    loaded = "[m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')]"
+    code = f"import sys, plap.cli; print({loaded})"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
     # nor does a fixedpoint run: B comes from a fixed Gauss-Legendre rule
     cfg = _write(tmp_path, "fp.cfg", "[domain]\nresolution = 9 9\n[problem]\np = 1.5\ngamma = 1+0.05*x1\n")
     code = (
@@ -355,6 +356,13 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True False"
+    # the sparse solvers load with the first factorization, so a recover
+    # run, which solves no PDE, loads none of these modules
+    cfg = _write(tmp_path, "rec.cfg", "[recover]\norder = 4\ndepths = 0.1\np_list = 3.0\n")
+    args = ["recover", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "rec")]
+    code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, {loaded})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 [False, False, False]"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):
@@ -489,8 +497,8 @@ _WAVY = (
 
 
 @pytest.mark.parametrize("command, n, extra, fills", [
-    ("forward", 65, "", [215_859]),
-    ("dn", 33, "[dn]\ndn_matrix = true\n", [39_939, 74_216]),
+    ("forward", 65, "", [148_813]),
+    ("dn", 33, "[dn]\ndn_matrix = true\n", [25_925, 74_216]),
 ])
 def test_factor_counts_are_pinned(tmp_path, monkeypatch, command, n, extra, fills):
     # the fill of an LU depends only on the pattern of the block it factors:

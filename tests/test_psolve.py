@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from plap import psolve
 from plap.grid import ScalarField, anisotropic_operator, build_domain
@@ -339,9 +340,10 @@ def _isotropic_tensor(shape):
     return dom, gam[..., None, None] * np.eye(dom.n)
 
 
-@pytest.mark.parametrize("shape, most", [((129, 129), 1_100_000), ((17, 17, 17), 750_000)])
+@pytest.mark.parametrize("shape, most", [((129, 129), 850_000), ((17, 17, 17), 400_000)])
 def test_isotropic_lu_fill(shape, most, monkeypatch):
-    # C order with COLAMD: L.nnz + U.nnz = 1.46M at 129^2 and 0.98M at 17^3
+    # L.nnz + U.nnz: C order with COLAMD 1.46M at 129^2 and 0.98M at 17^3;
+    # nested dissection without the component order 1.00M and 0.68M
     factors = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(splu(*a, **k)) or factors[-1])
@@ -352,6 +354,74 @@ def test_isotropic_lu_fill(shape, most, monkeypatch):
     assert len(factors) == lu.factorizations == 1
     assert lu.factor_fill == factors[0].nnz
     assert factors[0].L.nnz + factors[0].U.nnz <= most
+
+
+@pytest.mark.parametrize("shape", [(129, 129), (17, 17, 17), (9, 33)])
+def test_diagonal_tensor_block_is_block_lower_triangular(shape):
+    # the wide stencil splits a diagonal-tensor block into 2^n parity
+    # lattices, joined only by the one-sided boundary-flux rows, which on
+    # odd-resolution grids all point one way
+    dom, tensor = _isotropic_tensor(shape)
+    a_ii, _ = anisotropic_operator(dom, tensor)
+    count, labels = connected_components(a_ii, directed=True, connection="strong")
+    assert count == 2**dom.n
+    perm = psolve._block_triangular_order(a_ii)
+    assert np.array_equal(np.sort(perm), np.arange(a_ii.shape[0]))
+    # each component is one run of the order, its rows in their given order
+    runs = labels[perm]
+    assert np.count_nonzero(np.diff(runs)) == count - 1
+    for c in range(count):
+        assert np.all(np.diff(perm[runs == c]) > 0)
+    # strictly block lower triangular: nothing above the block diagonal,
+    # something below it
+    block = np.r_[0, np.cumsum(np.diff(runs) != 0)]
+    coo = a_ii[perm][:, perm].tocoo()
+    row_block, col_block = block[coo.row], block[coo.col]
+    assert np.all(row_block >= col_block)
+    assert np.any(row_block > col_block)
+
+
+@pytest.mark.parametrize("shape", [(129, 129), (17, 17, 17), (9, 33)])
+def test_block_triangular_solve_matches_unpermuted(shape):
+    dom, tensor = _isotropic_tensor(shape)
+    a_ii, _ = anisotropic_operator(dom, tensor)
+    rhs = np.random.default_rng(4).standard_normal((a_ii.shape[0], 3))
+    ref = spla.splu(a_ii, permc_spec="NATURAL").solve(rhs)
+    lu = psolve._ReusedLU()
+    cols = lu.solve(a_ii, rhs, 1e-12, "isotropic operator")
+    one = lu.solve(a_ii, rhs[:, 1], 1e-12, "isotropic operator")  # GMRES on the held factor
+    assert lu.factorizations == 1
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(cols - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(one - ref[:, 1])) <= 1e-12 * scale
+
+
+def _full_tensor_jacobian(shape):
+    # gamma dJ(g) of a gradient field that turns across the grid
+    dom, tensor = _isotropic_tensor(shape)
+    g = np.stack([np.cos(0.3 + 2.0 * c) for c in dom.coords], axis=-1)
+    return anisotropic_operator(dom, tensor @ flux_derivative(g, 3.0))[0]
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("full", (33, 33)), ("full", (9, 9, 17)), ("isotropic", (64, 64)),
+])
+def test_one_component_takes_the_plain_path(kind, shape):
+    # one strong component: no permutation, the factor and its solves are
+    # bitwise those of SuperLU on the block as given
+    if kind == "full":
+        a_ii = _full_tensor_jacobian(shape)
+    else:
+        dom, tensor = _isotropic_tensor(shape)
+        a_ii = anisotropic_operator(dom, tensor)[0]
+    assert connected_components(a_ii, directed=True, connection="strong")[0] == 1
+    assert psolve._block_triangular_order(a_ii) is None
+    rhs = np.random.default_rng(5).standard_normal((a_ii.shape[0], 2))
+    ref = spla.splu(a_ii, permc_spec="NATURAL")
+    lu = psolve._ReusedLU()
+    assert np.array_equal(lu.solve(a_ii, rhs, 1e-12, "operator"), ref.solve(rhs))
+    assert np.array_equal(psolve._ReusedLU().solve(a_ii, rhs[:, 0], 1e-12, "operator"), ref.solve(rhs[:, 0]))
+    assert lu.factor_fill == ref.nnz
 
 
 @pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)])
