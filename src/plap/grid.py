@@ -15,6 +15,8 @@ The divergence-form operator u -> div(T grad u) of the solvers is assembled
 only as they use it: its interior rows, split into the interior block and
 the boundary columns.  Three sparse products build both blocks from the
 tensor values; their tensor-independent factors are built once per grid.
+``scipy.sparse`` is imported at the first sparse build, not with the module,
+so a run that solves no PDE (``recover``) never loads scipy.
 
 All operations here are pure functions of immutable inputs and are evaluated
 with a fixed summation order, so repeated calls are bitwise reproducible.
@@ -23,10 +25,13 @@ with a fixed summation order, so repeated calls are bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Domain",
@@ -67,6 +72,7 @@ _ND_LEAF = 8
 _ND_SEPARATOR = 2
 
 
+@lru_cache(maxsize=16)
 def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     """Flat C-order indices of the interior nodes of a grid, in nested-dissection order.
 
@@ -84,7 +90,8 @@ def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     in a cycle, on an axis of even resolution, and for full tensors: LU
     fill without and with it 216k -> 212k for the isotropic block at 64^2,
     2.23M -> 2.20M for a full-tensor one at 129^2.  A box whose every axis
-    has fewer than 8 nodes stays in C order.
+    has fewer than 8 nodes stays in C order.  The order is cached per shape
+    and returned read-only, so every grid of one shape shares it.
     """
     n = len(shape)
     boxes: list[tuple[list[int], list[int], bool]] = []  # (lo, hi, separator) in order
@@ -116,7 +123,9 @@ def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
         rank, r = np.divmod(rank, size[box, a])
         coords[a] = lo[box, a] + r
     parity = sum((c % 2) << a for a, c in enumerate(coords)) * np.array([b[2] for b in boxes])[box]
-    return np.ravel_multi_index(coords, shape)[np.argsort((box << n) + parity, kind="stable")]
+    order = np.ravel_multi_index(coords, shape)[np.argsort((box << n) + parity, kind="stable")]
+    order.flags.writeable = False
+    return order
 
 
 def _stencil_1d(n: int, h: float) -> sp.csr_matrix:
@@ -125,6 +134,7 @@ def _stencil_1d(n: int, h: float) -> sp.csr_matrix:
     Central differences at rows 1..n-2, 3-point one-sided at the end rows.
     Exact for quadratics at every row.
     """
+    import scipy.sparse as sp
     inv = 1.0 / (2.0 * h)
     mid = np.arange(1, n - 1)
     rows = np.concatenate([[0, 0, 0], mid, mid, [n - 1] * 3])
@@ -284,6 +294,7 @@ class Domain:
     @cached_property
     def diff_matrices(self) -> tuple[sp.csr_matrix, ...]:
         """Per-axis sparse first-derivative operators acting on C-raveled fields."""
+        import scipy.sparse as sp
         mats = []
         for a in range(self.n):
             s = _stencil_1d(self.shape[a], self.h[a])
@@ -309,6 +320,7 @@ class Domain:
         ``indices`` and ``indptr`` of Tblk^T, whose row (a, k) holds the
         columns (b, k) for b = 0..n-1.
         """
+        import scipy.sparse as sp
         mats = self.diff_matrices
         n_nodes, n = self.n_nodes, self.n
         dcat_int_t = sp.hstack(mats, format="csr")[self.interior_flat].T.tocsr()
@@ -387,11 +399,6 @@ class TensorField:
         if self.values.shape != self.domain.shape + (self.domain.n, self.domain.n):
             raise ValueError("tensor field shape mismatch")
 
-    def check_symmetric(self, tol: float = 0.0):
-        defect = np.max(np.abs(self.values - np.swapaxes(self.values, -1, -2)))
-        if defect > tol:
-            raise ValueError(f"tensor field not symmetric, defect {defect:g}")
-
 
 def require_positive_weight(gamma: ScalarField):
     """A weight field must be finite and strictly positive at every node."""
@@ -461,6 +468,7 @@ def anisotropic_operator(
     out right.  The products drop exact-zero sums, so the zero off-diagonal
     entries of a diagonal T store nothing.
     """
+    import scipy.sparse as sp
     dcat_int_t, dstack_int_t, dstack_bnd_t, t_indices, t_indptr = domain._operator_chain
     n_nodes, n = domain.n_nodes, domain.n
     t_data = np.reshape(tensor_values, (n_nodes, n, n)).transpose(2, 0, 1).ravel()

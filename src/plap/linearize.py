@@ -44,7 +44,6 @@ __all__ = [
     "LinearizationReport",
     "RescaledProblem",
     "J",
-    "dJ",
     "taylor_identity_check",
     "segment_integral_dJ",
     "assemble_A",
@@ -83,15 +82,6 @@ def J(xi, p: float) -> np.ndarray:
             raise DegenerateInput("J undefined at xi = 0 for p < 2")
         return np.zeros_like(xi)
     return norm ** (p - 2.0) * xi
-
-
-def dJ(xi, p: float) -> np.ndarray:
-    """Derivative matrix |xi|^(p-2) (I + (p-2) xi xi^T/|xi|^2); needs xi != 0."""
-    xi = np.asarray(xi, dtype=float)
-    nsq = float(xi @ xi)
-    if nsq == 0.0:
-        raise DegenerateInput("dJ undefined at xi = 0")
-    return psolve.flux_derivative(xi, p)
 
 
 # Gauss-Legendre rule of segment_integral_dJ: the most nodes it takes by

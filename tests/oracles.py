@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
-for Jacobians, convergence-order measurement, loop versions of the jet
+for Jacobians, convergence-order measurement, the closed form of the flux
+derivative dJ and a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
 divergence, the closed-form order-0 split in two dimensions, and the full
 divergence-form operator as a sum of sparse triple products.
@@ -54,6 +55,21 @@ def convergence_orders(errors) -> list[float]:
     """Empirical orders from errors at successively halved spacings."""
     errors = list(errors)
     return [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
+
+
+def dJ(xi, p: float) -> np.ndarray:
+    """The paper's flux derivative |xi|^(p-2) (I + (p-2) e e^T), e = xi/|xi|,
+    of one nonzero vector by its closed form."""
+    xi = np.asarray(xi, dtype=float)
+    norm = math.sqrt(float(xi @ xi))
+    e = xi / norm
+    return norm ** (p - 2.0) * (np.eye(xi.size) + (p - 2.0) * np.outer(e, e))
+
+
+def symmetry_defect(tensor_values) -> float:
+    """Largest |T_ab - T_ba| over the last two axes."""
+    t = np.asarray(tensor_values, dtype=float)
+    return float(np.max(np.abs(t - np.swapaxes(t, -1, -2))))
 
 
 def gauss_legendre_matrix_integral(fn, npts: int = 64) -> np.ndarray:

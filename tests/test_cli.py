@@ -335,12 +335,15 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     import sys
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    loaded = "[m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')]"
-    code = f"import sys, plap.cli; print({loaded})"
     env = dict(os.environ, PYTHONPATH=src)
+    scipy_loaded = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    # scipy.sparse loads at the first sparse build, so importing plap.cli and
+    # loading a config load no scipy module at all
+    rec = _write(tmp_path, "rec.cfg", "[recover]\norder = 4\ndepths = 0.1\np_list = 3.0\n")
+    code = f"import sys, plap.cli; plap.cli.load_config({rec!r}); print({scipy_loaded})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False, False]"
-    # nor does a fixedpoint run: B comes from a fixed Gauss-Legendre rule
+    assert out.stdout.strip() == "[]"
+    # nor does a fixedpoint run load scipy.integrate: B comes from a fixed Gauss-Legendre rule
     cfg = _write(tmp_path, "fp.cfg", "[domain]\nresolution = 9 9\n[problem]\np = 1.5\ngamma = 1+0.05*x1\n")
     code = (
         "import sys, plap.cli; "
@@ -356,13 +359,18 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True False"
-    # the sparse solvers load with the first factorization, so a recover
-    # run, which solves no PDE, loads none of these modules
-    cfg = _write(tmp_path, "rec.cfg", "[recover]\norder = 4\ndepths = 0.1\np_list = 3.0\n")
-    args = ["recover", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "rec")]
-    code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, {loaded})"
+    # a recover run, which solves no PDE, loads no scipy module
+    args = ["recover", "--config", rec, "--jobs", "1", "--out", str(tmp_path / "rec")]
+    code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, {scipy_loaded})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 [False, False, False]"
+    assert out.stdout.strip() == "0 []"
+    # a PDE run loads scipy.sparse at its first grid operator; only a fresh
+    # interpreter reaches the function-level imports on their first call
+    fwd = _write(tmp_path, "fwd.cfg", "[domain]\nresolution = 9 9\n[problem]\np = 3.0\n")
+    args = ["forward", "--config", fwd, "--jobs", "1", "--out", str(tmp_path / "fwd")]
+    code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, 'scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 True"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

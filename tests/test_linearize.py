@@ -12,7 +12,6 @@ from plap.linearize import (
     SegmentDegenerate,
     assemble_A,
     build_linearized_problem,
-    dJ,
     dn_linear,
     dn_matrix,
     rescale_translation_invariant,
@@ -21,7 +20,7 @@ from plap.linearize import (
     verify_linearization,
 )
 
-from oracles import fd_jacobian
+from oracles import dJ, fd_jacobian
 
 
 # -- flux map algebra ---------------------------------------------------------------
@@ -37,22 +36,24 @@ def test_j_at_zero():
     assert np.allclose(J([0.0, 0.0], 3.0), [0.0, 0.0])
     with pytest.raises(DegenerateInput):
         J([0.0, 0.0], 1.5)
-    with pytest.raises(DegenerateInput):
-        dJ([0.0, 0.0], 3.0)
+    # dJ is undefined at xi = 0, so the linearization tensor refuses a zero gradient
+    dom = build_domain((1.0, 1.0), (9, 9))
+    with pytest.raises(DegenerateGradient):
+        assemble_A(ScalarField.constant(dom, 1.0), 3.0, ScalarField.constant(dom, 0.5))
 
 
 def test_dj_unit_vector_case():
-    assert np.allclose(dJ([1.0, 0.0, 0.0], 3.0), np.diag([2.0, 1.0, 1.0]))
-    assert np.allclose(dJ([0.3, -0.4], 2.0), np.eye(2))
+    assert np.allclose(psolve.flux_derivative(np.array([1.0, 0.0, 0.0]), 3.0), np.diag([2.0, 1.0, 1.0]))
+    assert np.allclose(psolve.flux_derivative(np.array([0.3, -0.4]), 2.0), np.eye(2))
 
 
 def test_dj_against_finite_difference_jacobian():
     xi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     p = 3.0
     expected = np.array([[1.5, 0.5], [0.5, 1.5]])
-    assert np.allclose(dJ(xi, p), expected, atol=1e-12)
+    assert np.allclose(psolve.flux_derivative(xi, p), expected, atol=1e-12)
     fd = fd_jacobian(lambda v: J(v, p), xi, step=1e-6)
-    assert np.allclose(dJ(xi, p), fd, atol=1e-6)
+    assert np.allclose(psolve.flux_derivative(xi, p), fd, atol=1e-6)
 
 
 @given(
@@ -81,7 +82,9 @@ def test_dj_spectrum_sample():
         p = float(rng.uniform(1.05, 9.5))
         if abs(p - 2.0) < 1e-3:
             continue
-        scaled = dJ(xi, p) / np.linalg.norm(xi) ** (p - 2.0)
+        mat = psolve.flux_derivative(xi, p)
+        assert np.allclose(mat, dJ(xi, p), rtol=1e-13, atol=0.0)
+        scaled = mat / np.linalg.norm(xi) ** (p - 2.0)
         eig = np.sort(np.linalg.eigvalsh(scaled))
         expected = np.sort(np.array([1.0] * (n - 1) + [p - 1.0]))
         assert np.max(np.abs(eig - expected)) < 1e-12
