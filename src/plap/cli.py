@@ -46,15 +46,13 @@ from .grid import (
     ScalarField,
     TensorField,
     build_domain,
+    integrate_boundary,
     require_positive_weight,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "run", "main"]
 
 SUBCOMMANDS = ("forward", "dn", "linearize", "fixedpoint", "recover", "checks", "rescale")
-
-_DEFAULT_EPS_SCHEDULE = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
-
 
 class ConfigError(Exception):
     pass
@@ -79,7 +77,7 @@ class ExperimentConfig:
     max_iter: int = 60
     # linearize
     phi: str = "x2^2 - x2"
-    eps_schedule: tuple[float, ...] = _DEFAULT_EPS_SCHEDULE
+    eps_schedule: tuple[float, ...] = linearize._DEFAULT_EPS_SCHEDULE
     # fixedpoint
     fp_tol: float = 1e-10
     fp_max_iter: int = 60
@@ -333,9 +331,13 @@ def _build_domain(cfg: ExperimentConfig):
     return build_domain(cfg.extents, cfg.resolution, origin=cfg.origin)
 
 
+def _expr_field(dom, text: str) -> ScalarField:
+    """An expression of the node coordinates as a field on ``dom``."""
+    return ScalarField(dom, jets.eval_numpy(text, dom.coords) * np.ones(dom.shape))
+
+
 def _gamma_field(cfg: ExperimentConfig, dom) -> ScalarField:
-    vals = jets.eval_numpy(cfg.gamma, dom.coords)
-    gamma = ScalarField(dom, vals * np.ones(dom.shape))
+    gamma = _expr_field(dom, cfg.gamma)
     require_positive_weight(gamma)
     return gamma
 
@@ -361,8 +363,8 @@ def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
 def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | None]:
     """Boundary data field plus (when known) the exact extension for reporting."""
     if cfg.data.startswith("expr:"):
-        vals = jets.eval_numpy(cfg.data[len("expr:"):], dom.coords) * np.ones(dom.shape)
-        return ScalarField(dom, vals), vals
+        data = _expr_field(dom, cfg.data[len("expr:"):])
+        return data, data.values
     if cfg.data == "linear":
         zeta = np.asarray(cfg.zeta, dtype=float)
         if zeta.shape != (dom.n,):
@@ -413,7 +415,7 @@ def run_forward(cfg: ExperimentConfig):
         "min_interior_gradient": sol.min_gradient,
         "energy": sol.energy,
         "degenerate_gradient": sol.degenerate_gradient,
-        "flux_balance": psolve.flux_balance(dom, flux),
+        "flux_balance": integrate_boundary(dom, flux),
     }
     if extension is not None:
         results["max_dev_from_extension"] = float(np.max(np.abs(sol.u.values - extension)))
@@ -437,7 +439,7 @@ def run_dn(cfg: ExperimentConfig):
         "factor_fill": sol.factor_fill,
         "krylov_iterations": sol.krylov_iterations,
         "degenerate_gradient": sol.degenerate_gradient,
-        "flux_balance": psolve.flux_balance(dom, flux),
+        "flux_balance": integrate_boundary(dom, flux),
         "pairing": psolve.boundary_pairing(f, flux),
         "interior_energy_times_p": cfg.p * psolve.p_energy(gamma, cfg.p, sol.u, 0.0),
     }
@@ -457,7 +459,7 @@ def run_linearize(cfg: ExperimentConfig):
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     phi0, _ = _data_field(cfg, dom)
-    phi = ScalarField(dom, jets.eval_numpy(cfg.phi, dom.coords) * np.ones(dom.shape))
+    phi = _expr_field(dom, cfg.phi)
     scfg = psolve.PSolveConfig(p=cfg.p, eps_reg=cfg.eps_reg, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
     report = linearize.verify_linearization(
         gamma, cfg.p, phi0, phi, eps_schedule=cfg.eps_schedule, cfg=scfg
@@ -703,7 +705,7 @@ def run_rescale(cfg: ExperimentConfig):
     # anisotropic side: A = gamma (I + (p-2) zeta zeta^T) via the exact base solution
     u0_vals = sum(zeta[a] * dom.coords[a] for a in range(dom.n))
     a_tensor = linearize.assemble_A(gamma, cfg.p, ScalarField(dom, u0_vals))
-    phi = ScalarField(dom, jets.eval_numpy(cfg.phi, dom.coords) * np.ones(dom.shape))
+    phi = _expr_field(dom, cfg.phi)
     flux_aniso = linearize.dn_linear(a_tensor, phi)
 
     # isotropic side on the stretched box: same node values for weight and data

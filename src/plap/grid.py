@@ -257,20 +257,21 @@ class Domain:
         """Coordinate arrays of the face nodes (full n-vector components)."""
         return [c[self.face_slice(face)] for c in self.coords]
 
+    def _trapezoid(self, axes) -> np.ndarray:
+        """Tensor-product trapezoid weights over ``axes`` (half weight at both ends)."""
+        w = np.ones(tuple(self.shape[a] for a in axes))
+        for k, a in enumerate(axes):
+            wa = np.full(self.shape[a], self.h[a])
+            wa[0] *= 0.5
+            wa[-1] *= 0.5
+            shape = [1] * len(axes)
+            shape[k] = self.shape[a]
+            w = w * wa.reshape(shape)
+        return w
+
     @cached_property
     def _face_weights(self) -> dict[tuple[int, int], np.ndarray]:
-        out = {}
-        for face in self.faces:
-            w = np.ones(tuple(self.shape[a] for a in self.face_axes(face)))
-            for k, a in enumerate(self.face_axes(face)):
-                wa = np.full(self.shape[a], self.h[a])
-                wa[0] *= 0.5
-                wa[-1] *= 0.5
-                shape = [1] * (self.n - 1)
-                shape[k] = self.shape[a]
-                w = w * wa.reshape(shape)
-            out[face.key] = w
-        return out
+        return {face.key: self._trapezoid(self.face_axes(face)) for face in self.faces}
 
     def face_area_weights(self, face: Face) -> np.ndarray:
         """Trapezoid surface-quadrature weights on a face (sums to face area)."""
@@ -279,15 +280,7 @@ class Domain:
     @cached_property
     def volume_weights(self) -> np.ndarray:
         """Trapezoid volume-quadrature weights (sum equals the box volume)."""
-        w = np.ones(self.shape)
-        for a in range(self.n):
-            wa = np.full(self.shape[a], self.h[a])
-            wa[0] *= 0.5
-            wa[-1] *= 0.5
-            shape = [1] * self.n
-            shape[a] = self.shape[a]
-            w = w * wa.reshape(shape)
-        return w
+        return self._trapezoid(range(self.n))
 
     # -- difference operators ------------------------------------------------
 

@@ -29,11 +29,18 @@ The expression language is the carrier for analytic weights.  Grammar
 ``^`` is right associative and its exponent subexpression must be constant
 (no variables).  Note that under this grammar a leading minus binds before
 ``^``: ``-x1^2`` parses as ``(-x1)^2``.
+
+One fold walks an expression, over three algebras: floats with real-domain
+checks (:func:`eval_point`), numpy arrays (:func:`eval_numpy`) and jets
+(:func:`eval_on_jets`).  ``+ - * /`` and negation are the values' own
+operators; the :class:`Jet` operators are the one implementation of jet
+addition, subtraction and scaling.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,9 +54,6 @@ __all__ = [
     "DivisionByZeroConstantTerm",
     "jet_const",
     "jet_variable",
-    "jet_add",
-    "jet_sub",
-    "jet_scale",
     "jet_mul",
     "jet_div",
     "jet_pow",
@@ -169,28 +173,29 @@ class Jet:
     def coefficient(self, alpha: tuple[int, ...]) -> float:
         return float(self.coeffs[tuple(alpha)])
 
-    # arithmetic sugar; the module-level functions are the real implementation
     def __add__(self, other):
-        return jet_add(self, _coerce(other, self))
+        other = _coerce(other, self)
+        return Jet(self.nvars, self.order, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return jet_sub(self, _coerce(other, self))
+        other = _coerce(other, self)
+        return Jet(self.nvars, self.order, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
-        return jet_sub(_coerce(other, self), self)
+        return _coerce(other, self) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return jet_scale(self, float(other))
+            return Jet(self.nvars, self.order, self.coeffs * float(other))
         return jet_mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return jet_scale(self, 1.0 / float(other))
+            return self * (1.0 / float(other))
         return jet_div(self, other)
 
     def __rtruediv__(self, other):
@@ -200,11 +205,13 @@ class Jet:
         return jet_pow(self, float(exponent))
 
     def __neg__(self):
-        return jet_scale(self, -1.0)
+        return self * -1.0
 
 
 def _coerce(x, like: Jet) -> Jet:
+    """``x`` as a jet of the same shape as ``like``: a number is lifted, a jet checked."""
     if isinstance(x, Jet):
+        _check_compatible(like, x)
         return x
     return jet_const(like.nvars, like.order, float(x))
 
@@ -231,20 +238,6 @@ def jet_variable(nvars: int, order: int, axis: int, base: float = 0.0) -> Jet:
         e[axis] = 1
         c[tuple(e)] = 1.0
     return Jet(nvars, order, c)
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    return Jet(a.nvars, a.order, a.coeffs + b.coeffs)
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    return Jet(a.nvars, a.order, a.coeffs - b.coeffs)
-
-
-def jet_scale(a: Jet, s: float) -> Jet:
-    return Jet(a.nvars, a.order, a.coeffs * s)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -625,23 +618,9 @@ def _as_expr(e) -> Expr:
 
 def _constant_exponent(e: Expr) -> float:
     """Exponents must be variable-free; evaluate them to a float."""
-    if _has_vars(e):
+    if free_variables(e):
         raise JetDomainError("exponent expressions must not contain variables")
     return eval_point(e, ())
-
-
-def _has_vars(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Num):
-        return False
-    if isinstance(e, Neg):
-        return _has_vars(e.child)
-    if isinstance(e, BinOp):
-        return _has_vars(e.left) or _has_vars(e.right)
-    if isinstance(e, Call):
-        return _has_vars(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def free_variables(e) -> set[int]:
@@ -663,52 +642,67 @@ def free_variables(e) -> set[int]:
     return out
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _evaluate(e: Expr, num, var, call, power):
+    """Fold an expression over one algebra of values.
+
+    ``num(value)`` lifts a constant, ``var(index)`` binds a variable,
+    ``call(fn, x)`` applies a unary function and ``power(base, exponent)``
+    raises a value to a constant float exponent; ``+ - * /`` and negation
+    are the values' own operators.
+    """
+
+    def ev(node):
+        if isinstance(node, Num):
+            return num(node.value)
+        if isinstance(node, Var):
+            return var(node.index)
+        if isinstance(node, Neg):
+            return -ev(node.child)
+        if isinstance(node, BinOp):
+            if node.op == "^":  # the base first, then the exponent
+                return power(ev(node.left), _constant_exponent(node.right))
+            return _BINARY[node.op](ev(node.left), ev(node.right))
+        if isinstance(node, Call):
+            return call(node.fn, ev(node.arg))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return ev(e)
+
+
+def _point_power(base: float, exponent: float) -> float:
+    value = base**exponent
+    if isinstance(value, complex):
+        raise JetDomainError(f"negative base {base:g} to a fractional power")
+    return float(value)
+
+
+def _point_call(fn: str, x: float) -> float:
+    if fn == "log" and x <= 0.0:
+        raise JetDomainError(f"log of non-positive value {x:g}")
+    if fn == "sqrt" and x < 0.0:
+        raise JetDomainError(f"sqrt of negative value {x:g}")
+    return float(getattr(math, fn)(x))
+
+
 def eval_point(e, point) -> float:
     """Evaluate at a point of floats.
 
     A value outside the real floats (a division by zero, an overflow, a
     negative base to a fractional power) raises :class:`JetDomainError`.
     """
+
+    def var(index):
+        if index >= len(point):
+            raise ValueError(f"expression uses x{index + 1} but the point has {len(point)} components")
+        return float(point[index])
+
     try:
-        return _eval_point(_as_expr(e), point)
+        return _evaluate(_as_expr(e), lambda value: value, var, _point_call, _point_power)
     except (ZeroDivisionError, OverflowError) as exc:
         raise JetDomainError(f"{type(exc).__name__} evaluating an expression: {exc}") from exc
-
-
-def _eval_point(e: Expr, point) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index >= len(point):
-            raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} components")
-        return float(point[e.index])
-    if isinstance(e, Neg):
-        return -_eval_point(e.child, point)
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            base = _eval_point(e.left, point)
-            value = base**_constant_exponent(e.right)
-            if isinstance(value, complex):
-                raise JetDomainError(f"negative base {base:g} to a fractional power")
-            return float(value)
-        a = _eval_point(e.left, point)
-        b = _eval_point(e.right, point)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-    if isinstance(e, Call):
-        x = _eval_point(e.arg, point)
-        if e.fn == "log" and x <= 0.0:
-            raise JetDomainError(f"log of non-positive value {x:g}")
-        if e.fn == "sqrt" and x < 0.0:
-            raise JetDomainError(f"sqrt of negative value {x:g}")
-        return float(getattr(math, e.fn)(x))
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_numpy(e, arrays) -> np.ndarray:
@@ -717,65 +711,35 @@ def eval_numpy(e, arrays) -> np.ndarray:
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
 
-    def ev(node):
-        if isinstance(node, Num):
-            return np.full(shape, node.value) if shape else np.float64(node.value)
-        if isinstance(node, Var):
-            if node.index >= len(arrays):
-                raise ValueError(
-                    f"expression uses x{node.index + 1} but only {len(arrays)} coordinates given"
-                )
-            return arrays[node.index]
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                return ev(node.left) ** _constant_exponent(node.right)
-            a, b = ev(node.left), ev(node.right)
-            return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[node.op](a, b)
-        if isinstance(node, Call):
-            return getattr(np, node.fn)(ev(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+    def num(value):
+        return np.full(shape, value) if shape else np.float64(value)
 
-    return np.asarray(ev(e), dtype=float)
+    def var(index):
+        if index >= len(arrays):
+            raise ValueError(f"expression uses x{index + 1} but only {len(arrays)} coordinates given")
+        return arrays[index]
+
+    value = _evaluate(e, num, var, lambda fn, x: getattr(np, fn)(x), lambda base, k: base**k)
+    return np.asarray(value, dtype=float)
 
 
 def eval_on_jets(e, env: dict[int, Jet], nvars: int | None = None, order: int | None = None) -> Jet:
-    """Evaluate the AST with variables bound to jets from ``env``."""
+    """Evaluate the AST with variables bound to jets from ``env``; constants are
+    lifted by :func:`jet_const`, so ``x1/3`` is ``jet_div(x1, jet_const(3))``."""
     e = _as_expr(e)
     sample = next(iter(env.values()), None)
     if sample is None:
         if nvars is None or order is None:
             raise ValueError("need nvars/order for a variable-free evaluation")
     else:
-        nvars = sample.nvars
-        order = sample.order
+        nvars, order = sample.nvars, sample.order
 
-    def ev(node) -> Jet:
-        if isinstance(node, Num):
-            return jet_const(nvars, order, node.value)
-        if isinstance(node, Var):
-            if node.index not in env:
-                raise ValueError(f"no jet bound for variable x{node.index + 1}")
-            return env[node.index]
-        if isinstance(node, Neg):
-            return jet_scale(ev(node.child), -1.0)
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                return jet_pow(ev(node.left), _constant_exponent(node.right))
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return jet_add(a, b)
-            if node.op == "-":
-                return jet_sub(a, b)
-            if node.op == "*":
-                return jet_mul(a, b)
-            return jet_div(a, b)
-        if isinstance(node, Call):
-            return jet_unary(node.fn, ev(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+    def var(index):
+        if index not in env:
+            raise ValueError(f"no jet bound for variable x{index + 1}")
+        return env[index]
 
-    return ev(e)
+    return _evaluate(e, lambda value: jet_const(nvars, order, value), var, jet_unary, jet_pow)
 
 
 def eval_jet(e, point, order: int) -> Jet:

@@ -40,7 +40,6 @@ __all__ = [
     "DegenerateInput",
     "DegenerateGradient",
     "SegmentDegenerate",
-    "LinearizedProblem",
     "LinearizationReport",
     "RescaledProblem",
     "J",
@@ -52,7 +51,6 @@ __all__ = [
     "dn_linear",
     "dn_matrix",
     "verify_linearization",
-    "build_linearized_problem",
     "rescale_translation_invariant",
 ]
 
@@ -164,15 +162,6 @@ def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
 # -- the linearized problem -------------------------------------------------------
 
 
-@dataclass
-class LinearizedProblem:
-    A: TensorField
-    u0: ScalarField
-    phi0: ScalarField
-    gamma: ScalarField
-    p: float
-
-
 def assemble_A(gamma: ScalarField, p: float, u0: ScalarField, grad_threshold: float = 1e-8) -> TensorField:
     """Nodewise tensor A = gamma * dJ(grad u0); requires |grad u0| > 0 everywhere."""
     require_positive_weight(gamma)
@@ -267,16 +256,10 @@ def dn_matrix(A: TensorField) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return np.stack(cols, axis=1), nodes
 
 
-def build_linearized_problem(
-    gamma: ScalarField, p: float, phi0: ScalarField, cfg: psolve.PSolveConfig | None = None
-) -> LinearizedProblem:
-    """Solve the base problem and assemble the linearization tensor at it."""
-    sol = psolve.solve_p_laplace(gamma, p, phi0, cfg)
-    A = assemble_A(gamma, p, sol.u)
-    return LinearizedProblem(A=A, u0=sol.u, phi0=phi0, gamma=gamma, p=p)
-
-
 # -- quotient verification --------------------------------------------------------
+
+# the epsilon schedule of verify_linearization and of the CLI's linearize runs
+_DEFAULT_EPS_SCHEDULE = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
 
 
 @dataclass
@@ -321,7 +304,7 @@ def verify_linearization(
     of the whole call, base solve included.
     """
     if eps_schedule is None:
-        eps_schedule = [10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0)]
+        eps_schedule = _DEFAULT_EPS_SCHEDULE
     eps_schedule = [float(e) for e in eps_schedule]
     if cfg is None:
         cfg = psolve.PSolveConfig(p=p, tol=1e-10)

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    Domain,
     ScalarField,
     VectorField,
     anisotropic_operator,
@@ -66,7 +65,6 @@ __all__ = [
     "dn_apply",
     "residual",
     "boundary_pairing",
-    "flux_balance",
     "min_interior_gradient",
 ]
 
@@ -132,9 +130,11 @@ def _kappa(grad_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
     return (grad_sq + eps * eps) ** ((p - 2.0) / 2.0)
 
 
-def _flux_values(gamma_vals, grad_vals, p, eps) -> np.ndarray:
-    gsq = np.sum(grad_vals**2, axis=-1)
-    return (gamma_vals * _kappa(gsq, p, eps))[..., None] * grad_vals
+def _flux(gamma: ScalarField, p: float, u: ScalarField, eps: float) -> VectorField:
+    """The regularized flux gamma * (|grad u|^2 + eps^2)^((p-2)/2) * grad u."""
+    g = gradient(u).values
+    gsq = np.sum(g**2, axis=-1)
+    return VectorField(u.domain, (gamma.values * _kappa(gsq, p, eps))[..., None] * g)
 
 
 def flux_derivative(grad_vals, p: float, eps: float = 0.0) -> np.ndarray:
@@ -167,9 +167,7 @@ def p_energy(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0)
 
 def residual(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> ScalarField:
     """Pointwise discrete divergence of the flux field (meaningful at interior nodes)."""
-    g = gradient(u)
-    f = _flux_values(gamma.values, g.values, p, eps_reg)
-    return divergence(VectorField(u.domain, f))
+    return divergence(_flux(gamma, p, u, eps_reg))
 
 
 def min_interior_gradient(u: ScalarField) -> float:
@@ -446,20 +444,13 @@ def solve_p_laplace(
 
 
 def boundary_flux(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> dict:
-    """Per-face flux gamma * (|grad u|^2 + eps^2)^((p-2)/2) * du/dnu.
+    """Per-face normal component of the flux of :func:`residual`,
+    gamma * (|grad u|^2 + eps^2)^((p-2)/2) * du/dnu.
 
     The normal derivative comes from the one-sided boundary rows of the
     gradient stencils, so the extraction is second order.
     """
-    dom = u.domain
-    g = gradient(u)
-    gsq = np.sum(g.values**2, axis=-1)
-    kap = gamma.values * _kappa(gsq, p, eps_reg)
-    nc = normal_component(g)
-    out = {}
-    for face in dom.faces:
-        out[face.key] = kap[dom.face_slice(face)] * nc[face.key]
-    return out
+    return normal_component(_flux(gamma, p, u, eps_reg))
 
 
 def dn_apply(
@@ -485,8 +476,3 @@ def boundary_pairing(f: ScalarField, flux: dict) -> float:
     dom = f.domain
     tr = boundary_trace(f)
     return integrate_boundary(dom, {k: tr[k] * flux[k] for k in tr})
-
-
-def flux_balance(domain: Domain, flux: dict) -> float:
-    """Total boundary flux; vanishes at O(h^2)+tol for a divergence-free flux."""
-    return integrate_boundary(domain, flux)

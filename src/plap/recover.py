@@ -170,7 +170,6 @@ class BoundaryJets:
     a: dict[tuple[int, int], list[Jet]]
     trace: Jet
     flux: Jet
-    gauge_identity: bool = True
 
 
 def _linear_form_jet(coeffs: np.ndarray, const: float, nvars: int, order: int) -> Jet:
@@ -262,7 +261,6 @@ def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJe
         a=a,
         trace=extract_normal_slice(u0_jet, 0),
         flux=extract_normal_slice(flux, 0),
-        gauge_identity=True,
     )
 
 
@@ -276,7 +274,6 @@ class Order0Result:
     grad_norm: float          # |grad u0| at z
     gamma_jet: Jet            # tangential jet of gamma on the patch
     slope_jet: Jet            # tangential jet of d u0/dx1 on the patch
-    kappa_jet: Jet
     consistency: float        # | |grad'|^2 + slope^2 - |grad|^2 | over the patch jets
 
 
@@ -316,7 +313,6 @@ def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
         grad_norm=math.sqrt(w2.value),
         gamma_jet=gamma0,
         slope_jet=slope,
-        kappa_jet=kappa,
         consistency=float(np.max(np.abs(cons.coeffs))),
     )
 
@@ -329,11 +325,6 @@ class ThetaSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     order: int
-    labels: tuple[str, str, str] = (
-        "normal derivative of gamma",
-        "next normal derivative of u0",
-        "gauge jet",
-    )
 
     @property
     def cond(self) -> float:
@@ -376,17 +367,20 @@ def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float, j: int = 2) -> n
     return th
 
 
-def theta_det_direct(theta: np.ndarray) -> float:
-    """Cofactor expansion along the first row, in a fixed arithmetic order.
-
-    This is the authoritative determinant of the induction system.
-    """
-    m = np.asarray(theta, dtype=float)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+def _det3(rows):
+    """Cofactor expansion of a 3x3 determinant along the first row, in a
+    fixed arithmetic order; the entries may be floats or jets."""
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = rows
+    return (
+        m11 * (m22 * m33 - m23 * m32)
+        - m12 * (m21 * m33 - m23 * m31)
+        + m13 * (m21 * m32 - m22 * m31)
     )
+
+
+def theta_det_direct(theta: np.ndarray) -> float:
+    """The authoritative determinant of the induction system (:func:`_det3`)."""
+    return float(_det3(np.asarray(theta, dtype=float)))
 
 
 def theta_det_closed_form(gamma_z: float, grad_u0: np.ndarray, p: float) -> float:
@@ -490,25 +484,13 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
 
 def _cramer3(rows, rhs):
     """Cramer solve of a 3x3 system over the tangential-jet ring, with the
-    same fixed cofactor order as :func:`theta_det_direct`."""
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
-    r1, r2, r3 = rhs
-
-    def det3(m11, m12, m13, m21, m22, m23, m31, m32, m33):
-        return (
-            m11 * (m22 * m33 - m23 * m32)
-            - m12 * (m21 * m33 - m23 * m31)
-            + m13 * (m21 * m32 - m22 * m31)
-        )
-
-    det = det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
-    det_x = det3(r1, b1, c1, r2, b2, c2, r3, b3, c3)
-    det_y = det3(a1, r1, c1, a2, r2, c2, a3, r3, c3)
-    det_z = det3(a1, b1, r1, a2, b2, r2, a3, b3, r3)
-    x = jet_div(det_x, det)
-    y = jet_div(det_y, det)
-    z = jet_div(det_z, det)
-    return x, y, z
+    determinants of :func:`_det3`."""
+    det = _det3(rows)
+    # x, y, z: the determinant with column k replaced by the right-hand side
+    return tuple(
+        jet_div(_det3([row[:k] + (r,) + row[k + 1:] for row, r in zip(rows, rhs)]), det)
+        for k in range(3)
+    )
 
 
 def recover_order_m(

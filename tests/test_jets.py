@@ -352,12 +352,45 @@ def test_eval_jet_against_finite_differences():
             assert j.derivative((a1, a2)) == pytest.approx(fd((a1, a2)), abs=1e-6)
 
 
-def test_eval_numpy_matches_eval_point():
-    e = parse_expr("sqrt(1+x1^2)*cos(x2)")
-    xs = np.linspace(0.0, 1.0, 7)
-    ys = np.linspace(-1.0, 1.0, 7)
-    grid = eval_numpy(e, [xs[:, None] * np.ones(7), np.ones((7, 1)) * ys[None, :]])
-    assert grid[3, 4] == pytest.approx(eval_point(e, (xs[3], ys[4])), rel=1e-14)
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("2.5", id="num"),
+        pytest.param("x2", id="var"),
+        pytest.param("-x1", id="neg"),
+        pytest.param("x1 + x2", id="add"),
+        pytest.param("x1 - x2", id="sub"),
+        pytest.param("x1 * x2", id="mul"),
+        pytest.param("x1 / x2", id="div"),
+        pytest.param("(1 + x1)^2.5", id="pow"),
+        pytest.param("sin(x1)", id="sin"),
+        pytest.param("cos(x2)", id="cos"),
+        pytest.param("exp(x1)", id="exp"),
+        pytest.param("log(x2)", id="log"),
+        pytest.param("sqrt(1+x1^2)*cos(x2)", id="sqrt"),
+    ],
+)
+def test_eval_numpy_matches_eval_point(text):
+    # the three algebras of one expression agree at every grid node
+    e = parse_expr(text)
+    xs = np.linspace(0.1, 0.9, 5)
+    ys = np.linspace(0.2, 1.0, 5)
+    grid = eval_numpy(e, [xs[:, None] * np.ones(5), np.ones((5, 1)) * ys[None, :]])
+    assert grid.shape == (5, 5)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            point = eval_point(e, (x, y))
+            assert grid[i, j] == pytest.approx(point, rel=1e-14, abs=1e-15)
+            assert eval_jet(e, (x, y), 2).value == pytest.approx(point, rel=1e-14, abs=1e-15)
+
+
+def test_eval_jet_lifts_constants():
+    # a constant is a jet, so x1/3 is a jet division, bit for bit; at 2.5 a
+    # scaling by 1/3 rounds differently
+    x = jet_variable(1, 4, 0, base=2.5)
+    j = eval_jet("x1/3", (2.5,), 4)
+    assert np.array_equal(j.coeffs, jet_div(x, jet_const(1, 4, 3.0)).coeffs)
+    assert not np.array_equal(j.coeffs, (x / 3.0).coeffs)
 
 
 def test_eval_point_domain_checks():

@@ -11,7 +11,6 @@ from plap.linearize import (
     J,
     SegmentDegenerate,
     assemble_A,
-    build_linearized_problem,
     dn_linear,
     dn_matrix,
     rescale_translation_invariant,
@@ -231,7 +230,7 @@ def test_dn_matrix_matches_per_column_dn_linear():
     dom = build_domain((1.0, 1.0), (17, 17))
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
     phi0 = ScalarField.from_function(dom, lambda x, y: np.cos(0.3) * x + np.sin(0.3) * y)
-    a = build_linearized_problem(gam, 2.7, phi0).A
+    a = assemble_A(gam, 2.7, psolve.solve_p_laplace(gam, 2.7, phi0).u)
     matrix, nodes = dn_matrix(a)
     assert nodes == [tuple(int(i) for i in k) for k in np.argwhere(dom.boundary_mask)]
     cols = []
@@ -251,9 +250,9 @@ def test_base_solution_solves_its_own_linearization():
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.2 * y**2)
     phi0 = ScalarField.from_function(dom, lambda x, y: np.cos(0.3) * x + np.sin(0.3) * y)
     p = 2.5
-    prob = build_linearized_problem(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
-    udot = solve_linear(prob.A, ScalarField(dom, np.array(prob.u0.values)))
-    assert np.max(np.abs(udot.values - prob.u0.values)) < 1e-6
+    u0 = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11)).u
+    udot = solve_linear(assemble_A(gam, p, u0), ScalarField(dom, np.array(u0.values)))
+    assert np.max(np.abs(udot.values - u0.values)) < 1e-6
 
 
 def test_dn_linear_trivials(square):
@@ -290,8 +289,8 @@ def test_dn_linear_at_base_data_is_p_minus_one_times_nonlinear():
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.2 * y)
     phi0 = ScalarField.from_function(dom, lambda x, y: x + 0.1 * y)
     p = 3.0
-    prob = build_linearized_problem(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
-    lin = dn_linear(prob.A, phi0)
+    sol = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
+    lin = dn_linear(assemble_A(gam, p, sol.u), phi0)
     nonlin = psolve.dn_apply(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
     dev = face_values_max_abs(face_values_combine(lambda a, b: a - (p - 1.0) * b, lin, nonlin))
     assert dev < 1e-8

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from plap import psolve
-from plap.grid import ScalarField, anisotropic_operator, build_domain
+from plap.grid import ScalarField, anisotropic_operator, build_domain, integrate_boundary
 from plap.psolve import (
     DegenerateGradientWarning,
     NonConvergence,
@@ -12,7 +12,6 @@ from plap.psolve import (
     boundary_flux,
     boundary_pairing,
     dn_apply,
-    flux_balance,
     flux_derivative,
     p_energy,
     residual,
@@ -224,7 +223,7 @@ def test_flux_balance_refines_at_second_order():
         f = ScalarField.from_function(dom, lambda x, y: x + 0.3 * y)
         sol = solve_p_laplace(gam, 3.0, f)
         flux = boundary_flux(gam, 3.0, sol.u, 1e-8)
-        balances.append(abs(flux_balance(dom, flux)))
+        balances.append(abs(integrate_boundary(dom, flux)))
     assert balances[0] < 0.05
     assert balances[1] < 0.35 * balances[0]
 

@@ -466,7 +466,6 @@ def test_recovery_order0_identifiability_sensitivity():
             a=bj.a,
             trace=bj.trace,
             flux=bj.flux + delta,
-            gauge_identity=True,
         )
         o = recover_order0(bumped)
         slope_move = abs(o.normal_slope - base.normal_slope)
