@@ -13,8 +13,11 @@ fields with constant integrand, which several test oracles rely on.
 
 The divergence-form operator u -> div(T grad u) of the solvers is assembled
 only as they use it: its interior rows, split into the interior block and
-the boundary columns.  Three sparse products build both blocks from the
-tensor values; their tensor-independent factors are built once per grid.
+the boundary columns, both CSC with sorted row indices.  A gather map, built
+once per grid shape and spacing, turns the tensor values into the data of
+both blocks, bit for bit the sums the three sparse products D_a diag(T_ab)
+D_b would form.  The difference matrices and that map sit in one bounded
+cache shared by every grid of one shape and spacing, as read-only arrays.
 ``scipy.sparse`` is imported at the first sparse build, not with the module,
 so a run that solves no PDE (``recover``) never loads scipy.
 
@@ -146,6 +149,88 @@ def _stencil_1d(n: int, h: float) -> sp.csr_matrix:
         [1.0 * inv, -4.0 * inv, 3.0 * inv],
     ])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+# Grid shapes and spacings whose calculus stays cached (see _grid_calculus)
+_CALCULUS_CACHE_SIZE = 8
+
+
+class _GridCalculus:
+    """The tensor-independent calculus of one grid shape and spacing, built on
+    first use, every array read-only."""
+
+    def __init__(self, shape: tuple[int, ...], h: tuple[float, ...]):
+        self.shape, self.h = shape, h
+
+    @cached_property
+    def diff_matrices(self) -> tuple[sp.csr_matrix, ...]:
+        """Per-axis first-derivative CSR matrices on C-raveled fields: the 1-D
+        stencil of :func:`_stencil_1d` along its axis, the identity across."""
+        import scipy.sparse as sp
+        mats = []
+        for a in range(len(self.shape)):
+            m = _stencil_1d(self.shape[a], self.h[a])
+            left, right = int(np.prod(self.shape[:a])), int(np.prod(self.shape[a + 1:]))
+            if left > 1:
+                m = sp.kron(sp.identity(left, format="csr"), m, format="csr")
+            if right > 1:
+                m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
+            for arr in (m.data, m.indices, m.indptr):
+                arr.flags.writeable = False
+            mats.append(m)
+        return tuple(mats)
+
+    @cached_property
+    def gather(self) -> tuple:
+        """The map from tensor values to the data of both blocks of
+        :func:`anisotropic_operator`, in the sparse products' summation order.
+
+        Entry (i, r) sums D_a[k, r] * (T[k, b, a] * D_b[I_i, k]) over the axes a
+        and the nodes k = I_i +- e_b next to the row node I_i, in the order of
+        (a, k).  Stage 1 fills ``m[b, side, a]`` over the interior box with the
+        inner products; ``terms`` and ``codes`` hold each term's index into
+        ``m`` and the index into ``table`` of D_a[k, r], entry by entry
+        (``term_ptr``) in the sorted CSC order of A_II, then A_IB.  ``rows``
+        and ``col_ptr`` give the blocks' structural pattern, ``central[b]`` the
+        central stencil values (-1/2h_b, 1/2h_b) of axis b.
+        """
+        shape, diff = self.shape, self.diff_matrices
+        n, n_nodes = len(shape), int(np.prod(shape))
+        interior = _nested_dissection(shape).astype(np.int32)
+        col = np.empty(n_nodes, dtype=np.int32)  # column of each node: A_II's, then A_IB's
+        col[np.concatenate([interior, np.setdiff1d(np.arange(n_nodes), interior)])] = np.arange(n_nodes)
+        coords = np.unravel_index(interior, shape)
+        box = np.ravel_multi_index([c - 1 for c in coords], [s - 2 for s in shape]).astype(np.int32)
+        table = np.unique(np.concatenate([d.data for d in diff]))
+        row = np.arange(interior.size, dtype=np.int32)
+        # steps to the neighbours k = I_i +- e_b, ascending, so that terms come in (a, k) order
+        steps = sorted((s * int(np.prod(shape[b + 1:])), b, (s + 1) // 2) for b in range(n) for s in (-1, 1))
+        parts = []
+        for a in range(n):
+            for step, b, side in steps:
+                stencil = diff[a][interior + step]  # row k of D_a for each row node
+                rows = np.repeat(row, np.diff(stencil.indptr))
+                parts.append((col[stencil.indices], rows, ((b * 2 + side) * n + a) * interior.size + box[rows],
+                              np.searchsorted(table, stencil.data).astype(np.int8)))
+        cols, rows, terms, codes = map(np.concatenate, zip(*parts))
+        del parts
+        order = np.lexsort((rows, cols))  # stable: each entry's terms keep the loop order
+        terms, codes = terms[order], codes[order]
+        cols, rows = cols[order], rows[order]
+        del order
+        first = np.flatnonzero(np.concatenate([[True], (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])]))
+        cols, rows = cols[first], rows[first]
+        out = (terms, codes, table, np.append(first, terms.size).astype(np.int32), rows,
+               np.searchsorted(cols, np.arange(n_nodes + 1)).astype(np.int32),
+               np.array([d[int(interior[0])].data for d in diff]))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+
+@lru_cache(maxsize=_CALCULUS_CACHE_SIZE)
+def _grid_calculus(shape: tuple[int, ...], h: tuple[float, ...]) -> _GridCalculus:
+    return _GridCalculus(shape, h)
 
 
 class Domain:
@@ -285,46 +370,14 @@ class Domain:
     # -- difference operators ------------------------------------------------
 
     @cached_property
+    def _calculus(self) -> _GridCalculus:
+        return _grid_calculus(self.shape, tuple(self.h.tolist()))
+
+    @property
     def diff_matrices(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-axis sparse first-derivative operators acting on C-raveled fields."""
-        import scipy.sparse as sp
-        mats = []
-        for a in range(self.n):
-            s = _stencil_1d(self.shape[a], self.h[a])
-            left = int(np.prod(self.shape[:a])) if a > 0 else 1
-            right = int(np.prod(self.shape[a + 1:])) if a < self.n - 1 else 1
-            m = s
-            if left > 1:
-                m = sp.kron(sp.identity(left, format="csr"), m, format="csr")
-            if right > 1:
-                m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
-            mats.append(m.tocsr())
-        return tuple(mats)
-
-    @cached_property
-    def _operator_chain(self) -> tuple:
-        """The per-grid factors of :func:`anisotropic_operator`'s sparse chain.
-
-        With Dcat = [D_0 ... D_{n-1}] (nodes x n nodes), Dstack its vertical
-        counterpart and Tblk the node-block-diagonal n nodes x n nodes matrix
-        with entry ((a, k), (b, k)) = T[k, a, b], the operator is
-        Dcat Tblk Dstack.  Holds, as CSR, the transpose of the interior rows
-        of Dcat and the interior and boundary rows of Dstack^T, then the
-        ``indices`` and ``indptr`` of Tblk^T, whose row (a, k) holds the
-        columns (b, k) for b = 0..n-1.
-        """
-        import scipy.sparse as sp
-        mats = self.diff_matrices
-        n_nodes, n = self.n_nodes, self.n
-        dcat_int_t = sp.hstack(mats, format="csr")[self.interior_flat].T.tocsr()
-        dstack_t = sp.hstack([m.T for m in mats], format="csr")
-        node = np.arange(n * n_nodes) % n_nodes
-        t_indices = (node[:, None] + n_nodes * np.arange(n)).ravel()
-        t_indptr = np.arange(0, n * n * n_nodes + 1, n)
-        return (
-            dcat_int_t, dstack_t[self.interior_flat], dstack_t[self.boundary_flat],
-            t_indices, t_indptr,
-        )
+        """Per-axis sparse first-derivative operators acting on C-raveled
+        fields, shared read-only by every grid of this shape and spacing."""
+        return self._calculus.diff_matrices
 
     def __eq__(self, other):
         return (
@@ -451,25 +504,32 @@ def anisotropic_operator(
     ``(A_II, A_IB)`` of the interior rows, which are the consistent
     approximation of the divergence form: rows and the columns of ``A_II``
     in ``domain.interior_flat`` order, the columns of ``A_IB`` in
-    ``domain.boundary_flat`` order.  Both are CSC; ``A_II`` has sorted
-    indices, so a sparse LU takes it as given.
+    ``domain.boundary_flat`` order.  Both are CSC with sorted row indices,
+    so a sparse LU takes ``A_II`` as given.
 
-    The blocks are transposes of three sparse products over the per-grid
-    chain of :attr:`Domain._operator_chain`: M = Tblk^T Dcat_I^T, then
-    Dstack^T restricted to interior or boundary rows times M.  The data of
-    Tblk^T is T with its last two axes swapped, so a non-symmetric T comes
-    out right.  The products drop exact-zero sums, so the zero off-diagonal
-    entries of a diagonal T store nothing.
+    The data comes from the per-grid gather map of
+    :attr:`_GridCalculus.gather` and is bit for bit what the sparse products
+    D_a diag(T_ab) D_b sum, a non-symmetric T included; like them, the
+    assembly drops exact-zero sums, so the zero off-diagonal entries of a
+    diagonal T store nothing.
     """
     import scipy.sparse as sp
-    dcat_int_t, dstack_int_t, dstack_bnd_t, t_indices, t_indptr = domain._operator_chain
-    n_nodes, n = domain.n_nodes, domain.n
-    t_data = np.reshape(tensor_values, (n_nodes, n, n)).transpose(2, 0, 1).ravel()
-    tblk_t = sp.csr_matrix((t_data, t_indices, t_indptr), shape=(n * n_nodes, n * n_nodes))
-    m = tblk_t @ dcat_int_t
-    a_ii = (dstack_int_t @ m).T
-    a_ii.sort_indices()
-    return a_ii, (dstack_bnd_t @ m).T
+    terms, codes, table, term_ptr, rows, col_ptr, central = domain._calculus.gather
+    shape, n, n_int = domain.shape, domain.n, domain.interior_flat.size
+    m = np.empty((n, 2, n) + tuple(s - 2 for s in shape))
+    for b, side in np.ndindex(n, 2):
+        shift = [(2 * side - 1) * (a == b) for a in range(n)]
+        box = tuple(slice(1 + d, s - 1 + d) for d, s in zip(shift, shape))
+        np.multiply(np.moveaxis(tensor_values[box + (b,)], -1, 0), central[b, side], out=m[b, side])
+    data = sp.csr_matrix((table.take(codes), terms, term_ptr), shape=(term_ptr.size - 1, m.size)) @ m.ravel()
+    blocks = []
+    for lo, hi in ((0, n_int), (n_int, col_ptr.size - 1)):
+        start, stop = col_ptr[lo], col_ptr[hi]
+        block = sp.csc_matrix((data[start:stop], rows[start:stop].copy(), col_ptr[lo:hi + 1] - start),
+                              shape=(n_int, hi - lo))
+        block.eliminate_zeros()
+        blocks.append(block)
+    return tuple(blocks)
 
 
 # -- quadrature helpers ---------------------------------------------------------

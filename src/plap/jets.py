@@ -75,6 +75,7 @@ __all__ = [
     "eval_numpy",
     "eval_on_jets",
     "eval_jet",
+    "free_variables",
 ]
 
 

@@ -89,7 +89,7 @@ _MAX_QUAD_NODES = 64
 _MAX_TAYLOR_NODES = 256
 
 
-def segment_min_distance(xi, zeta):
+def _segment_min_distance(xi, zeta):
     """Distance from the origin to the segment [xi, zeta], per vector along the last axis."""
     xi = np.asarray(xi, dtype=float)
     d = np.asarray(zeta, dtype=float) - xi
@@ -119,7 +119,7 @@ def segment_integral_dJ(
     end = start + step
     start_norm = np.sqrt(np.sum(start**2, axis=-1))
     end_norm = np.sqrt(np.sum(end**2, axis=-1))
-    min_dist = float(np.min(segment_min_distance(start, end)))
+    min_dist = float(np.min(_segment_min_distance(start, end)))
     if min_dist < 1e-6 * max(float(np.max(start_norm)), float(np.max(end_norm))):
         raise SegmentDegenerate(f"some segment passes within {min_dist:.2e} of the origin")
 

@@ -5,8 +5,10 @@ checks: 1D quadrature for the pseudo-1D solution family, finite differences
 for Jacobians, convergence-order measurement, the closed form of the flux
 derivative dJ and a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
-divergence, the closed-form order-0 split in two dimensions, and the full
-divergence-form operator as a sum of sparse triple products.
+divergence, the closed-form order-0 split in two dimensions, and the
+divergence-form operator twice: in full as a sum of sparse triple products,
+and as its interior blocks from a chain of three sparse products, whose sums
+the library's assembly must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -186,3 +188,44 @@ def anisotropic_operator_loop(domain, tensor_values) -> sp.csr_matrix:
             term = mats[a] @ sp.diags(tensor_values[..., a, b].ravel()) @ mats[b]
             total = term if total is None else total + term
     return total.tocsr()
+
+
+def anisotropic_operator_chain(domain, tensor_values) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """The interior blocks (A_II, A_IB) of u -> div(T grad u), as CSC with
+    sorted indices, from three sparse products.
+
+    With Dcat = [D_0 ... D_{n-1}] (nodes x n nodes), Dstack its vertical
+    counterpart and Tblk the node-block-diagonal matrix with entry
+    ((a, k), (b, k)) = T[k, a, b], the operator is Dcat Tblk Dstack.  Here
+    M = Tblk^T Dcat_I^T over the interior rows I, and each block is the
+    transpose of Dstack^T, restricted to the interior or boundary nodes,
+    times M.  The products sum their terms one after another and drop exact
+    zeros.
+    """
+    mats = domain.diff_matrices
+    n_nodes, n = domain.n_nodes, domain.n
+    dcat_int_t = sp.hstack(mats, format="csr")[domain.interior_flat].T.tocsr()
+    dstack_t = sp.hstack([m.T for m in mats], format="csr")
+    node = np.arange(n * n_nodes) % n_nodes
+    t_indices = (node[:, None] + n_nodes * np.arange(n)).ravel()
+    t_indptr = np.arange(0, n * n * n_nodes + 1, n)
+    t_data = np.reshape(tensor_values, (n_nodes, n, n)).transpose(2, 0, 1).ravel()
+    m = sp.csr_matrix((t_data, t_indices, t_indptr), shape=(n * n_nodes, n * n_nodes)) @ dcat_int_t
+    blocks = []
+    for nodes in (domain.interior_flat, domain.boundary_flat):
+        block = (dstack_t[nodes] @ m).T
+        block.sort_indices()
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def same_sparse(got, ref) -> bool:
+    """Whether two compressed sparse matrices store the same format, shape,
+    ``indptr``, ``indices`` and ``data``, bit for bit."""
+    return (
+        got.format == ref.format
+        and got.shape == ref.shape
+        and np.array_equal(got.indptr, ref.indptr)
+        and np.array_equal(got.indices, ref.indices)
+        and np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+    )

@@ -15,11 +15,20 @@ from plap.grid import (
     integrate_volume,
     normal_component,
     require_positive_weight,
+    _CALCULUS_CACHE_SIZE,
+    _grid_calculus,
     _nested_dissection,
     _stencil_1d,
 )
+from plap.linearize import rescale_translation_invariant
 
-from oracles import anisotropic_operator_loop, convergence_orders, symmetry_defect
+from oracles import (
+    anisotropic_operator_chain,
+    anisotropic_operator_loop,
+    convergence_orders,
+    same_sparse,
+    symmetry_defect,
+)
 
 
 def test_counting_2d():
@@ -148,7 +157,70 @@ def test_operator_blocks_match_loop_oracle(shape, kind):
         if kind in ("diagonal", "zero"):
             # the zero off-diagonal entries store nothing
             assert got.nnz == ref.nnz
-    assert a_ii.has_canonical_format
+        assert got.has_canonical_format
+    # and bit for bit the sums of the sparse products
+    chain = anisotropic_operator_chain(dom, tensor)
+    assert same_sparse(a_ii, chain[0]) and same_sparse(a_ib, chain[1])
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "diagonal", "nonsymmetric", "zero"])
+def test_operator_blocks_match_chain_on_unequal_spacing(kind):
+    # even and odd resolution, unequal spacing on a 2 x 1 box
+    dom = build_domain((2.0, 1.0), (20, 11))
+    tensor = _tensor(kind, dom)
+    got, chain = anisotropic_operator(dom, tensor), anisotropic_operator_chain(dom, tensor)
+    assert all(same_sparse(g, c) for g, c in zip(got, chain))
+
+
+def test_operator_keeps_nan_and_drops_exact_zeros():
+    # like the sparse products: on a square grid the constant antisymmetric
+    # part of T cancels exactly in every cross entry, which stores nothing,
+    # while a NaN sum stays stored
+    dom = build_domain((1.0, 1.0), (9, 9))
+    eye = np.broadcast_to(np.eye(2), dom.shape + (2, 2))
+    tensor = eye + np.array([[0.0, 0.7], [-0.7, 0.0]])
+    got, chain = anisotropic_operator(dom, tensor), anisotropic_operator_chain(dom, tensor)
+    assert all(same_sparse(g, c) for g, c in zip(got, chain))
+    assert [g.nnz for g in got] == [b.nnz for b in anisotropic_operator(dom, eye)]
+    tensor[4, 4] = np.nan
+    got, chain = anisotropic_operator(dom, tensor), anisotropic_operator_chain(dom, tensor)
+    assert np.isnan(got[0].data).any()
+    assert all(same_sparse(g, c) for g, c in zip(got, chain))
+
+
+def test_calculus_is_cached_per_shape_and_spacing():
+    dom = build_domain((1.0, 0.5), (33, 17))
+    calc = dom._calculus
+    # grids of one shape and spacing share one entry, wherever they sit
+    twin = build_domain((1.0, 0.5), (33, 17), origin=(-2.0, 5.0))
+    assert twin._calculus is calc and twin.diff_matrices is dom.diff_matrices
+    assert _grid_calculus(dom.shape, tuple(dom.h.tolist())) is calc
+    # another spacing is another entry
+    assert build_domain((1.0, 1.0), (33, 17))._calculus is not calc
+    maxsize = _grid_calculus.cache_info().maxsize
+    assert maxsize == _CALCULUS_CACHE_SIZE and 0 < maxsize < 100
+
+
+def test_rescaled_domain_has_its_own_calculus():
+    dom = build_domain((1.0, 1.0), (17, 17))
+    gamma = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.3 * y)
+    new = rescale_translation_invariant(gamma, (1.0, 0.0), 3.0).domain
+    assert new.shape == dom.shape and new.h[0] != dom.h[0]
+    assert new._calculus is not dom._calculus
+    assert _grid_calculus(new.shape, tuple(new.h.tolist())) is new._calculus
+    new_ii = anisotropic_operator(new, np.broadcast_to(np.eye(2), new.shape + (2, 2)))[0]
+    old_ii = anisotropic_operator(dom, np.broadcast_to(np.eye(2), dom.shape + (2, 2)))[0]
+    assert not np.array_equal(new_ii.data, old_ii.data)
+
+
+def test_cached_calculus_arrays_are_read_only():
+    dom = build_domain((1.0, 1.0, 1.0), (5, 6, 7))
+    anisotropic_operator(dom, np.broadcast_to(np.eye(3), dom.shape + (3, 3)))
+    arrays = [arr for m in dom.diff_matrices for arr in (m.data, m.indices, m.indptr)]
+    arrays += list(dom._calculus.gather)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_stencil_1d_matches_hand_written():

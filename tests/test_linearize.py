@@ -1,10 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plap.grid import ScalarField, TensorField, build_domain, face_values_combine, face_values_max_abs
-from plap import linearize, psolve
+from plap.grid import (
+    ScalarField,
+    TensorField,
+    anisotropic_operator,
+    build_domain,
+    face_values_combine,
+    face_values_max_abs,
+)
+from plap import cli, linearize, psolve
 from plap.linearize import (
     DegenerateGradient,
     DegenerateInput,
@@ -19,7 +28,7 @@ from plap.linearize import (
     verify_linearization,
 )
 
-from oracles import dJ, fd_jacobian
+from oracles import anisotropic_operator_chain, dJ, fd_jacobian, same_sparse
 
 
 # -- flux map algebra ---------------------------------------------------------------
@@ -104,7 +113,7 @@ def test_taylor_identity_random_annulus():
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
         zeta = rng.normal(size=2)
         zeta *= rng.uniform(0.5, 2.0) / np.linalg.norm(zeta)
-        if linearize.segment_min_distance(xi, zeta) < 0.2:
+        if linearize._segment_min_distance(xi, zeta) < 0.2:
             continue
         assert taylor_identity_check(zeta, xi, 2.5) < 1e-8
 
@@ -161,6 +170,23 @@ def test_assemble_a_spectrum_bounds(square):
         eigs = np.linalg.eigvalsh(a.values / kap[..., None, None])
         assert eigs.min() > min(1.0, p - 1.0) - 1e-12
         assert eigs.max() < max(1.0, p - 1.0) + 1e-12
+
+
+def test_assemble_a_of_sample_config_matches_chain():
+    # the linearize sample config (gamma = 1, data x1): grad u0 is (1, ~1e-16),
+    # so the off-diagonal entries of A are exactly zero at some nodes only, and
+    # the blocks' pattern follows them; it matches the sparse products bit for
+    # bit and keeps its stored-entry count
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "scripts" / "configs" / "linearize.cfg")
+    dom = cli._build_domain(cfg)
+    gamma, (phi0, _) = cli._gamma_field(cfg, dom), cli._data_field(cfg, dom)
+    scfg = psolve.PSolveConfig(p=cfg.p, eps_reg=cfg.eps_reg, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
+    a = assemble_A(gamma, cfg.p, psolve.solve_p_laplace(gamma, cfg.p, phi0, scfg).u)
+    cross = a.values[..., 0, 1]
+    assert 0 < np.count_nonzero(cross == 0.0) < cross.size
+    blocks, chain = anisotropic_operator(dom, a.values), anisotropic_operator_chain(dom, a.values)
+    assert all(same_sparse(b, c) for b, c in zip(blocks, chain))
+    assert [b.nnz for b in blocks] == [7539, 453]
 
 
 def test_assemble_a_rejects_critical_points():
