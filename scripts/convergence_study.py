@@ -8,7 +8,6 @@ the flux error should shrink at second order.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
 from plap import psolve
@@ -17,10 +16,7 @@ from plap import psolve
 def pseudo1d(p, res, c=1.0):
     dom = build_domain((1.0, 1.0), (res, res))
     gam = ScalarField(dom, 1.0 + dom.coords[0])
-    expo = 1.0 / (p - 1.0)
-    g_axis = np.array(
-        [quad(lambda t: (c / (1.0 + t)) ** expo, 0.0, x, epsabs=1e-14, epsrel=1e-14)[0] for x in dom.axes[0]]
-    )
+    g_axis = psolve.pseudo1d_profile("1 + x1", p, dom.axes[0], c)
     f = ScalarField(dom, np.broadcast_to(g_axis[:, None], dom.shape).copy())
     sol = psolve.solve_p_laplace(gam, p, f)
     flux = psolve.boundary_flux(gam, p, sol.u, 1e-8)

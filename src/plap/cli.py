@@ -346,18 +346,7 @@ def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
     expr = jets.parse_expr(cfg.gamma)
     if not jets.free_variables(expr) <= {0}:
         raise ConfigError("problem.data = pseudo1d needs gamma to depend on x1 only")
-    exponent = 1.0 / (cfg.p - 1.0)
-
-    def slope(t: float) -> float:
-        return (cfg.c / jets.eval_point(expr, (t,))) ** exponent
-
-    from scipy.integrate import quad  # here, not at module top: it slows every import of plap
-
-    xs = dom.axes[0]
-    vals = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        vals[i], _ = quad(slope, dom.origin[0], x, epsabs=1e-14, epsrel=1e-14, limit=200)
-    return vals
+    return psolve.pseudo1d_profile(expr, cfg.p, dom.axes[0], cfg.c)
 
 
 def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | None]:
@@ -762,9 +751,9 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
         report["pass"] = bool(passed)
         if not passed:
             exit_code = 1
-    except (psolve.NonConvergence, criticalfree.BallEscape, linearize.DegenerateGradient,
-            linearize.DegenerateInput, linearize.SegmentDegenerate, recover.RecoveryError,
-            jets.JetError, ValueError) as exc:
+    except (psolve.NonConvergence, psolve.ProfileNotResolved, criticalfree.BallEscape,
+            linearize.DegenerateGradient, linearize.DegenerateInput, linearize.SegmentDegenerate,
+            recover.RecoveryError, jets.JetError, ValueError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["pass"] = False
         exit_code = 3

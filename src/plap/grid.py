@@ -446,11 +446,13 @@ class TensorField:
             raise ValueError("tensor field shape mismatch")
 
 
-def require_positive_weight(gamma: ScalarField):
-    """A weight field must be finite and strictly positive at every node."""
-    if not np.all(np.isfinite(gamma.values)):
+def require_positive_weight(gamma: ScalarField | np.ndarray):
+    """A weight field, or an array of its values at any points, must be finite
+    and strictly positive at every node."""
+    values = gamma.values if isinstance(gamma, ScalarField) else gamma
+    if not np.all(np.isfinite(values)):
         raise ValueError("weight must be finite at every node")
-    mn = float(np.min(gamma.values))
+    mn = float(np.min(values))
     if not mn > 0.0:
         raise ValueError(f"weight must be strictly positive, min value {mn:g}")
 
@@ -496,8 +498,8 @@ def normal_component(v: VectorField) -> dict[tuple[int, int], np.ndarray]:
 
 
 def anisotropic_operator(
-    domain: Domain, tensor_values: np.ndarray
-) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    domain: Domain, tensor_values: np.ndarray, boundary: bool = True
+) -> tuple[sp.csc_matrix, sp.csc_matrix | None]:
     """Interior rows of u -> div(T grad u) = sum_ab D_a diag(T_ab) D_b u.
 
     ``tensor_values`` has shape grid + (n, n).  Returns the blocks
@@ -505,7 +507,8 @@ def anisotropic_operator(
     approximation of the divergence form: rows and the columns of ``A_II``
     in ``domain.interior_flat`` order, the columns of ``A_IB`` in
     ``domain.boundary_flat`` order.  Both are CSC with sorted row indices,
-    so a sparse LU takes ``A_II`` as given.
+    so a sparse LU takes ``A_II`` as given.  With ``boundary=False`` only
+    ``A_II`` is assembled, bit for bit the same, and ``A_IB`` is None.
 
     The data comes from the per-grid gather map of
     :attr:`_GridCalculus.gather` and is bit for bit what the sparse products
@@ -521,15 +524,21 @@ def anisotropic_operator(
         shift = [(2 * side - 1) * (a == b) for a in range(n)]
         box = tuple(slice(1 + d, s - 1 + d) for d, s in zip(shift, shape))
         np.multiply(np.moveaxis(tensor_values[box + (b,)], -1, 0), central[b, side], out=m[b, side])
-    data = sp.csr_matrix((table.take(codes), terms, term_ptr), shape=(term_ptr.size - 1, m.size)) @ m.ravel()
+    spans = ((0, n_int), (n_int, col_ptr.size - 1)) if boundary else ((0, n_int),)
+    # each entry's terms sum on their own, so A_II alone takes the leading entries
+    n_entries = int(col_ptr[spans[-1][1]])
+    n_terms = int(term_ptr[n_entries])
+    stage2 = sp.csr_matrix((table.take(codes[:n_terms]), terms[:n_terms], term_ptr[:n_entries + 1]),
+                           shape=(n_entries, m.size))
+    data = stage2 @ m.ravel()
     blocks = []
-    for lo, hi in ((0, n_int), (n_int, col_ptr.size - 1)):
+    for lo, hi in spans:
         start, stop = col_ptr[lo], col_ptr[hi]
         block = sp.csc_matrix((data[start:stop], rows[start:stop].copy(), col_ptr[lo:hi + 1] - start),
                               shape=(n_int, hi - lo))
         block.eliminate_zeros()
         blocks.append(block)
-    return tuple(blocks)
+    return blocks[0], (blocks[1] if boundary else None)
 
 
 # -- quadrature helpers ---------------------------------------------------------

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jets
 from .grid import (
     ScalarField,
     VectorField,
@@ -66,6 +67,8 @@ __all__ = [
     "residual",
     "boundary_pairing",
     "min_interior_gradient",
+    "ProfileNotResolved",
+    "pseudo1d_profile",
 ]
 
 
@@ -79,6 +82,12 @@ _NEWTON_FORCING = 1e-4
 _LINEAR_RTOL = 1e-12
 _KRYLOV_RESTART = 50
 
+# Composite Gauss-Legendre rule of pseudo1d_profile: nodes per subcell, the
+# most subcells per cell, and how closely two successive rules must agree
+_PROFILE_RULE = 8
+_PROFILE_MAX_PARTS = 128
+_PROFILE_RTOL = 1e-14
+
 
 class NonConvergence(Exception):
     """The Newton iteration cannot reach the tolerance; carries the residual history."""
@@ -86,6 +95,10 @@ class NonConvergence(Exception):
     def __init__(self, message: str, history):
         super().__init__(message)
         self.history = list(history)
+
+
+class ProfileNotResolved(Exception):
+    """The quadrature of the pseudo-1D profile did not settle within its node cap."""
 
 
 class DegenerateGradientWarning(UserWarning):
@@ -168,6 +181,52 @@ def p_energy(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0)
 def residual(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> ScalarField:
     """Pointwise discrete divergence of the flux field (meaningful at interior nodes)."""
     return divergence(_flux(gamma, p, u, eps_reg))
+
+
+def pseudo1d_profile(gamma, p: float, xs, c: float = 1.0) -> np.ndarray:
+    """G(x) = int_{xs[0]}^x (c / gamma(t))^(1/(p-1)) dt at every point of ``xs``.
+
+    With a weight gamma(x1) of x1 alone, G(x1) is an exact solution of the
+    weighted p-Laplace equation whose flux along x1 is the constant c.
+    ``gamma`` is an expression of :mod:`plap.jets` (text or parsed) in x1;
+    ``xs`` are increasing nodes.  Each cell between consecutive nodes is cut
+    into 1, 2, 4, ... equal subcells, each with the 8-node Gauss-Legendre
+    rule, so the nodes per cell double; gamma is evaluated at once over all
+    cells, and G is the running sum of the cell integrals.  The cuts stop
+    when two successive rules differ by at most 1e-14 max|G| summed over
+    the cells; the finer one is kept.  Raises ``ValueError`` as
+    :func:`~plap.grid.require_positive_weight` does when gamma is not finite
+    and positive at some quadrature point, ``ValueError`` when the integrand
+    is not finite there, and :class:`ProfileNotResolved` when 1024 nodes
+    per cell do not settle.
+    """
+    xs = np.asarray(xs, dtype=float)
+    width = np.diff(xs)[:, None, None]
+    nodes, weights = np.polynomial.legendre.leggauss(_PROFILE_RULE)
+    expo = 1.0 / (p - 1.0)
+    parts, prev = 1, None
+    while parts <= _PROFILE_MAX_PARTS:
+        half = 0.5 * width / parts
+        t = xs[:-1, None, None] + width * ((np.arange(parts)[:, None] + 0.5) / parts) + half * nodes
+        with np.errstate(all="ignore"):
+            gam = jets.eval_numpy(gamma, (t,))
+        require_positive_weight(gam)
+        with np.errstate(all="ignore"):
+            slope = (c / gam) ** expo
+        if not np.all(np.isfinite(slope)):
+            bad = float(t[~np.isfinite(slope)][0])
+            raise ValueError(f"pseudo-1D slope (c/gamma)^(1/(p-1)) is not finite at x1 = {bad:g}")
+        cells = np.sum(half * slope * weights, axis=(1, 2))
+        profile = np.concatenate([[0.0], np.cumsum(cells)])
+        change = np.inf if prev is None else float(np.sum(np.abs(cells - prev)))
+        if change <= _PROFILE_RTOL * float(np.max(np.abs(profile))):
+            return profile
+        parts, prev = 2 * parts, cells
+    raise ProfileNotResolved(
+        f"pseudo-1D profile: rules of {_PROFILE_RULE * _PROFILE_MAX_PARTS // 2} and "
+        f"{_PROFILE_RULE * _PROFILE_MAX_PARTS} nodes per cell differ by {change:.3e}, "
+        f"above {_PROFILE_RTOL:g} max|G|"
+    )
 
 
 def min_interior_gradient(u: ScalarField) -> float:
@@ -396,7 +455,7 @@ def solve_p_laplace(
         require_nonzero_gradient(u_flat, "flux derivative is")
         g = gradient(as_field(u_flat)).values
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
-        jac, _ = anisotropic_operator(dom, blocks)
+        jac, _ = anisotropic_operator(dom, blocks, boundary=False)
         step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian", dom.interior_in_c_order)
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):

@@ -241,6 +241,27 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
 
 
 @pytest.mark.parametrize(
+    "gamma, p, error, message",
+    [
+        # positive at the five nodes, negative between them
+        ("0.5 + cos(8*3.14159265358979*x1)", "3", "ValueError", "strictly positive"),
+        ("1e-12 + x1^2", "1.2", "ProfileNotResolved", "nodes per cell"),
+    ],
+)
+def test_pseudo1d_profile_error_serialized(tmp_path, gamma, p, error, message):
+    cfg = _write(
+        tmp_path,
+        "w.cfg",
+        f"[domain]\nresolution = 5 5\n[problem]\np = {p}\ngamma = {gamma}\ndata = pseudo1d\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["forward", "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["error"]["type"] == error
+    assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "command, text, error",
     [
         (
@@ -371,6 +392,14 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, 'scipy.sparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 True"
+    # and the pseudo-1D profile, from its own Gauss-Legendre rule, loads no
+    # scipy.integrate, nor the optimize and special modules it brings
+    p1d = _write(tmp_path, "p1d.cfg", "[domain]\nresolution = 9 9\n[problem]\ngamma = 1 + x1\ndata = pseudo1d\n")
+    args = ["forward", "--config", p1d, "--jobs", "1", "--out", str(tmp_path / "p1d")]
+    heavy = "[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules]"
+    code = f"import sys, plap.cli; code = plap.cli.main({args!r}); print(code, {heavy})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):

@@ -172,6 +172,22 @@ def test_operator_blocks_match_chain_on_unequal_spacing(kind):
     assert all(same_sparse(g, c) for g, c in zip(got, chain))
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "diagonal", "nonsymmetric", "zero", "nan"])
+@pytest.mark.parametrize(
+    "extents, shape", [((1.0, 1.0), (65, 65)), ((2.0, 1.0), (20, 11)), ((1.0, 0.7, 1.3), (17, 17, 17))]
+)
+def test_interior_block_alone_matches_both_blocks(extents, shape, kind):
+    # the Newton loop assembles A_II alone; it must be bit for bit the A_II of both blocks
+    dom = build_domain(extents, shape)
+    tensor = _tensor("symmetric" if kind == "nan" else kind, dom)
+    if kind == "nan":
+        tensor[(4,) * dom.n] = np.nan
+    a_ii, a_ib = anisotropic_operator(dom, tensor)
+    alone, none = anisotropic_operator(dom, tensor, boundary=False)
+    assert none is None and a_ib is not None
+    assert same_sparse(alone, a_ii) and alone.has_canonical_format
+
+
 def test_operator_keeps_nan_and_drops_exact_zeros():
     # like the sparse products: on a square grid the constant antisymmetric
     # part of T cancels exactly in every cross entry, which stores nothing,

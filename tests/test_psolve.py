@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -18,7 +21,13 @@ from plap.psolve import (
     solve_p_laplace,
 )
 
-from oracles import anisotropic_operator_loop, convergence_orders, fd_jacobian, pseudo1d_fields
+from oracles import (
+    anisotropic_operator_loop,
+    convergence_orders,
+    fd_jacobian,
+    pseudo1d_boundary_profile,
+    pseudo1d_fields,
+)
 
 
 @pytest.fixture
@@ -98,6 +107,44 @@ def test_pseudo1d_quadrature_solution(p):
         errs.append(np.max(np.abs(sol.u.values - f.values)))
     assert errs[1] < errs[0]
     assert convergence_orders(errs)[0] > 1.8
+
+
+_PROFILE_WEIGHTS = {
+    "1+x1": lambda t: 1.0 + t,
+    "exp(x1)": math.exp,
+    "1+0.5*sin(3*x1)": lambda t: 1.0 + 0.5 * math.sin(3.0 * t),
+    # dips to 0.1 six times over [0, 1]: coarse cells need many subcells
+    "1+0.9*sin(40*x1)": lambda t: 1.0 + 0.9 * math.sin(40.0 * t),
+}
+
+
+@pytest.mark.parametrize("res", [5, 17, 65])
+@pytest.mark.parametrize("gamma", list(_PROFILE_WEIGHTS))
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0, 8.0])
+def test_pseudo1d_profile_matches_adaptive_quadrature(p, gamma, res):
+    xs = np.linspace(0.0, 1.0, res)
+    got = psolve.pseudo1d_profile(gamma, p, xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad warns of roundoff at its 1e-14 target
+        ref = pseudo1d_boundary_profile(_PROFILE_WEIGHTS[gamma], p, xs)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_pseudo1d_profile_checks_the_weight_between_nodes():
+    # positive at the five nodes, negative between them
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="strictly positive"):
+        psolve.pseudo1d_profile("0.5 + cos(8*3.14159265358979*x1)", 3.0, xs)
+    with pytest.raises(ValueError, match="not finite"):
+        psolve.pseudo1d_profile("1+x1", 3.0, xs, c=-1.0)
+    assert not np.any(psolve.pseudo1d_profile("1+x1", 3.0, xs, c=0.0))
+
+
+def test_pseudo1d_profile_refuses_an_unresolved_integrand():
+    # a near pole at x1 = 1e-6 i: 1024 nodes on a cell of width 1/4 do not settle
+    with pytest.raises(psolve.ProfileNotResolved, match="1024 nodes per cell"):
+        psolve.pseudo1d_profile("1e-12 + x1^2", 1.2, np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize(
