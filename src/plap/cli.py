@@ -573,7 +573,12 @@ def _recover_scenario(args):
         "passed": bool(max_rel < 1e-7 and gauge_max < 1e-8),
     }
     recon_rows = [[s, r, t, abs(r - t)] for s, r, t in zip(depths, recon, truth)]
-    return scenario_results, gamma_rows, u_rows, recon_rows
+    gauge_rows = [
+        [m, k, z]
+        for m, by_degree in enumerate(state.gauge_by_degree, start=1)
+        for k, z in enumerate(by_degree)
+    ]
+    return scenario_results, gamma_rows, u_rows, recon_rows, gauge_rows
 
 
 def run_recover(cfg: ExperimentConfig, jobs: int = 1):
@@ -586,12 +591,13 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
     else:
         outcomes = [_recover_scenario(t) for t in tasks]
     scenarios = []
-    gamma_rows, u_rows, recon_rows = [], [], []
-    for (res, grow, urow, rrow), p_val in zip(outcomes, p_values):
+    gamma_rows, u_rows, recon_rows, gauge_rows = [], [], [], []
+    for (res, grow, urow, rrow, zrow), p_val in zip(outcomes, p_values):
         scenarios.append(res)
         gamma_rows += [[p_val, *row] for row in grow]
         u_rows += [[p_val, *row] for row in urow]
         recon_rows += [[p_val, *row] for row in rrow]
+        gauge_rows += [[p_val, *row] for row in zrow]
     canonical = recover.theta_matrix(1.0, np.array([1.0, 0.0, 0.0]), 3.0)
     results = {
         "scenarios": scenarios,
@@ -603,6 +609,7 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
         "gamma_jets": (["p", "m", "true", "recovered", "abs_err"], gamma_rows),
         "u0_jets": (["p", "m", "true", "recovered", "abs_err"], u_rows),
         "reconstruction": (["p", "depth", "partial_sum", "truth", "abs_err"], recon_rows),
+        "gauge_residual": (["p", "order", "tangential_degree", "max_abs_Z"], gauge_rows),
     }
     passed = all(s["passed"] for s in scenarios)
     return results, tables, passed

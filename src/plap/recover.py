@@ -32,14 +32,19 @@ normal direction, (ii) the measured normal-normal tensor entry at order m,
 (iii) the measured entry tau . A tau in the tangential direction tau
 orthogonal to the slope at z.  The recovery runs in the frame the
 measurements arrive in: tau is one fixed unit vector, so no coordinate change
-is needed.  The coefficient columns are never hand-expanded: each row is an
-affine functional of (X, Y) evaluated by forward jet arithmetic, so probing
-it at (0,0), (1,0), (0,1) recovers the affine map exactly.  Each probe builds
-the jet flux pieces once and forms only the three rows it reads: the flux
-divergence and the entries A_00 and tau . A tau.  Run over
-the ring of tangential jets instead of scalars, the same probing recovers
-whole tangential expansions per order, which is how mixed (tangential x
-normal) derivatives are filled without finite differencing.
+is needed.  Each row is affine in (X, Y), and by the Leibniz rule the
+unknowns enter it multiplied by order-0 values alone, so the X and Y columns
+are the closed-form entries of :func:`theta_matrix` at every order.  One
+function writes those entries for floats and for jets alike; evaluated over
+the ring of tangential jets, once per recovery, it gives whole tangential
+expansions of the columns, which each order truncates to its own degree.
+The known part of each row is one forward jet evaluation per order at the
+state, where the unknowns are still zero: the jet flux pieces are built
+once, and only the three rows read are formed (the flux divergence and the
+entries A_00 and tau . A tau).  Solving over the same ring fills the mixed
+(tangential x normal) derivatives without finite differencing.  The tests
+check the columns against probing the forward rows at (X, Y) = (0, 0),
+(1, 0) and (0, 1).
 
 The 3x3 determinant is evaluated two ways: a fixed cofactor expansion of the
 assembled matrix (authoritative) and a verbatim closed-form expression kept
@@ -334,9 +339,34 @@ class ThetaSystem:
         return float(np.linalg.cond(self.matrix))
 
 
+def _theta_rows(gamma, d, t, w2, p):
+    """Rows (i)-(iii) of the induction system, columns (X, Y, Z), in closed form.
+
+    ``gamma``, ``d`` and ``w2`` are gamma, d u0/dx1 and |grad u0|^2 at order
+    0, and ``t`` is the slope of u0 along the direction of row (iii).  The
+    arguments are all floats (point values at z) or all tangential jets (the
+    whole patch); only ``+ - * / **`` touch them.  By the Leibniz rule the
+    unknowns d1^m gamma and d1^(m+1) u0 enter the order-m rows multiplied by
+    order-0 values alone, so the X and Y columns are the same at every order.
+    The Z column is the order-0 gauge (A_00 and -tau . A tau).
+    """
+    r = d * d / w2
+    rt = t * t / w2
+    kp2 = w2 ** ((p - 2.0) / 2.0)
+    kp4 = w2 ** ((p - 4.0) / 2.0)
+    a, at = 1.0 + (p - 2.0) * r, 1.0 + (p - 2.0) * rt
+    gk = gamma * kp2
+    gdk = (p - 2.0) * gamma * d * kp4
+    a00 = gk * a
+    return (
+        (d * kp2, a00, 0.0),
+        (kp2 * a, gdk * (3.0 + (p - 4.0) * r), a00),
+        (kp2 * at, gdk * (1.0 + (p - 4.0) * rt), -gk * at),
+    )
+
+
 def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float, j: int = 2) -> np.ndarray:
-    """The 3x3 coefficient matrix of the induction step, assembled from the
-    closed-form entries (point values at z).
+    """The 3x3 coefficient matrix of the induction step at z (point values).
 
     ``grad_u0`` is the full gradient at z; ``j`` names the tangential axis
     of the third row, which the recovery reads in the direction with
@@ -349,22 +379,7 @@ def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float, j: int = 2) -> n
         raise NormalGradientZero("theta matrix needs a nonzero normal slope")
     if j not in (1, 2):
         raise ValueError("j must name a tangential axis (1 or 2)")
-    r = d * d / w2
-    tj = grad_u0[j]
-    rj = tj * tj / w2
-    kp2 = w2 ** ((p - 2.0) / 2.0)
-    kp4 = w2 ** ((p - 4.0) / 2.0)
-    th = np.zeros((3, 3))
-    th[0, 0] = d * kp2
-    th[0, 1] = gamma_z * kp2 * (1.0 + (p - 2.0) * r)
-    th[0, 2] = 0.0
-    th[1, 0] = kp2 * (1.0 + (p - 2.0) * r)
-    th[1, 1] = (p - 2.0) * gamma_z * d * kp4 * (3.0 + (p - 4.0) * r)
-    th[1, 2] = gamma_z * kp2 * (1.0 + (p - 2.0) * r)
-    th[2, 0] = kp2 * (1.0 + (p - 2.0) * rj)
-    th[2, 1] = (p - 2.0) * gamma_z * d * kp4 * (1.0 + (p - 4.0) * rj)
-    th[2, 2] = -gamma_z * kp2 * (1.0 + (p - 2.0) * rj)
-    return th
+    return np.array(_theta_rows(gamma_z, d, grad_u0[j], w2, p))
 
 
 def _det3(rows):
@@ -410,27 +425,45 @@ class RecoveryState:
     filled_order: int
     order0: Order0Result
     tangent: np.ndarray       # unit tau = (0, -t2, t1) / |(t1, t2)| of row (iii)
+    xy_columns: list          # (X, Y) coefficient jets of rows (i)-(iii), tangential order ``order - 1``
     conds: list[float] = field(default_factory=list)
-    gauge_residuals: list[float] = field(default_factory=list)
+    gauge_by_degree: list[list[float]] = field(default_factory=list)  # max |Z| per tangential degree
     theta_systems: list[ThetaSystem] = field(default_factory=list)
+
+    @property
+    def gauge_residuals(self) -> list[float]:
+        """max |Z| over the tangential jet, per order."""
+        return [max(by_degree) for by_degree in self.gauge_by_degree]
+
+
+def _xy_columns(gamma: Jet, u0: Jet, tangent: np.ndarray, p: float) -> list[tuple[Jet, Jet]]:
+    """The X and Y columns of every induction order, from the order-0 slices
+    of the state, as tangential jets of order ``gamma.order - 1`` (order 1's
+    truncation; each later order truncates them further)."""
+    nt = gamma.order - 1
+    u0_face = extract_normal_slice(u0, 0, order=nt + 1)
+    g1, g2 = jet_partial(u0_face, 0), jet_partial(u0_face, 1)
+    d = extract_normal_slice(u0, 1, order=nt)
+    t = float(tangent[1]) * g1 + float(tangent[2]) * g2
+    w2 = d * d + g1 * g1 + g2 * g2
+    rows = _theta_rows(extract_normal_slice(gamma, 0, order=nt), d, t, w2, p)
+    return [row[:2] for row in rows]
 
 
 def _step_functional(state: RecoveryState, m: int):
-    """The three affine row functionals of the order-m system."""
+    """The three order-m row functionals at the state as it stands, where the
+    unknowns d1^m gamma and d1^(m+1) u0 are still zero: the known part of
+    each row."""
+    if np.any(state.gamma.coeffs[m]) or np.any(state.u0.coeffs[m + 1]):
+        raise RecoveryError(f"the order-{m} unknowns are already set in the state")
     p = state.p
     tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
-
-    def rows(x: Jet, y: Jet):
-        gam = set_normal_slice(state.gamma, m, x)
-        u0 = set_normal_slice(state.u0, m + 1, y)
-        grads, w2, gk = _flux_pieces(gam, u0, p)
-        f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
-        f2 = extract_normal_slice(_entry(grads[0], grads[0], w2, gk, p, True), m)
-        gt = tau1 * grads[1] + tau2 * grads[2]
-        f3 = extract_normal_slice(_entry(gt, gt, w2, gk, p, True), m)
-        return f1, f2, f3
-
-    return rows
+    grads, w2, gk = _flux_pieces(state.gamma, state.u0, p)
+    f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
+    f2 = extract_normal_slice(_entry(grads[0], grads[0], w2, gk, p, True), m)
+    gt = tau1 * grads[1] + tau2 * grads[2]
+    f3 = extract_normal_slice(_entry(gt, gt, w2, gk, p, True), m)
+    return f1, f2, f3
 
 
 def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> Jet:
@@ -442,8 +475,11 @@ def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> 
 
 
 def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
-    """Probe the order-m forward functionals and assemble the 3x3 system.
+    """Assemble the order-m system over the tangential-jet ring.
 
+    The X and Y columns are ``state.xy_columns`` truncated to this order, the
+    Z column is the measured order-0 gauge, and the right-hand sides are the
+    measurements minus one forward evaluation of the rows at the state.
     Returns (rows, rhs, theta) where rows[i] = (coefficient jets of X, Y, Z),
     rhs[i] is the measured-minus-known jet, and theta records the scalar
     (constant-term) system for reporting.
@@ -453,20 +489,15 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
             f"state is filled to order {state.filled_order}, cannot run order {m}"
         )
     nt = state.order - m
-    zero = jet_const(2, nt, 0.0)
-    one = jet_const(2, nt, 1.0)
-    rows_fn = _step_functional(state, m)
-    f0 = rows_fn(zero, zero)
-    fx = rows_fn(one, zero)
-    fy = rows_fn(zero, one)
-    lx = tuple(a - b for a, b in zip(fx, f0))
-    ly = tuple(a - b for a, b in zip(fy, f0))
-    gauge2 = jet_truncate(bj.a[(0, 0)][0], nt)
-    gauge3 = -_tangential_entry(bj, state.tangent, 0, nt)
+    f0 = _step_functional(state, m)
+    gauge = (
+        jet_const(2, nt, 0.0),
+        jet_truncate(bj.a[(0, 0)][0], nt),
+        -_tangential_entry(bj, state.tangent, 0, nt),
+    )
     rows = [
-        (lx[0], ly[0], zero),
-        (lx[1], ly[1], gauge2),
-        (lx[2], ly[2], gauge3),
+        (jet_truncate(x, nt), jet_truncate(y, nt), g)
+        for (x, y), g in zip(state.xy_columns, gauge)
     ]
     rhs = [
         -f0[0],
@@ -513,7 +544,10 @@ def recover_order_m(
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
     state.conds.append(cond)
-    state.gauge_residuals.append(float(np.max(np.abs(z.coeffs))))
+    degree = np.indices(z.coeffs.shape).sum(axis=0)
+    state.gauge_by_degree.append(
+        [float(np.max(np.abs(z.coeffs[degree == k]))) for k in range(z.order + 1)]
+    )
     state.theta_systems.append(theta)
     return state
 
@@ -544,6 +578,7 @@ def run_recovery(
     gamma = set_normal_slice(jet_const(3, n, 0.0), 0, o0.gamma_jet)
     u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj.trace)
     u0 = set_normal_slice(u0, 1, o0.slope_jet)
+    tangent = np.array([0.0, -t2 / r, t1 / r])
     state = RecoveryState(
         p=bj.p,
         order=n,
@@ -551,7 +586,8 @@ def run_recovery(
         u0=u0,
         filled_order=0,
         order0=o0,
-        tangent=np.array([0.0, -t2 / r, t1 / r]),
+        tangent=tangent,
+        xy_columns=_xy_columns(gamma, u0, tangent, bj.p),
     )
     for m in range(1, max_order + 1):
         recover_order_m(state, bj, m, cond_limit=cond_limit)

@@ -5,7 +5,8 @@ checks: 1D quadrature for the pseudo-1D solution family, finite differences
 for Jacobians, convergence-order measurement, the closed form of the flux
 derivative dJ and a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
-divergence, the closed-form order-0 split in two dimensions, and the
+divergence, the closed-form order-0 split in two dimensions, the coefficient
+columns of a recovery order by probing its forward rows, and the
 divergence-form operator twice: in full as a sum of sparse triple products,
 and as its interior blocks from a chain of three sparse products, whose sums
 the library's assembly must reproduce bit for bit.
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
-from plap.jets import Jet, jet_partial, jet_pow
+from plap.jets import Jet, extract_normal_slice, jet_const, jet_partial, jet_pow, set_normal_slice
 from plap.recover import NormalGradientZero, RecoveryError, TangentialDegenerate
 
 
@@ -140,6 +141,35 @@ def flux_divergence_jet(gamma_jet: Jet, u0_jet: Jet, p: float) -> Jet:
     for a in range(1, len(grads)):
         div = div + jet_partial(gk * grads[a], a)
     return div
+
+
+def probed_columns(state, m: int) -> list[tuple[Jet, Jet]]:
+    """The (X, Y) coefficient jets of rows (i)-(iii) of the order-m recovery
+    system, by probing the forward rows at (X, Y) = (0, 0), (1, 0), (0, 1).
+
+    Each row is affine in the unknowns X = d1^m gamma and Y = d1^(m+1) u0,
+    so its differences from the (0, 0) probe are its columns, up to
+    roundoff.  The rows are the flux divergence at normal order m - 1, A_00
+    and tau . A tau at order m, formed from scratch in jet arithmetic.
+    """
+    p, nt = state.p, state.order - m
+    tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
+
+    def rows(x: float, y: float):
+        gamma = set_normal_slice(state.gamma, m, jet_const(2, nt, x))
+        u0 = set_normal_slice(state.u0, m + 1, jet_const(2, nt, y))
+        grads = [jet_partial(u0, a) for a in range(3)]
+        w2 = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
+        gk = gamma * jet_pow(w2, (p - 2.0) / 2.0)
+        gt = tau1 * grads[1] + tau2 * grads[2]
+        return (
+            extract_normal_slice(flux_divergence_jet(gamma, u0, p), m - 1),
+            extract_normal_slice(gk * (1.0 + (p - 2.0) * (grads[0] * grads[0] / w2)), m),
+            extract_normal_slice(gk * (1.0 + (p - 2.0) * (gt * gt / w2)), m),
+        )
+
+    f0, fx, fy = rows(0.0, 0.0), rows(1.0, 0.0), rows(0.0, 1.0)
+    return [(a - b, c - b) for a, c, b in zip(fx, fy, f0)]
 
 
 def recover_order0_2d(a_tangent: float, tangential_slope: float, flux: float, p: float):

@@ -449,6 +449,30 @@ def test_recover_run_and_jobs_merge(tmp_path):
     assert report["results"]["canonical_theta_det_closed_form"] == 6.0
 
 
+def test_recover_gauge_residual_table(tmp_path):
+    text = (
+        "[recover]\nprofile = exp(0.2*x1)\nrzeta = 0.48 -0.6 0.64\nz = 0.1 -0.3 0.2\n"
+        "order = 6\np_list = 1.5 3.0\n"
+    )
+    cfg = _write(tmp_path, "r.cfg", text)
+    blobs = []
+    for run in ("o1", "o2"):
+        out = str(tmp_path / run)
+        assert main(["recover", "--config", cfg, "--out", out]) == 0
+        blobs.append(open(os.path.join(out, "tables", "gauge_residual.csv"), "rb").read())
+    assert blobs[0] == blobs[1]
+    lines = blobs[0].decode("ascii").splitlines()
+    assert lines[0] == "p,order,tangential_degree,max_abs_Z"
+    rows = [line.split(",") for line in lines[1:]]
+    # orders 1..4, tangential degrees 0..6-m, for each p
+    expected = [(p, m, k) for p in ("1.5", "3") for m in range(1, 5) for k in range(7 - m)]
+    assert [(r[0], int(r[1]), int(r[2])) for r in rows] == expected
+    report = json.load(open(os.path.join(str(tmp_path / "o1"), "report.json")))
+    for scen in report["results"]["scenarios"]:
+        zs = [float(r[3]) for r in rows if float(r[0]) == scen["p"]]
+        assert max(zs) == scen["max_gauge_residual"]
+
+
 class _SerialPool:
     """Stand-in for ProcessPoolExecutor: records its size, maps in-process."""
 
@@ -475,7 +499,7 @@ def test_recover_jobs_capped(monkeypatch, jobs, n_cpus, n_tasks, expected):
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: n_cpus)
-    monkeypatch.setattr(cli, "_recover_scenario", lambda task: ({"passed": True}, [], [], []))
+    monkeypatch.setattr(cli, "_recover_scenario", lambda task: ({"passed": True}, [], [], [], []))
     cfg = ExperimentConfig(p_list=tuple(1.5 + 0.5 * k for k in range(n_tasks)))
     results, _, passed = cli.run_recover(cfg, jobs=jobs)
     assert passed and len(results["scenarios"]) == n_tasks

@@ -10,8 +10,9 @@ from plap.jets import (
     jet_variable,
     extract_normal_slice,
     parse_expr,
+    set_normal_slice,
 )
-from oracles import flux_divergence_jet, recover_order0_2d
+from oracles import flux_divergence_jet, probed_columns, recover_order0_2d
 from plap import recover
 from plap.recover import (
     BoundaryJets,
@@ -279,7 +280,19 @@ def test_theta_det_sweep_nonvanishing():
             assert theta_det_closed_form(1.0, grad, p) > 1e-6
 
 
-# -- affine probing ----------------------------------------------------------------------
+# -- coefficient columns ------------------------------------------------------------------
+
+
+def _max_scaled_gap(rows, oracle):
+    """Largest coefficient gap between the X, Y jets of ``rows`` and the
+    oracle's, on the max(|c|, 1) scale."""
+    gap = 0.0
+    for row, ref in zip(rows, oracle):
+        for got, want in zip(row[:2], ref):
+            assert (got.nvars, got.order) == (want.nvars, want.order)
+            scale = np.maximum(np.abs(want.coeffs), 1.0)
+            gap = max(gap, float(np.max(np.abs(got.coeffs - want.coeffs) / scale)))
+    return gap
 
 
 def test_extracted_columns_match_theta_formulas():
@@ -293,10 +306,104 @@ def test_extracted_columns_match_theta_formulas():
     # the tangential slope lies along axis 1, so row (iii) reads axis 2
     assert np.allclose(state.tangent, [0.0, 0.0, 1.0])
     rows, rhs, theta = extract_affine_coefficients(state, bj, 1)
+    assert _max_scaled_gap(rows, probed_columns(state, 1)) < 1e-13
+    # the point values are the closed-form matrix, gauge column included
     expected = theta_matrix(2.0, np.array([0.8, 0.6, 0.0]), p, j=2)
     assert np.max(np.abs(theta.matrix - expected)) < 1e-10
     # measured data of the exact scenario is consistent with zero unknowns
     assert np.max(np.abs(theta.rhs)) < 1e-12
+
+
+_CRITERION_08 = [
+    (1.3, "1 + 0.1*x1"),
+    (1.7, "exp(0.2*x1)"),
+    (2.5, "sqrt(1 + 0.3*x1)"),
+    (3.0, "1/(1 + 0.2*x1)"),
+    (6.0, "1 + 0.1*x1 + 0.03*x1^2"),
+]
+
+
+def _columns_gap_every_order(bj, truth=None):
+    """Largest scaled gap between the closed-form and probed columns over
+    every order of a recovery run.  With ``truth`` = (gamma, u0) jets, each
+    order is filled from them instead of by the recovery's solve."""
+    state = run_recovery(bj, max_order=0)
+    gap = 0.0
+    for m in range(1, bj.order - 1):
+        rows, _, _ = extract_affine_coefficients(state, bj, m)
+        gap = max(gap, _max_scaled_gap(rows, probed_columns(state, m)))
+        if truth is None:
+            recover.recover_order_m(state, bj, m)
+        else:
+            state.gamma = set_normal_slice(state.gamma, m, extract_normal_slice(truth[0], m))
+            state.u0 = set_normal_slice(state.u0, m + 1, extract_normal_slice(truth[1], m + 1))
+            state.filled_order = m
+    assert state.filled_order == bj.order - 2
+    return gap
+
+
+@pytest.mark.parametrize(
+    "p, profile, order, z, zeta",
+    [(p, prof, 8, (0.0, 0.2, -0.1), ZETA) for p, prof in _CRITERION_08]
+    + [
+        (2.5, "exp(0.2*x1)", 7, (0.1, 0.0, 0.0), (0.48, -0.6, 0.64)),  # rotated tilt
+        (1.7, "exp(0.2*x1)", 12, (0.1, -0.3, 0.2), ZETA),
+    ],
+)
+def test_closed_form_columns_match_probes_at_every_order(p, profile, order, z, zeta):
+    sc = _scenario(profile=profile, p=p, order=order, z=z, zeta=zeta)
+    gj, uj = oracle_tilted_profile(sc)
+    assert _columns_gap_every_order(synthesize_measurements(gj, uj, p)) < 1e-13
+
+
+@pytest.mark.parametrize("p", [1.3, 2.5, 6.0])
+def test_closed_form_columns_match_probes_off_the_tilted_family(p):
+    # on the tilted family the slope along tau vanishes on the whole patch;
+    # a curved base function gives it tangential coefficients, so row (iii)
+    # is exercised beyond its point value.  The base solves no equation, so
+    # the orders are filled from it: solving would fill them with values
+    # that grow by orders of magnitude, and the probes' differences with them
+    order = 8
+    gj = eval_jet(parse_expr("2 + 0.1*x2 + 0.05*x3^2 + 0.1*x1*x3"), (0.0, 0.0, 0.0), order)
+    uj = eval_jet(
+        parse_expr("0.8*x1 + 0.6*x2 + 0.3*x3^2 + 0.1*x2*x3 + 0.2*x1*x3 - 0.1*x1^2"),
+        (0.0, 0.0, 0.0),
+        order + 1,
+    )
+    assert _columns_gap_every_order(synthesize_measurements(gj, uj, p), truth=(gj, uj)) < 1e-13
+
+
+def test_probe_refuses_state_with_unknowns_set():
+    sc = _scenario(order=6)
+    gj, uj = oracle_tilted_profile(sc)
+    bj = synthesize_measurements(gj, uj, sc.p)
+    state = run_recovery(bj, max_order=1)
+    clean = state.gamma
+    state.gamma = set_normal_slice(clean, 2, jet_const(2, 4, 1e-3))
+    with pytest.raises(RecoveryError):
+        extract_affine_coefficients(state, bj, 2)
+    state.gamma = clean
+    state.u0 = set_normal_slice(state.u0, 3, jet_const(2, 4, 1e-3))
+    with pytest.raises(RecoveryError):
+        extract_affine_coefficients(state, bj, 2)
+
+
+@pytest.mark.parametrize("order", [3, 6, 9])
+def test_one_forward_evaluation_per_order(monkeypatch, order):
+    sc = _scenario(order=order)
+    gj, uj = oracle_tilted_profile(sc)
+    bj = synthesize_measurements(gj, uj, sc.p)
+    calls = []
+    original = recover._flux_pieces
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(recover, "_flux_pieces", counted)
+    state = run_recovery(bj)
+    assert state.filled_order == order - 2
+    assert len(calls) == order - 2
 
 
 def test_extract_requires_consistent_state():
