@@ -3,19 +3,26 @@
 A jet stores the Taylor coefficients c[alpha] = d^alpha f / alpha! of a smooth
 function at a point, for all multi-indices with total degree |alpha| <= order.
 Coefficients are held densely in an (order+1)^nvars hypercube; entries above
-the truncation degree are kept at zero and never consulted, so arithmetic is
-closed at the stated order.  The Taylor normalization keeps high-order
-arithmetic overflow-free.  Products and quotients read one cached table per
+the truncation degree are kept at zero, so slicing and differentiation need
+no mask, and arithmetic never reads them, so it is closed at the stated
+order.  The Taylor normalization keeps high-order arithmetic overflow-free.  Products and quotients read one cached table per
 (nvars, order) of the flat index triples (a, b, a + b) with |a| + |b| <= order:
 a product is one ``np.bincount`` over it, a quotient one ``np.add.at`` per
 degree level.  Each coefficient adds its terms in the same fixed order as a
 loop over multi-indices would.
 
 Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
-are implemented through univariate series composition around the constant
-term; log, sqrt, and non-integer powers need a positive constant term.
-Division is graded long division and needs a nonzero one.  Integer powers
-fall back to an exact binomial recurrence and work for any base.
+are graded recurrences on the same levels as division.  Applying the Euler
+operator E = sum_i x_i d/dx_i, which multiplies a degree-d coefficient by d,
+to c = f(g) gives a linear relation between E c and E g (b E c = e c E b for
+c = b^e, E c = c E g for exp, g E c = E g for log, and the coupled pair
+E sin g = cos g E g, E cos g = -sin g E g), which fixes each degree-d
+coefficient of c from those of lower degree (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  log, sqrt, and
+non-integer powers need a positive constant term.  Division is graded long
+division and needs a nonzero one.  Integer powers use exact repeated
+squaring and work for any base.  A univariate jet composed with a linear
+inner form is the multinomial closed form of :func:`jet_compose1`.
 
 The expression language is the carrier for analytic weights.  Grammar
 (ASCII, whitespace insensitive)::
@@ -122,14 +129,31 @@ def _product_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 @lru_cache(maxsize=None)
+def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per flat hypercube index: the exponents alpha (one row each), the total
+    degree |alpha| capped at ``order``, and the multinomial coefficient
+    |alpha|! / alpha! (0 above the truncation degree)."""
+    idx = np.indices((order + 1,) * nvars).reshape(nvars, -1).T
+    deg = idx.sum(axis=1)
+    multinomial = np.zeros(deg.size)
+    for k in np.flatnonzero(deg <= order):
+        count = math.factorial(int(deg[k]))
+        for a in idx[k]:
+            count //= math.factorial(int(a))
+        multinomial[k] = count
+    return _read_only(idx, np.minimum(deg, order), multinomial)
+
+
+@lru_cache(maxsize=None)
 def _division_levels(nvars: int, order: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per total degree d, the slice of :func:`_product_table` that graded
-    division reads: the flat indices of the degree-d targets, and (ia, ib,
-    pos) over the triples with |a + b| = d and |b| > 0, where pos numbers
-    each triple's target within the level.
+    division and the graded recurrences read: the flat indices of the
+    degree-d targets, and (ia, ib, pos, nb) over the triples with
+    |a + b| = d and |b| > 0, where pos numbers each triple's target within
+    the level and nb = |b| as a float.
 
     A level's triples run over b in lexicographic order, so each target
-    subtracts its terms in the order of a loop over b.
+    sums its terms in the order of a loop over b.
     """
     ia, ib, tgt = _product_table(nvars, order)
     deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
@@ -140,22 +164,26 @@ def _division_levels(nvars: int, order: int) -> tuple[tuple[np.ndarray, ...], ..
         pos[targets] = np.arange(targets.size)
         sel = np.flatnonzero((deg[tgt] == d) & (deg[ib] > 0))
         sel = sel[np.argsort(ib[sel], kind="stable")]
-        levels.append(_read_only(targets, ia[sel], ib[sel], pos[tgt[sel]]))
+        levels.append(
+            _read_only(targets, ia[sel], ib[sel], pos[tgt[sel]], deg[ib[sel]].astype(float))
+        )
     return tuple(levels)
 
 
-@dataclass(frozen=True)
 class Jet:
     """Truncated Taylor expansion; ``coeffs[alpha] = d^alpha f / alpha!``."""
 
-    nvars: int
-    order: int
-    coeffs: np.ndarray
+    __slots__ = ("nvars", "order", "coeffs")
 
-    def __post_init__(self):
-        expect = (self.order + 1,) * self.nvars
-        if self.coeffs.shape != expect:
-            raise ValueError(f"coefficient array must have shape {expect}")
+    def __init__(self, nvars: int, order: int, coeffs: np.ndarray):
+        if coeffs.shape != (order + 1,) * nvars:
+            raise ValueError(f"coefficient array must have shape {(order + 1,) * nvars}")
+        self.nvars = nvars
+        self.order = order
+        self.coeffs = coeffs
+
+    def __repr__(self):
+        return f"Jet(nvars={self.nvars}, order={self.order}, coeffs={self.coeffs!r})"
 
     @property
     def value(self) -> float:
@@ -175,7 +203,8 @@ class Jet:
         return float(self.coeffs[tuple(alpha)])
 
     def __add__(self, other):
-        other = _coerce(other, self)
+        if not (isinstance(other, Jet) and other.nvars == self.nvars and other.order == self.order):
+            other = _coerce(other, self)
         return Jet(self.nvars, self.order, self.coeffs + other.coeffs)
 
     __radd__ = __add__
@@ -264,32 +293,34 @@ def jet_div(a: Jet, b: Jet) -> Jet:
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
     af, bf = a.coeffs.ravel(), b.coeffs.ravel()
     out = np.zeros(a.coeffs.size)
-    for targets, ia, ib, pos in _division_levels(a.nvars, a.order):
+    for targets, ia, ib, pos, _ in _division_levels(a.nvars, a.order):
         acc = af[targets]
         np.add.at(acc, pos, -(out[ia] * bf[ib]))
         out[targets] = acc / b0
     return Jet(a.nvars, a.order, out.reshape(a.coeffs.shape))
 
 
-def _compose_series(series: np.ndarray, g: Jet) -> Jet:
-    """Evaluate sum_k series[k] * ghat^k with ghat = g minus its constant term."""
-    n, order = g.nvars, g.order
-    ghat = np.array(g.coeffs)
-    ghat[(0,) * n] = 0.0
-    ghat = Jet(n, order, ghat)
-    acc = jet_const(n, order, float(series[-1]))
-    for k in range(len(series) - 2, -1, -1):
-        acc = jet_mul(acc, ghat)  # fresh array each round, safe to update in place
-        acc.coeffs[(0,) * n] += float(series[k])
-    return acc
+def _graded_levels(g: Jet):
+    """Per total degree d >= 1: d, the flat indices of the degree-d
+    coefficients, and over the pairs (alpha - beta, beta) with |alpha| = d
+    and beta != 0: the flat index of alpha - beta, the position of alpha
+    among the targets, g_beta and |beta|.  A recurrence sums its terms per
+    target with ``np.bincount(pos, terms, len(targets))``, in the order of a
+    loop over beta."""
+    gf = g.coeffs.ravel()
+    for d, (targets, ia, ib, pos, nb) in enumerate(_division_levels(g.nvars, g.order)):
+        if d:
+            yield d, targets, ia, pos, gf[ib], nb
 
 
 def jet_pow(base: Jet, exponent: float) -> Jet:
     """base**exponent.
 
-    Integer exponents use the exact binomial recurrence and allow any nonzero
+    Integer exponents use exact repeated squaring and allow any nonzero
     constant term (any at all when the exponent is a nonnegative integer);
-    real exponents need a positive constant term.
+    real exponents need a positive constant term.  A real power c = b^e
+    solves b E c = e c E b, which per total degree d reads
+    c_alpha = sum_{0 != beta <= alpha} ((e + 1) |beta| - d) b_beta c_{alpha - beta} / (d b0).
     """
     n, order = base.nvars, base.order
     b0 = base.value
@@ -316,45 +347,53 @@ def jet_pow(base: Jet, exponent: float) -> Jet:
         raise JetDomainError(
             f"real power {e:g} needs a positive constant term, got {b0:g}"
         )
-    # binomial series: d^k/dt^k t^e / k! = binom(e, k) * b0^(e-k)
-    series = np.empty(order + 1)
-    coef = 1.0
-    for k in range(order + 1):
-        series[k] = coef * b0 ** (e - k)
-        coef *= (e - k) / (k + 1)
-    return _compose_series(series, base)
+    out = np.zeros(base.coeffs.size)
+    out[0] = b0**e
+    for d, targets, ia, pos, bb, nb in _graded_levels(base):
+        acc = np.bincount(pos, ((e + 1.0) * nb - d) * bb * out[ia], targets.size)
+        out[targets] = acc / (d * b0)
+    return Jet(n, order, out.reshape(base.coeffs.shape))
 
 
 _UNARY_NAMES = ("sin", "cos", "exp", "log", "sqrt")
 
 
 def jet_unary(name: str, g: Jet) -> Jet:
-    """Compose an elementary function with a jet."""
-    n, order = g.nvars, g.order
+    """Compose an elementary function with a jet, by its graded recurrence:
+    d c_alpha = sum_{0 != beta <= alpha} |beta| g_beta c_{alpha - beta} for
+    c = exp g; d g0 c_alpha = d g_alpha - sum (d - |beta|) g_beta c_{alpha - beta}
+    for c = log g; and the coupled pair s = sin g, k = cos g with
+    d s_alpha = sum |beta| g_beta k_{alpha - beta},
+    d k_alpha = -sum |beta| g_beta s_{alpha - beta}."""
     g0 = g.value
+    out = np.zeros(g.coeffs.size)
     if name == "exp":
-        base = math.exp(g0)
-        series = np.array([base / math.factorial(k) for k in range(order + 1)])
-    elif name == "sin":
-        cyc = [math.sin(g0), math.cos(g0), -math.sin(g0), -math.cos(g0)]
-        series = np.array([cyc[k % 4] / math.factorial(k) for k in range(order + 1)])
-    elif name == "cos":
-        cyc = [math.cos(g0), -math.sin(g0), -math.cos(g0), math.sin(g0)]
-        series = np.array([cyc[k % 4] / math.factorial(k) for k in range(order + 1)])
+        out[0] = math.exp(g0)
+        for d, targets, ia, pos, gb, nb in _graded_levels(g):
+            out[targets] = np.bincount(pos, nb * gb * out[ia], targets.size) / d
+    elif name in ("sin", "cos"):
+        other = np.zeros(g.coeffs.size)
+        s, k = (out, other) if name == "sin" else (other, out)
+        s[0], k[0] = math.sin(g0), math.cos(g0)
+        for d, targets, ia, pos, gb, nb in _graded_levels(g):
+            w = nb * gb
+            s[targets] = np.bincount(pos, w * k[ia], targets.size) / d
+            k[targets] = -np.bincount(pos, w * s[ia], targets.size) / d
     elif name == "log":
         if g0 <= 0.0:
             raise JetDomainError(f"log of jet with non-positive constant term {g0:g}")
-        series = np.empty(order + 1)
-        series[0] = math.log(g0)
-        for k in range(1, order + 1):
-            series[k] = ((-1.0) ** (k + 1)) / (k * g0**k)
+        gf = g.coeffs.ravel()
+        out[0] = math.log(g0)
+        for d, targets, ia, pos, gb, nb in _graded_levels(g):
+            acc = np.bincount(pos, (d - nb) * gb * out[ia], targets.size)
+            out[targets] = (d * gf[targets] - acc) / (d * g0)
     elif name == "sqrt":
         if g0 <= 0.0:
             raise JetDomainError(f"sqrt of jet with non-positive constant term {g0:g}")
         return jet_pow(g, 0.5)
     else:
         raise ValueError(f"unknown unary function {name!r}")
-    return _compose_series(series, g)
+    return Jet(g.nvars, g.order, out.reshape(g.coeffs.shape))
 
 
 def jet_partial(j: Jet, axis: int) -> Jet:
@@ -368,9 +407,8 @@ def jet_partial(j: Jet, axis: int) -> Jet:
     mult_shape = [1] * n
     mult_shape[axis] = new_order + 1
     mult = np.arange(1, new_order + 2).reshape(mult_shape)
-    out = np.array(j.coeffs[tuple(src)] * mult)
-    out[~_degree_mask(n, new_order)] = 0.0
-    return Jet(n, new_order, out)
+    # entries above the new degree come from ones above the old, which are zero
+    return Jet(n, new_order, j.coeffs[tuple(src)] * mult)
 
 
 def jet_truncate(j: Jet, order: int) -> Jet:
@@ -380,9 +418,7 @@ def jet_truncate(j: Jet, order: int) -> Jet:
     if order == j.order:
         return j
     sl = tuple(slice(0, order + 1) for _ in range(j.nvars))
-    c = np.array(j.coeffs[sl])
-    c[~_degree_mask(j.nvars, order)] = 0.0
-    return Jet(j.nvars, order, c)
+    return Jet(j.nvars, order, j.coeffs[sl] * _degree_mask(j.nvars, order))
 
 
 def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None) -> Jet:
@@ -393,11 +429,15 @@ def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None
     """
     if m > j.order:
         raise ValueError("normal order exceeds jet order")
+    default = j.order - m
     if order is None:
-        order = j.order - m
+        order = default
     sl = [slice(0, order + 1)] * j.nvars
     sl[axis] = m
     block = j.coeffs[tuple(sl)]
+    if order == default:
+        # the block is the whole slice, and zero above its degree already
+        return Jet(j.nvars - 1, order, block * math.factorial(m))
     c = np.zeros((order + 1,) * (j.nvars - 1))
     c[tuple(slice(0, s) for s in block.shape)] = block * math.factorial(m)
     c[~_degree_mask(j.nvars - 1, order)] = 0.0
@@ -418,29 +458,32 @@ def set_normal_slice(j: Jet, m: int, tangential: Jet, axis: int = 0) -> Jet:
     src = tangential.coeffs[tuple(slice(0, keep + 1) for _ in range(tangential.nvars))]
     dst = [slice(0, keep + 1)] * j.nvars
     dst[axis] = m
-    block = np.array(src) / math.factorial(m)
-    mask = _degree_mask(j.nvars - 1, keep) & (
-        np.indices((keep + 1,) * tangential.nvars).sum(axis=0) <= j.order - m
-    )
-    c[tuple(dst)] = np.where(mask, block, 0.0)
+    c[tuple(dst)] = np.where(_degree_mask(tangential.nvars, keep), src / math.factorial(m), 0.0)
     return Jet(j.nvars, j.order, c)
 
 
 def jet_compose1(outer: Jet, inner: Jet) -> Jet:
-    """Compose a univariate jet with an inner jet expanded at the same value.
+    """Compose a univariate jet with a linear inner form s0 + zeta . x.
 
-    ``outer`` is a 1-variable jet of f at s0; ``inner`` must be a jet whose
-    constant term equals that same s0 (the univariate jet does not store its
-    expansion point, so the caller owns this convention).  The result is the
-    jet of f(inner).
+    ``outer`` is a 1-variable jet of f at s0 with coefficients f_k; ``inner``
+    must be a first-degree jet, whose constant term is taken to be that same
+    s0 (the univariate jet does not store its expansion point, so the caller
+    owns this convention).  The result is the jet of f(inner), by the
+    multinomial closed form c_alpha = f_|alpha| |alpha|!/alpha! zeta^alpha.
     """
     if outer.nvars != 1:
         raise ValueError("outer jet must be univariate")
-    series = np.array([outer.coeffs[(k,)] for k in range(outer.order + 1)])
-    series = series[: inner.order + 1]
-    if len(series) < inner.order + 1:
-        series = np.pad(series, (0, inner.order + 1 - len(series)))
-    return _compose_series(series, inner)
+    n, order = inner.nvars, inner.order
+    idx, deg, multinomial = _monomials(n, order)
+    flat = inner.coeffs.ravel()
+    if np.any(flat[deg > 1]):
+        raise ValueError("inner jet must be a linear form")
+    # the unit multi-indices sit at the flat strides of the hypercube
+    zeta = flat[(order + 1) ** np.arange(n - 1, -1, -1)] if order else np.zeros(n)
+    series = np.zeros(order + 1)
+    series[: min(order, outer.order) + 1] = outer.coeffs[: order + 1]
+    c = series[deg] * multinomial * np.prod(zeta ** idx, axis=1)
+    return Jet(n, order, c.reshape(inner.coeffs.shape))
 
 
 # -- expression language --------------------------------------------------------

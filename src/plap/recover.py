@@ -38,13 +38,19 @@ are the closed-form entries of :func:`theta_matrix` at every order.  One
 function writes those entries for floats and for jets alike; evaluated over
 the ring of tangential jets, once per recovery, it gives whole tangential
 expansions of the columns, which each order truncates to its own degree.
-The known part of each row is one forward jet evaluation per order at the
-state, where the unknowns are still zero: the jet flux pieces are built
-once, and only the three rows read are formed (the flux divergence and the
-entries A_00 and tau . A tau).  Solving over the same ring fills the mixed
+The Z column is the measured order-0 gauge, so the whole coefficient matrix
+is order-0 data and the same at every order.  The recovery inverts it once
+over tangential jets, as its adjugate times one reciprocal of its
+determinant; each order multiplies its right-hand sides by that inverse
+truncated to its own degree, which equals solving the truncated system
+because truncation commutes with products.  The known part of each row is
+one forward jet evaluation per order at the state, where the unknowns are
+still zero: the jet flux pieces, 1/|grad u0|^2 among them, are built once,
+and only the three rows read are formed (the flux divergence and the
+entries A_00 and tau . A tau).  Solving over the ring fills the mixed
 (tangential x normal) derivatives without finite differencing.  The tests
 check the columns against probing the forward rows at (X, Y) = (0, 0),
-(1, 0) and (0, 1).
+(1, 0) and (0, 1), and the inverse against the identity.
 
 The 3x3 determinant is evaluated two ways: a fixed cofactor expansion of the
 assembled matrix (authoritative) and a verbatim closed-form expression kept
@@ -214,20 +220,20 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
 
 
 def _flux_pieces(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[list[Jet], Jet, Jet]:
-    """Jets of grad u0, w2 = |grad u0|^2 and gk = gamma |grad u0|^(p-2)."""
+    """Jets of grad u0, 1/w2 with w2 = |grad u0|^2, and gk = gamma |grad u0|^(p-2)."""
     grads = [jet_partial(u0_jet, a) for a in range(3)]
     w2 = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
     if w2.value <= 0.0:
         raise NormalGradientZero("grad u0 vanishes at z")
     gk = gamma_jet * jet_pow(w2, (p - 2.0) / 2.0)
-    return grads, w2, gk
+    return grads, 1.0 / w2, gk
 
 
-def _entry(gu: Jet, gv: Jet, w2: Jet, gk: Jet, p: float, same: bool) -> Jet:
+def _entry(gu: Jet, gv: Jet, inv_w2: Jet, gk: Jet, p: float, same: bool) -> Jet:
     """Jet of u . A v = gk (u . v + (p-2) (u . g)(v . g) / w2) for unit
     directions u, v that are equal (``same``) or orthogonal; ``gu`` and ``gv``
-    are the slopes u . g and v . g."""
-    term = (p - 2.0) * jet_div(gu * gv, w2)
+    are the slopes u . g and v . g, and ``inv_w2`` is 1/w2."""
+    term = (p - 2.0) * (gu * gv * inv_w2)
     if same:
         term = term + 1.0
     return gk * term
@@ -243,11 +249,11 @@ def _divergence(grads: list[Jet], gk: Jet) -> Jet:
 
 def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet]:
     """Full jets of the tensor entries and the normal flux."""
-    grads, w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
+    grads, inv_w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
     entries = {}
     for j in range(3):
         for k in range(j, 3):
-            entries[(j, k)] = entries[(k, j)] = _entry(grads[j], grads[k], w2, gk, p, j == k)
+            entries[(j, k)] = entries[(k, j)] = _entry(grads[j], grads[k], inv_w2, gk, p, j == k)
     return entries, gk * grads[0]
 
 
@@ -425,7 +431,8 @@ class RecoveryState:
     filled_order: int
     order0: Order0Result
     tangent: np.ndarray       # unit tau = (0, -t2, t1) / |(t1, t2)| of row (iii)
-    xy_columns: list          # (X, Y) coefficient jets of rows (i)-(iii), tangential order ``order - 1``
+    columns: tuple            # rows (i)-(iii) of (X, Y, Z) coefficient jets, tangential order ``order - 1``
+    inverse: tuple            # the inverse of ``columns`` over the same jets, row k giving unknown k
     conds: list[float] = field(default_factory=list)
     gauge_by_degree: list[list[float]] = field(default_factory=list)  # max |Z| per tangential degree
     theta_systems: list[ThetaSystem] = field(default_factory=list)
@@ -436,18 +443,37 @@ class RecoveryState:
         return [max(by_degree) for by_degree in self.gauge_by_degree]
 
 
-def _xy_columns(gamma: Jet, u0: Jet, tangent: np.ndarray, p: float) -> list[tuple[Jet, Jet]]:
-    """The X and Y columns of every induction order, from the order-0 slices
-    of the state, as tangential jets of order ``gamma.order - 1`` (order 1's
-    truncation; each later order truncates them further)."""
+def _columns(gamma: Jet, u0: Jet, tangent: np.ndarray, bj: BoundaryJets):
+    """The coefficient matrix of every induction order, from the order-0
+    slices of the state and the measured order-0 gauge, as tangential jets
+    of order ``gamma.order - 1`` (order 1's truncation; each later order
+    truncates them further)."""
     nt = gamma.order - 1
     u0_face = extract_normal_slice(u0, 0, order=nt + 1)
     g1, g2 = jet_partial(u0_face, 0), jet_partial(u0_face, 1)
     d = extract_normal_slice(u0, 1, order=nt)
     t = float(tangent[1]) * g1 + float(tangent[2]) * g2
     w2 = d * d + g1 * g1 + g2 * g2
-    rows = _theta_rows(extract_normal_slice(gamma, 0, order=nt), d, t, w2, p)
-    return [row[:2] for row in rows]
+    rows = _theta_rows(extract_normal_slice(gamma, 0, order=nt), d, t, w2, bj.p)
+    gauge = (
+        jet_const(2, nt, 0.0),
+        jet_truncate(bj.a[(0, 0)][0], nt),
+        -_tangential_entry(bj, tangent, 0, nt),
+    )
+    return tuple((x, y, z) for (x, y, _), z in zip(rows, gauge))
+
+
+def _inverse3(rows, det):
+    """The inverse adj(M) / det of a 3x3 matrix of jets, with one reciprocal
+    of its determinant ``det``."""
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = rows
+    adj = (
+        (m22 * m33 - m23 * m32, m13 * m32 - m12 * m33, m12 * m23 - m13 * m22),
+        (m23 * m31 - m21 * m33, m11 * m33 - m13 * m31, m13 * m21 - m11 * m23),
+        (m21 * m32 - m22 * m31, m12 * m31 - m11 * m32, m11 * m22 - m12 * m21),
+    )
+    inv_det = 1.0 / det
+    return tuple(tuple(entry * inv_det for entry in row) for row in adj)
 
 
 def _step_functional(state: RecoveryState, m: int):
@@ -458,11 +484,11 @@ def _step_functional(state: RecoveryState, m: int):
         raise RecoveryError(f"the order-{m} unknowns are already set in the state")
     p = state.p
     tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
-    grads, w2, gk = _flux_pieces(state.gamma, state.u0, p)
+    grads, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p)
     f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
-    f2 = extract_normal_slice(_entry(grads[0], grads[0], w2, gk, p, True), m)
+    f2 = extract_normal_slice(_entry(grads[0], grads[0], inv_w2, gk, p, True), m)
     gt = tau1 * grads[1] + tau2 * grads[2]
-    f3 = extract_normal_slice(_entry(gt, gt, w2, gk, p, True), m)
+    f3 = extract_normal_slice(_entry(gt, gt, inv_w2, gk, p, True), m)
     return f1, f2, f3
 
 
@@ -477,9 +503,10 @@ def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> 
 def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
     """Assemble the order-m system over the tangential-jet ring.
 
-    The X and Y columns are ``state.xy_columns`` truncated to this order, the
-    Z column is the measured order-0 gauge, and the right-hand sides are the
-    measurements minus one forward evaluation of the rows at the state.
+    The rows are ``state.columns`` truncated to this order (the X and Y
+    columns of :func:`_theta_rows` and the measured order-0 gauge as Z), and
+    the right-hand sides are the measurements minus one forward evaluation
+    of the rows at the state.
     Returns (rows, rhs, theta) where rows[i] = (coefficient jets of X, Y, Z),
     rhs[i] is the measured-minus-known jet, and theta records the scalar
     (constant-term) system for reporting.
@@ -490,15 +517,7 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
         )
     nt = state.order - m
     f0 = _step_functional(state, m)
-    gauge = (
-        jet_const(2, nt, 0.0),
-        jet_truncate(bj.a[(0, 0)][0], nt),
-        -_tangential_entry(bj, state.tangent, 0, nt),
-    )
-    rows = [
-        (jet_truncate(x, nt), jet_truncate(y, nt), g)
-        for (x, y), g in zip(state.xy_columns, gauge)
-    ]
+    rows = [tuple(jet_truncate(c, nt) for c in row) for row in state.columns]
     rhs = [
         -f0[0],
         jet_truncate(bj.a[(0, 0)][m], nt) - f0[1],
@@ -513,17 +532,6 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
     return rows, rhs, theta
 
 
-def _cramer3(rows, rhs):
-    """Cramer solve of a 3x3 system over the tangential-jet ring, with the
-    determinants of :func:`_det3`."""
-    det = _det3(rows)
-    # x, y, z: the determinant with column k replaced by the right-hand side
-    return tuple(
-        jet_div(_det3([row[:k] + (r,) + row[k + 1:] for row, r in zip(rows, rhs)]), det)
-        for k in range(3)
-    )
-
-
 def recover_order_m(
     state: RecoveryState,
     bj: BoundaryJets,
@@ -533,13 +541,20 @@ def recover_order_m(
     """One induction step: fill d1^m gamma and d1^(m+1) u0 at z.
 
     The solve happens over the tangential-jet ring, so the filled rows carry
-    their mixed tangential coefficients.
+    their mixed tangential coefficients: each unknown is the row of
+    ``state.inverse`` for it, truncated to this order, times the right-hand
+    sides.  Truncation commutes with products, so this is the inverse of the
+    truncated system.
     """
     rows, rhs, theta = extract_affine_coefficients(state, bj, m)
     cond = theta.cond
     if cond > cond_limit:
         raise IllConditioned(m, cond, cond_limit)
-    x, y, z = _cramer3(rows, rhs)
+    nt = state.order - m
+    x, y, z = (
+        jet_truncate(wx, nt) * rhs[0] + jet_truncate(wy, nt) * rhs[1] + jet_truncate(wz, nt) * rhs[2]
+        for wx, wy, wz in state.inverse
+    )
     state.gamma = set_normal_slice(state.gamma, m, x)
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
@@ -559,7 +574,9 @@ def run_recovery(
 ) -> RecoveryState:
     """Full recovery pipeline in the measured frame: fix the tangential
     direction tau orthogonal to the slope of the trace at z, split order 0,
-    and run the induction, whose third row reads tau . A tau.
+    invert the induction system once, and run the induction, whose third
+    row reads tau . A tau.  A system whose determinant vanishes at z is
+    ill-conditioned at every order.
 
     ``max_order`` defaults to ``bj.order - 2``, the deepest normal order of
     gamma the measurement package determines exactly.
@@ -579,6 +596,10 @@ def run_recovery(
     u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj.trace)
     u0 = set_normal_slice(u0, 1, o0.slope_jet)
     tangent = np.array([0.0, -t2 / r, t1 / r])
+    columns = _columns(gamma, u0, tangent, bj)
+    det = _det3(columns)
+    if det.value == 0.0:
+        raise IllConditioned(1, math.inf, cond_limit)
     state = RecoveryState(
         p=bj.p,
         order=n,
@@ -587,7 +608,8 @@ def run_recovery(
         filled_order=0,
         order0=o0,
         tangent=tangent,
-        xy_columns=_xy_columns(gamma, u0, tangent, bj.p),
+        columns=columns,
+        inverse=_inverse3(columns, det),
     )
     for m in range(1, max_order + 1):
         recover_order_m(state, bj, m, cond_limit=cond_limit)

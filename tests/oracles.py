@@ -9,15 +9,22 @@ divergence, the closed-form order-0 split in two dimensions, the coefficient
 columns of a recovery order by probing its forward rows, and the
 divergence-form operator twice: in full as a sum of sparse triple products,
 and as its interior blocks from a chain of three sparse products, whose sums
-the library's assembly must reproduce bit for bit.
+the library's assembly must reproduce bit for bit.  ``series_jet`` is the
+truth for the jet powers and elementary functions: sympy's series of the
+function at the base's constant term, composed with the rest of a
+polynomial base in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
+import sympy
 from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
@@ -124,6 +131,68 @@ def jet_allclose(a: Jet, b: Jet, rtol: float = 1e-12, atol: float = 1e-12) -> bo
     if (a.nvars, a.order) != (b.nvars, b.order):
         raise ValueError(f"jet mismatch: {(a.nvars, a.order)} vs {(b.nvars, b.order)}")
     return bool(np.allclose(a.coeffs, b.coeffs, rtol=rtol, atol=atol))
+
+
+@lru_cache(maxsize=None)
+def _poly_powers(base: tuple, nvars: int, order: int) -> list[dict]:
+    """Powers 0..order of a polynomial without constant term, given as
+    ((alpha, Fraction), ...), each a dict alpha -> Fraction truncated at
+    total degree ``order``."""
+    powers = [{(0,) * nvars: Fraction(1)}]
+    for _ in range(order):
+        nxt: dict = {}
+        for a, ca in powers[-1].items():
+            for b, cb in base:
+                ab = tuple(x + y for x, y in zip(a, b))
+                if sum(ab) <= order:
+                    nxt[ab] = nxt.get(ab, 0) + ca * cb
+        powers.append(nxt)
+    return powers
+
+
+@lru_cache(maxsize=None)
+def _series_coefficients(f, b0: Fraction, order: int) -> tuple[str, ...]:
+    """The Taylor coefficients 0..order of f at b0, from sympy's series, to 40 digits."""
+    h = sympy.Symbol("h")
+    ser = sympy.series(f(sympy.Rational(b0.numerator, b0.denominator) + h), h, 0, order + 1).removeO()
+    return tuple(str(sympy.N(ser.coeff(h, k), 40)) for k in range(order + 1))
+
+
+def series_jet(f, base: dict, order: int) -> Jet:
+    """Jet of f(base) for a polynomial base {alpha: Fraction} with a nonzero
+    constant term b0: the coefficients f_k of sympy's series of f at b0,
+    taken to 40 digits, times the exact powers of base - b0,
+    c_alpha = sum_k f_k [x^alpha] (base - b0)^k, rounded once to floats.
+    ``f`` maps a sympy expression to a sympy expression."""
+    nvars = len(next(iter(base)))
+    zero = (0,) * nvars
+    rest = tuple(sorted((a, c) for a, c in base.items() if a != zero and c != 0))
+    out = np.zeros((order + 1,) * nvars)
+    with mpmath.workdps(40):
+        fk = [mpmath.mpf(c) for c in _series_coefficients(f, base[zero], order)]
+        total: dict = {}
+        for k, power in enumerate(_poly_powers(rest, nvars, order)):
+            for a, c in power.items():
+                total[a] = total.get(a, 0) + fk[k] * mpmath.mpf(c.numerator) / c.denominator
+        for a, value in total.items():
+            out[a] = float(value)
+    return Jet(nvars, order, out)
+
+
+def jet_from_poly(base: dict, order: int) -> Jet:
+    """The jet of a polynomial {alpha: Fraction} with dyadic (float-exact) coefficients."""
+    nvars = len(next(iter(base)))
+    out = np.zeros((order + 1,) * nvars)
+    for a, c in base.items():
+        out[a] = float(c)
+    return Jet(nvars, order, out)
+
+
+def scaled_gap(got: Jet, want: Jet) -> float:
+    """Largest |got - want| over the coefficients, on the max(|want|, 1) scale."""
+    if (got.nvars, got.order) != (want.nvars, want.order):
+        raise ValueError(f"jet mismatch: {(got.nvars, got.order)} vs {(want.nvars, want.order)}")
+    return float(np.max(np.abs(got.coeffs - want.coeffs) / np.maximum(np.abs(want.coeffs), 1.0)))
 
 
 def flux_divergence_jet(gamma_jet: Jet, u0_jet: Jet, p: float) -> Jet:

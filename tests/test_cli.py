@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +472,20 @@ def test_recover_gauge_residual_table(tmp_path):
     for scen in report["results"]["scenarios"]:
         zs = [float(r[3]) for r in rows if float(r[0]) == scen["p"]]
         assert max(zs) == scen["max_gauge_residual"]
+
+
+def test_recover_sample_passes_at_order_16(tmp_path):
+    sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
+    assert "\norder = 8\n" in sample
+    cfg = _write(tmp_path, "r16.cfg", sample.replace("\norder = 8\n", "\norder = 16\n"))
+    out = str(tmp_path / "o")
+    assert main(["recover", "--config", cfg, "--out", out]) == 0
+    scenarios = json.load(open(os.path.join(out, "report.json")))["results"]["scenarios"]
+    assert [s["p"] for s in scenarios] == [1.3, 1.7, 2.5, 3.0, 6.0]
+    for scen in scenarios:
+        assert scen["passed"]
+        assert scen["max_rel_error"] < 1e-7 and scen["max_gauge_residual"] < 1e-8
+    assert scenarios[0]["max_gauge_residual"] <= 1e-10
 
 
 class _SerialPool:

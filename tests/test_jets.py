@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jet_allclose, jet_div_loop, jet_mul_loop
+from oracles import jet_allclose, jet_div_loop, jet_from_poly, jet_mul_loop, scaled_gap, series_jet
 from plap.jets import (
     BinOp,
     Call,
@@ -21,6 +22,7 @@ from plap.jets import (
     eval_on_jets,
     eval_point,
     extract_normal_slice,
+    jet_compose1,
     jet_const,
     jet_div,
     jet_mul,
@@ -221,7 +223,8 @@ def test_coefficients_above_degree_stay_zero(nvars, order):
     b = Jet(nvars, order, rng.uniform(-1.0, 1.0, shape))
     b.coeffs[(0,) * nvars] = 1.5
     above = np.indices(shape).sum(axis=0) > order
-    for out in (jet_mul(a, b), jet_div(a, b)):
+    outs = (jet_mul(a, b), jet_div(a, b), jet_pow(b, 0.5), jet_unary("exp", a), jet_unary("sin", a))
+    for out in outs:
         assert np.all(out.coeffs[above] == 0.0)
 
 
@@ -240,6 +243,66 @@ def test_chain_consistency():
     direct = eval_jet(parse_expr("exp(x1*x2)"), (0.4, -0.7), 5)
     composed = jet_unary("exp", inner)
     assert jet_allclose(direct, composed, rtol=1e-12, atol=1e-12)
+
+
+def _poly_base(nvars):
+    """A dyadic polynomial base 5/4 + linear + quadratic terms in ``nvars`` variables."""
+    base = {(0,) * nvars: Fraction(5, 4)}
+
+    def mono(*pairs):
+        alpha = [0] * nvars
+        for axis, k in pairs:
+            alpha[axis] = k
+        return tuple(alpha)
+
+    for axis, c in zip(range(nvars), (Fraction(3, 8), Fraction(-1, 4), Fraction(1, 8))):
+        base[mono((axis, 1))] = c
+    base[mono((0, 2))] = Fraction(-1, 16)
+    if nvars >= 2:
+        base[mono((0, 1), (1, 1))] = Fraction(1, 16)
+    if nvars >= 3:
+        base[mono((2, 2))] = Fraction(-1, 32)
+    return base
+
+
+_SERIES_CASES = [
+    *[(f"pow {e}", lambda j, e=e: jet_pow(j, e), lambda s, r=r: s**r)
+      for e, r in [(-0.35, sympy.Rational(-7, 20)), (0.5, sympy.Rational(1, 2)),
+                   (-1.35, sympy.Rational(-27, 20)), (2.5, sympy.Rational(5, 2))]],
+    *[(name, lambda j, name=name: jet_unary(name, j), getattr(sympy, name))
+      for name in ("exp", "log", "sin", "cos", "sqrt")],
+]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("name, apply, truth", _SERIES_CASES, ids=[c[0] for c in _SERIES_CASES])
+def test_jet_functions_match_sympy_series(nvars, name, apply, truth):
+    base = _poly_base(nvars)
+    got = apply(jet_from_poly(base, 10))
+    assert scaled_gap(got, series_jet(truth, base, 10)) <= 1e-15
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize(
+    "profile", [lambda s: sympy.exp(s / 5), lambda s: 1 / (1 + s / 5)], ids=["exp", "inverse"]
+)
+def test_compose_linear_matches_sympy_series(nvars, profile):
+    # f(s0 + zeta . x) from the univariate jet of f at s0
+    s0 = Fraction(1, 4)
+    inner = {(0,) * nvars: s0}
+    for axis, c in zip(range(nvars), (Fraction(3, 8), Fraction(-1, 2), Fraction(5, 8))):
+        inner[tuple(int(k == axis) for k in range(nvars))] = c
+    outer = series_jet(profile, {(0,): s0, (1,): Fraction(1)}, 10)
+    got = jet_compose1(outer, jet_from_poly(inner, 10))
+    assert scaled_gap(got, series_jet(profile, inner, 10)) <= 1e-15
+
+
+def test_compose_needs_linear_inner_form():
+    outer = jet_unary("exp", _x(1, 4, 0))
+    with pytest.raises(ValueError):
+        jet_compose1(outer, _x(2, 4, 0) * _x(2, 4, 1))
+    with pytest.raises(ValueError):
+        jet_compose1(_x(2, 4, 0), _x(2, 4, 1))
 
 
 def test_normal_slice_roundtrip():

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from plap.jets import (
     parse_expr,
     set_normal_slice,
 )
-from oracles import flux_divergence_jet, probed_columns, recover_order0_2d
-from plap import recover
+from oracles import flux_divergence_jet, probed_columns, recover_order0_2d, scaled_gap
+from plap import jets, recover
 from plap.recover import (
     BoundaryJets,
     IllConditioned,
@@ -286,13 +287,9 @@ def test_theta_det_sweep_nonvanishing():
 def _max_scaled_gap(rows, oracle):
     """Largest coefficient gap between the X, Y jets of ``rows`` and the
     oracle's, on the max(|c|, 1) scale."""
-    gap = 0.0
-    for row, ref in zip(rows, oracle):
-        for got, want in zip(row[:2], ref):
-            assert (got.nvars, got.order) == (want.nvars, want.order)
-            scale = np.maximum(np.abs(want.coeffs), 1.0)
-            gap = max(gap, float(np.max(np.abs(got.coeffs - want.coeffs) / scale)))
-    return gap
+    return max(
+        scaled_gap(got, want) for row, ref in zip(rows, oracle) for got, want in zip(row[:2], ref)
+    )
 
 
 def test_extracted_columns_match_theta_formulas():
@@ -404,6 +401,88 @@ def test_one_forward_evaluation_per_order(monkeypatch, order):
     state = run_recovery(bj)
     assert state.filled_order == order - 2
     assert len(calls) == order - 2
+
+
+def _criterion_08_measurements(p, profile, order=8):
+    sc = _scenario(profile=profile, p=p, order=order)
+    gj, uj = oracle_tilted_profile(sc)
+    return synthesize_measurements(gj, uj, p)
+
+
+@pytest.mark.parametrize("p, profile", _CRITERION_08)
+def test_order_system_matrix_is_the_same_at_every_order(p, profile):
+    state = run_recovery(_criterion_08_measurements(p, profile))
+    first = state.theta_systems[0].matrix
+    for theta in state.theta_systems[1:]:
+        assert np.array_equal(theta.matrix.view(np.uint64), first.view(np.uint64))
+    assert len(set(state.conds)) == 1
+
+
+@pytest.mark.parametrize("p, profile", _CRITERION_08)
+def test_inverse_times_matrix_is_identity_over_jets(p, profile):
+    state = run_recovery(_criterion_08_measurements(p, profile), max_order=0)
+    nt = state.order - 1
+    for k, w_row in enumerate(state.inverse):
+        for i in range(3):
+            product = sum((w_row[j] * state.columns[j][i] for j in range(3)), jet_const(2, nt, 0.0))
+            assert scaled_gap(product, jet_const(2, nt, float(k == i))) <= 1e-13
+
+
+def test_singular_order_system_is_ill_conditioned(monkeypatch):
+    bj = _criterion_08_measurements(3.0, "1 + 0.1*x1")
+    monkeypatch.setattr(recover, "_det3", lambda rows: jet_const(2, bj.order - 1, 0.0))
+    with pytest.raises(IllConditioned):
+        run_recovery(bj)
+
+
+@pytest.mark.parametrize("p, mul_calls, div_calls", [(1.3, 194, 12), (6.0, 211, 13)])
+def test_recovery_jet_call_counts(monkeypatch, p, mul_calls, div_calls):
+    # order 8: order 0, the columns and their inverse once, then one forward
+    # evaluation and nine products per induction order
+    bj = _criterion_08_measurements(p, "exp(0.2*x1)")
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(jets, "jet_mul", counted("mul", jets.jet_mul))
+    monkeypatch.setattr(jets, "jet_div", counted("div", jets.jet_div))
+    monkeypatch.setattr(recover, "jet_div", jets.jet_div)
+    run_recovery(bj)
+    assert (calls["mul"], calls["div"]) == (mul_calls, div_calls)
+
+
+def _sample_scenario(p, order):
+    """The sample ``recover`` config: exp(0.2 x1) along zeta at z."""
+    return Scenario(
+        profile="exp(0.2*x1)", c=1.0, zeta=np.array([0.48, -0.6, 0.64]), p=p,
+        z=np.array([0.1, -0.3, 0.2]), order=order,
+    )
+
+
+@pytest.mark.parametrize("p", [1.3, 1.7, 2.5, 3.0, 6.0])
+def test_order_16_sample_against_closed_form(p):
+    # gamma = exp(0.2 zeta . x) and G' = exp(-0.2 s / (p - 1)) (c = 1), so
+    # d1^m gamma(z) = (0.2 zeta1)^m e^(0.2 s0) and
+    # d1^m u0(z) = zeta1^m (-0.2 / (p - 1))^(m - 1) e^(-0.2 s0 / (p - 1)) for m >= 1
+    sc = _sample_scenario(p, 16)
+    zeta1, s0 = sc.zeta[0], float(sc.zeta @ sc.z)
+    gamma_truth = [(0.2 * zeta1) ** m * math.exp(0.2 * s0) for m in range(17)]
+    u0_truth = [zeta1**m * (-0.2 / (p - 1.0)) ** (m - 1) * math.exp(-0.2 * s0 / (p - 1.0)) for m in range(18)]
+    gj, uj = oracle_tilted_profile(sc)
+    for m in range(17):
+        assert gj.derivative((m, 0, 0)) == pytest.approx(gamma_truth[m], rel=1e-14)
+    for m in range(1, 18):
+        assert abs(uj.derivative((m, 0, 0)) - u0_truth[m]) <= 1e-14 * max(1.0, abs(u0_truth[m]))
+    state = run_recovery(synthesize_measurements(gj, uj, p))
+    for m in range(15):
+        rec = state.gamma.derivative((m, 0, 0))
+        assert abs(rec - gamma_truth[m]) <= 1e-10 * max(1.0, abs(gamma_truth[m]))
+    assert max(state.gauge_residuals) <= 1e-10
 
 
 def test_extract_requires_consistent_state():
