@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -781,7 +782,10 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
     return exit_code
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    the tests and scripts call :func:`main` many times in one interpreter."""
     parser = argparse.ArgumentParser(prog="plap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
@@ -789,7 +793,11 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -5,11 +5,27 @@ function at a point, for all multi-indices with total degree |alpha| <= order.
 Coefficients are held densely in an (order+1)^nvars hypercube; entries above
 the truncation degree are kept at zero, so slicing and differentiation need
 no mask, and arithmetic never reads them, so it is closed at the stated
-order.  The Taylor normalization keeps high-order arithmetic overflow-free.  Products and quotients read one cached table per
-(nvars, order) of the flat index triples (a, b, a + b) with |a| + |b| <= order:
-a product is one ``np.bincount`` over it, a quotient one ``np.add.at`` per
-degree level.  Each coefficient adds its terms in the same fixed order as a
-loop over multi-indices would.
+order.  The Taylor normalization keeps high-order arithmetic overflow-free.
+Products and quotients read one cached table per (nvars, order) of the flat
+index triples (a, b, a + b) with |a| + |b| <= order: a product is one
+``np.bincount`` over it, a quotient one ``np.add.at`` per degree level.
+Each coefficient adds its terms in the same fixed order as a loop over
+multi-indices would.  :func:`jet_matvec` forms all the products of a matrix
+and a vector of jets in one gather and one ``np.bincount``, each product
+into bins of its own, so each product is bitwise the one of :func:`jet_mul`.
+
+A caller that reads only some coefficients can pass a window (K, T) to
+:func:`jet_mul`, :func:`jet_div` and :func:`jet_pow`: the coefficients alpha
+with |alpha| <= order, alpha_0 <= K and alpha_1 + ... + alpha_{nvars-1} <= T
+(the normal index and the tangential degree when x1 is the normal
+variable).  The window is downward closed, so every term of a coefficient
+inside it reads only coefficients inside it.  A windowed operation keeps
+the triples of its table whose target lies in the window, in their order,
+so each kept coefficient sums the same terms in the same order as the full
+operation and is bitwise equal to it; the coefficients outside the window
+come out zero.  Integer powers square through windowed products.  The
+filtered tables are built on first use and kept in a bounded cache per
+(nvars, order, window).
 
 Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
 are graded recurrences on the same levels as division.  Applying the Euler
@@ -62,6 +78,7 @@ __all__ = [
     "jet_const",
     "jet_variable",
     "jet_mul",
+    "jet_matvec",
     "jet_div",
     "jet_pow",
     "jet_unary",
@@ -111,15 +128,35 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=None)
-def _product_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window_mask(nvars: int, order: int, window: tuple[int, int] | None) -> np.ndarray:
+    """Flat hypercube mask of the coefficients an operation computes: total
+    degree at most ``order`` and, with a window (K, T), normal index alpha_0
+    at most K and tangential degree |alpha| - alpha_0 at most T."""
+    grids = np.indices((order + 1,) * nvars).reshape(nvars, -1)
+    deg = grids.sum(axis=0)
+    keep = deg <= order
+    if window is not None:
+        k, t = window
+        keep &= (grids[0] <= k) & (deg - grids[0] <= t)
+    return keep
+
+
+@lru_cache(maxsize=256)
+def _product_table(
+    nvars: int, order: int, window: tuple[int, int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat hypercube indices (ia, ib, tgt) of every pair of multi-indices
     a, b with |a| + |b| <= order, and tgt the index of a + b.
 
     The triples run over a in graded order (total degree, then lexicographic),
     so each target receives its terms in the order of a graded loop over a.
-    There are C(order + 2 nvars, 2 nvars) of them.
+    There are C(order + 2 nvars, 2 nvars) of them.  With a window, only the
+    triples whose target lies in it are kept, in the same order.
     """
+    if window is not None:
+        ia, ib, tgt = _product_table(nvars, order)
+        keep = _window_mask(nvars, order, window)[tgt]
+        return _read_only(ia[keep], ib[keep], tgt[keep])
     idx = np.argwhere(_degree_mask(nvars, order))  # lexicographic
     idx = idx[np.argsort(idx.sum(axis=1), kind="stable")]
     deg = idx.sum(axis=1)
@@ -144,30 +181,43 @@ def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _read_only(idx, np.minimum(deg, order), multinomial)
 
 
-@lru_cache(maxsize=None)
-def _division_levels(nvars: int, order: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per total degree d, the slice of :func:`_product_table` that graded
-    division and the graded recurrences read: the flat indices of the
-    degree-d targets, and (ia, ib, pos, nb) over the triples with
-    |a + b| = d and |b| > 0, where pos numbers each triple's target within
-    the level and nb = |b| as a float.
+@lru_cache(maxsize=256)
+def _division_levels(nvars: int, order: int, window: tuple[int, int] | None = None):
+    """The part of :func:`_product_table` that graded division and the
+    graded recurrences read: the triples (a, b, a + b) with |b| > 0, grouped
+    by the total degree d = |a + b| into levels.
+
+    Returns (levels, ib, nb, nd).  Over all the triples, level by level,
+    ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as floats, so
+    a recurrence forms its per-triple weights in one pass.  ``levels[d]`` is
+    (targets, ia, pos, sl): the flat indices of the degree-d coefficients,
+    and over the level's triples (the slice ``sl`` of the arrays above) the
+    flat index of a and the position of a + b among the targets.  With a
+    window, only its targets and the triples into them are kept, and pos
+    numbers the kept targets.
 
     A level's triples run over b in lexicographic order, so each target
     sums its terms in the order of a loop over b.
     """
     ia, ib, tgt = _product_table(nvars, order)
     deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
+    inside = _window_mask(nvars, order, window)
     pos = np.zeros(deg.size, dtype=np.intp)
-    levels = []
+    level_targets, sels = [], []
     for d in range(order + 1):
-        targets = np.flatnonzero(deg == d)
+        targets = np.flatnonzero((deg == d) & inside)
         pos[targets] = np.arange(targets.size)
-        sel = np.flatnonzero((deg[tgt] == d) & (deg[ib] > 0))
-        sel = sel[np.argsort(ib[sel], kind="stable")]
-        levels.append(
-            _read_only(targets, ia[sel], ib[sel], pos[tgt[sel]], deg[ib[sel]].astype(float))
-        )
-    return tuple(levels)
+        sel = np.flatnonzero((deg[tgt] == d) & (deg[ib] > 0) & inside[tgt])
+        level_targets.append(targets)
+        sels.append(sel[np.argsort(ib[sel], kind="stable")])
+    sel = np.concatenate(sels)
+    ia_all, pos_all = _read_only(ia[sel], pos[tgt[sel]])
+    bounds = np.cumsum([0] + [s.size for s in sels])
+    levels = tuple(
+        (*_read_only(targets), ia_all[lo:hi], pos_all[lo:hi], slice(lo, hi))
+        for targets, lo, hi in zip(level_targets, bounds[:-1], bounds[1:])
+    )
+    return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(float), deg[tgt[sel]].astype(float)))
 
 
 class Jet:
@@ -270,51 +320,88 @@ def jet_variable(nvars: int, order: int, axis: int, base: float = 0.0) -> Jet:
     return Jet(nvars, order, c)
 
 
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product."""
+def jet_mul(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
+    """Truncated Cauchy product, on the coefficients of ``window`` if given."""
     _check_compatible(a, b)
     n, order = a.nvars, a.order
-    ia, ib, tgt = _product_table(n, order)
+    ia, ib, tgt = _product_table(n, order, window)
     terms = a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib]
     out = np.bincount(tgt, weights=terms, minlength=a.coeffs.size)
     return Jet(n, order, out.reshape(a.coeffs.shape))
 
 
-def jet_div(a: Jet, b: Jet) -> Jet:
+def jet_matvec(rows, vec) -> list[Jet]:
+    """The jets sum_i rows[k][i] * vec[i], one per row, each entry of ``rows``
+    first truncated to the order of the jets in ``vec``.
+
+    All the products are one gather and one ``np.bincount`` over
+    :func:`_product_table`, each product into bins of its own, and each row
+    adds its products left to right, so every result is bit for bit
+    ``jet_truncate(rows[k][0], order) * vec[0] + jet_truncate(rows[k][1], order) * vec[1] + ...``.
+    """
+    n, order = vec[0].nvars, vec[0].order
+    for x in vec:
+        _check_compatible(vec[0], x)
+    if any(w.nvars != n or w.order < order for row in rows for w in row):
+        raise ValueError("matrix jets must have the vector's variables and at least its order")
+    ia, ib, tgt = _product_table(n, order)
+    size, shape = (order + 1) ** n, (order + 1,) * n
+    sl = (slice(0, order + 1),) * n
+    mat = np.array([[w.coeffs[sl] for w in row] for row in rows]) * _degree_mask(n, order)
+    mat = mat.reshape(len(rows), len(vec), size)
+    terms = mat[:, :, ia] * np.array([x.coeffs.ravel() for x in vec])[:, ib]
+    bins = tgt + size * np.arange(mat.shape[0] * mat.shape[1])[:, None]
+    prods = np.bincount(bins.ravel(), terms.ravel(), bins.shape[0] * size)
+    out = []
+    for row in prods.reshape(mat.shape):
+        acc = row[0]
+        for p in row[1:]:
+            acc = acc + p
+        out.append(Jet(n, order, acc.reshape(shape)))
+    return out
+
+
+def jet_div(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
     """Graded long division; the denominator needs a nonzero constant term.
 
     Solves out * b = a one total degree at a time: each degree-d coefficient
     is (a_gamma - sum_{0 != beta <= gamma} b_beta out_{gamma - beta}) / b0,
-    subtracted term by term with beta in lexicographic order.
+    subtracted term by term with beta in lexicographic order.  With a
+    window, only its coefficients are solved for.
     """
     _check_compatible(a, b)
     b0 = b.value
     if b0 == 0.0:
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
-    af, bf = a.coeffs.ravel(), b.coeffs.ravel()
+    levels, ib, _, _ = _division_levels(a.nvars, a.order, window)
+    af = a.coeffs.ravel()
+    neg_b = -b.coeffs.ravel()[ib]  # out * (-b) is -(out * b) bit for bit
     out = np.zeros(a.coeffs.size)
-    for targets, ia, ib, pos, _ in _division_levels(a.nvars, a.order):
+    for targets, ia, pos, sl in levels:
         acc = af[targets]
-        np.add.at(acc, pos, -(out[ia] * bf[ib]))
+        np.add.at(acc, pos, out[ia] * neg_b[sl])
         out[targets] = acc / b0
     return Jet(a.nvars, a.order, out.reshape(a.coeffs.shape))
 
 
-def _graded_levels(g: Jet):
+def _graded_levels(g: Jet, weight, window: tuple[int, int] | None = None):
     """Per total degree d >= 1: d, the flat indices of the degree-d
     coefficients, and over the pairs (alpha - beta, beta) with |alpha| = d
     and beta != 0: the flat index of alpha - beta, the position of alpha
-    among the targets, g_beta and |beta|.  A recurrence sums its terms per
-    target with ``np.bincount(pos, terms, len(targets))``, in the order of a
-    loop over beta."""
-    gf = g.coeffs.ravel()
-    for d, (targets, ia, ib, pos, nb) in enumerate(_division_levels(g.nvars, g.order)):
-        if d:
-            yield d, targets, ia, pos, gf[ib], nb
+    among the targets, and the weight of each pair, where
+    ``weight(nb, nd, gb)`` forms the weights of all the levels at once from
+    |beta|, d and g_beta.  A recurrence sums its terms per target with
+    ``np.bincount(pos, w * c[ia], len(targets))``, in the order of a loop
+    over beta."""
+    levels, ib, nb, nd = _division_levels(g.nvars, g.order, window)
+    w = weight(nb, nd, g.coeffs.ravel()[ib])
+    for d in range(1, len(levels)):
+        targets, ia, pos, sl = levels[d]
+        yield d, targets, ia, pos, w[sl]
 
 
-def jet_pow(base: Jet, exponent: float) -> Jet:
-    """base**exponent.
+def jet_pow(base: Jet, exponent: float, window: tuple[int, int] | None = None) -> Jet:
+    """base**exponent, on the coefficients of ``window`` if given.
 
     Integer exponents use exact repeated squaring and allow any nonzero
     constant term (any at all when the exponent is a nonnegative integer);
@@ -334,24 +421,24 @@ def jet_pow(base: Jet, exponent: float) -> Jet:
             m = k
             while m:
                 if m & 1:
-                    acc = jet_mul(acc, pw)
+                    acc = jet_mul(acc, pw, window)
                 m >>= 1
                 if m:
-                    pw = jet_mul(pw, pw)
+                    pw = jet_mul(pw, pw, window)
             return acc
         if b0 == 0.0:
             raise JetDomainError("negative integer power of a jet with zero constant term")
-        inv = jet_div(jet_const(n, order, 1.0), base)
-        return jet_pow(inv, -k)
+        inv = jet_div(jet_const(n, order, 1.0), base, window)
+        return jet_pow(inv, -k, window)
     if b0 <= 0.0:
         raise JetDomainError(
             f"real power {e:g} needs a positive constant term, got {b0:g}"
         )
     out = np.zeros(base.coeffs.size)
     out[0] = b0**e
-    for d, targets, ia, pos, bb, nb in _graded_levels(base):
-        acc = np.bincount(pos, ((e + 1.0) * nb - d) * bb * out[ia], targets.size)
-        out[targets] = acc / (d * b0)
+    weights = _graded_levels(base, lambda nb, nd, bb: ((e + 1.0) * nb - nd) * bb, window)
+    for d, targets, ia, pos, w in weights:
+        out[targets] = np.bincount(pos, w * out[ia], targets.size) / (d * b0)
     return Jet(n, order, out.reshape(base.coeffs.shape))
 
 
@@ -369,14 +456,13 @@ def jet_unary(name: str, g: Jet) -> Jet:
     out = np.zeros(g.coeffs.size)
     if name == "exp":
         out[0] = math.exp(g0)
-        for d, targets, ia, pos, gb, nb in _graded_levels(g):
-            out[targets] = np.bincount(pos, nb * gb * out[ia], targets.size) / d
+        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
+            out[targets] = np.bincount(pos, w * out[ia], targets.size) / d
     elif name in ("sin", "cos"):
         other = np.zeros(g.coeffs.size)
         s, k = (out, other) if name == "sin" else (other, out)
         s[0], k[0] = math.sin(g0), math.cos(g0)
-        for d, targets, ia, pos, gb, nb in _graded_levels(g):
-            w = nb * gb
+        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
             s[targets] = np.bincount(pos, w * k[ia], targets.size) / d
             k[targets] = -np.bincount(pos, w * s[ia], targets.size) / d
     elif name == "log":
@@ -384,8 +470,8 @@ def jet_unary(name: str, g: Jet) -> Jet:
             raise JetDomainError(f"log of jet with non-positive constant term {g0:g}")
         gf = g.coeffs.ravel()
         out[0] = math.log(g0)
-        for d, targets, ia, pos, gb, nb in _graded_levels(g):
-            acc = np.bincount(pos, (d - nb) * gb * out[ia], targets.size)
+        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: (nd - nb) * gb):
+            acc = np.bincount(pos, w * out[ia], targets.size)
             out[targets] = (d * gf[targets] - acc) / (d * g0)
     elif name == "sqrt":
         if g0 <= 0.0:

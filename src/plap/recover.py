@@ -42,12 +42,18 @@ The Z column is the measured order-0 gauge, so the whole coefficient matrix
 is order-0 data and the same at every order.  The recovery inverts it once
 over tangential jets, as its adjugate times one reciprocal of its
 determinant; each order multiplies its right-hand sides by that inverse
-truncated to its own degree, which equals solving the truncated system
-because truncation commutes with products.  The known part of each row is
+truncated to its own degree (one :func:`plap.jets.jet_matvec`), which equals
+solving the truncated system because truncation commutes with products.  Since the matrix is the same
+at every order, its condition number (the one SVD) is taken at order 1 and
+reported again for each later order.  The known part of each row is
 one forward jet evaluation per order at the state, where the unknowns are
 still zero: the jet flux pieces, 1/|grad u0|^2 among them, are built once,
 and only the three rows read are formed (the flux divergence and the
-entries A_00 and tau . A tau).  Solving over the ring fills the mixed
+entries A_00 and tau . A tau).  Order m reads those rows at normal index
+m - 1 and m and tangential degree at most n - m + 1 only, so every product,
+quotient and power of its evaluation runs on the jet window (m, n - m + 1)
+of :mod:`plap.jets`, and the divergence is formed on its slice m - 1 alone;
+this gives the rows bit for bit while computing only the coefficients read.  Solving over the ring fills the mixed
 (tangential x normal) derivatives without finite differencing.  The tests
 check the columns against probing the forward rows at (X, Y) = (0, 0),
 (1, 0) and (0, 1), and the inverse against the identity.
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +80,8 @@ from .jets import (
     jet_compose1,
     jet_const,
     jet_div,
+    jet_matvec,
+    jet_mul,
     jet_partial,
     jet_pow,
     jet_truncate,
@@ -219,41 +228,61 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
     return gamma_jet, u0_jet
 
 
-def _flux_pieces(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[list[Jet], Jet, Jet]:
-    """Jets of grad u0, 1/w2 with w2 = |grad u0|^2, and gk = gamma |grad u0|^(p-2)."""
+def _flux_pieces(
+    gamma_jet: Jet, u0_jet: Jet, p: float, window: tuple[int, int] | None = None
+) -> tuple[list[Jet], Jet, Jet, Jet]:
+    """Jets of grad u0, g0 * g0 with g0 = d u0/dx1, 1/w2 with
+    w2 = |grad u0|^2, and gk = gamma |grad u0|^(p-2), on the coefficients
+    of ``window`` (see :mod:`plap.jets`) if given."""
     grads = [jet_partial(u0_jet, a) for a in range(3)]
-    w2 = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
+    g00 = jet_mul(grads[0], grads[0], window)
+    w2 = g00 + jet_mul(grads[1], grads[1], window) + jet_mul(grads[2], grads[2], window)
     if w2.value <= 0.0:
         raise NormalGradientZero("grad u0 vanishes at z")
-    gk = gamma_jet * jet_pow(w2, (p - 2.0) / 2.0)
-    return grads, 1.0 / w2, gk
+    gk = jet_mul(gamma_jet, jet_pow(w2, (p - 2.0) / 2.0, window), window)
+    inv_w2 = jet_div(jet_const(w2.nvars, w2.order, 1.0), w2, window)
+    return grads, g00, inv_w2, gk
 
 
-def _entry(gu: Jet, gv: Jet, inv_w2: Jet, gk: Jet, p: float, same: bool) -> Jet:
+def _entry(
+    guv: Jet, inv_w2: Jet, gk: Jet, p: float, same: bool, window: tuple[int, int] | None = None
+) -> Jet:
     """Jet of u . A v = gk (u . v + (p-2) (u . g)(v . g) / w2) for unit
-    directions u, v that are equal (``same``) or orthogonal; ``gu`` and ``gv``
-    are the slopes u . g and v . g, and ``inv_w2`` is 1/w2."""
-    term = (p - 2.0) * (gu * gv * inv_w2)
+    directions u, v that are equal (``same``) or orthogonal; ``guv`` is the
+    product (u . g)(v . g) of the slopes, and ``inv_w2`` is 1/w2."""
+    term = (p - 2.0) * jet_mul(guv, inv_w2, window)
     if same:
         term = term + 1.0
-    return gk * term
+    return jet_mul(gk, term, window)
 
 
-def _divergence(grads: list[Jet], gk: Jet) -> Jet:
-    return (
-        jet_partial(gk * grads[0], 0)
-        + jet_partial(gk * grads[1], 1)
-        + jet_partial(gk * grads[2], 2)
+def _divergence_slice(
+    grads: list[Jet], gk: Jet, k: int, window: tuple[int, int] | None = None
+) -> Jet:
+    """Normal slice k of div(gk grad u0), as ``extract_normal_slice`` of the
+    divergence jet would give it, formed on that slice alone: d_a F_a
+    multiplies each coefficient of F_a = gk g_a by its index along axis a
+    plus one, and the three terms are added in axis order, as
+    :func:`plap.jets.jet_partial` and jet addition do."""
+    f = [jet_mul(gk, g, window).coeffs for g in grads]
+    nt = gk.order - 1 - k
+    t = np.arange(1, nt + 2)
+    div = (
+        f[0][k + 1, : nt + 1, : nt + 1] * (k + 1)
+        + f[1][k, 1 : nt + 2, : nt + 1] * t[:, None]
+        + f[2][k, : nt + 1, 1 : nt + 2] * t
     )
+    return Jet(2, nt, div * math.factorial(k))
 
 
 def _a_entries(gamma_jet: Jet, u0_jet: Jet, p: float) -> tuple[dict, Jet]:
     """Full jets of the tensor entries and the normal flux."""
-    grads, inv_w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
+    grads, g00, inv_w2, gk = _flux_pieces(gamma_jet, u0_jet, p)
     entries = {}
     for j in range(3):
         for k in range(j, 3):
-            entries[(j, k)] = entries[(k, j)] = _entry(grads[j], grads[k], inv_w2, gk, p, j == k)
+            guv = g00 if j == k == 0 else grads[j] * grads[k]
+            entries[(j, k)] = entries[(k, j)] = _entry(guv, inv_w2, gk, p, j == k)
     return entries, gk * grads[0]
 
 
@@ -479,16 +508,22 @@ def _inverse3(rows, det):
 def _step_functional(state: RecoveryState, m: int):
     """The three order-m row functionals at the state as it stands, where the
     unknowns d1^m gamma and d1^(m+1) u0 are still zero: the known part of
-    each row."""
+    each row.
+
+    The rows read the flux pieces at normal index m - 1 and m only, and at
+    tangential degree at most n - m + 1 (the divergence differentiates once
+    tangentially), so every product, quotient and power runs on the window
+    (m, n - m + 1), and only the read slice of the divergence is formed."""
     if np.any(state.gamma.coeffs[m]) or np.any(state.u0.coeffs[m + 1]):
         raise RecoveryError(f"the order-{m} unknowns are already set in the state")
     p = state.p
+    window = (m, state.order - m + 1)
     tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
-    grads, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p)
-    f1 = extract_normal_slice(_divergence(grads, gk), m - 1)
-    f2 = extract_normal_slice(_entry(grads[0], grads[0], inv_w2, gk, p, True), m)
+    grads, g00, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p, window)
+    f1 = _divergence_slice(grads, gk, m - 1, window)
+    f2 = extract_normal_slice(_entry(g00, inv_w2, gk, p, True, window), m)
     gt = tau1 * grads[1] + tau2 * grads[2]
-    f3 = extract_normal_slice(_entry(gt, gt, inv_w2, gk, p, True), m)
+    f3 = extract_normal_slice(_entry(jet_mul(gt, gt, window), inv_w2, gk, p, True, window), m)
     return f1, f2, f3
 
 
@@ -498,6 +533,29 @@ def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> 
     a = bj.a
     jet = t1 * t1 * a[(1, 1)][m] + 2.0 * t1 * t2 * a[(1, 2)][m] + t2 * t2 * a[(2, 2)][m]
     return jet_truncate(jet, order)
+
+
+def _order_rhs(state: RecoveryState, bj: BoundaryJets, m: int):
+    """The right-hand sides of the order-m system (the measurements minus
+    one forward evaluation of the rows at the state) and its scalar record,
+    whose matrix is the constant terms of ``state.columns``."""
+    if state.filled_order != m - 1:
+        raise RecoveryError(
+            f"state is filled to order {state.filled_order}, cannot run order {m}"
+        )
+    nt = state.order - m
+    f0 = _step_functional(state, m)
+    rhs = [
+        -f0[0],
+        jet_truncate(bj.a[(0, 0)][m], nt) - f0[1],
+        _tangential_entry(bj, state.tangent, m, nt) - f0[2],
+    ]
+    theta = ThetaSystem(
+        matrix=np.array([[c.value for c in row] for row in state.columns]),
+        rhs=np.array([r.value for r in rhs]),
+        order=m,
+    )
+    return rhs, theta
 
 
 def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
@@ -511,25 +569,23 @@ def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
     rhs[i] is the measured-minus-known jet, and theta records the scalar
     (constant-term) system for reporting.
     """
-    if state.filled_order != m - 1:
-        raise RecoveryError(
-            f"state is filled to order {state.filled_order}, cannot run order {m}"
-        )
+    rhs, theta = _order_rhs(state, bj, m)
     nt = state.order - m
-    f0 = _step_functional(state, m)
     rows = [tuple(jet_truncate(c, nt) for c in row) for row in state.columns]
-    rhs = [
-        -f0[0],
-        jet_truncate(bj.a[(0, 0)][m], nt) - f0[1],
-        _tangential_entry(bj, state.tangent, m, nt) - f0[2],
-    ]
-    matrix = np.array([[c.value for c in row] for row in rows])
-    theta = ThetaSystem(
-        matrix=matrix,
-        rhs=np.array([r.value for r in rhs]),
-        order=m,
-    )
     return rows, rhs, theta
+
+
+@lru_cache(maxsize=None)
+def _degree_groups(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of a jet's coefficients sorted by total degree, and
+    where each degree 0..order starts among them."""
+    deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
+    perm = np.flatnonzero(deg <= order)
+    perm = perm[np.argsort(deg[perm], kind="stable")]
+    starts = np.searchsorted(deg[perm], np.arange(order + 1))
+    for arr in (perm, starts):
+        arr.setflags(write=False)  # shared by every caller
+    return perm, starts
 
 
 def recover_order_m(
@@ -544,24 +600,21 @@ def recover_order_m(
     their mixed tangential coefficients: each unknown is the row of
     ``state.inverse`` for it, truncated to this order, times the right-hand
     sides.  Truncation commutes with products, so this is the inverse of the
-    truncated system.
+    truncated system.  The matrix is the same at every order, so its
+    condition number is computed at the first order and reused.
     """
-    rows, rhs, theta = extract_affine_coefficients(state, bj, m)
-    cond = theta.cond
+    rhs, theta = _order_rhs(state, bj, m)
+    cond = state.conds[0] if state.conds else theta.cond
     if cond > cond_limit:
         raise IllConditioned(m, cond, cond_limit)
-    nt = state.order - m
-    x, y, z = (
-        jet_truncate(wx, nt) * rhs[0] + jet_truncate(wy, nt) * rhs[1] + jet_truncate(wz, nt) * rhs[2]
-        for wx, wy, wz in state.inverse
-    )
+    x, y, z = jet_matvec(state.inverse, rhs)
     state.gamma = set_normal_slice(state.gamma, m, x)
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
     state.conds.append(cond)
-    degree = np.indices(z.coeffs.shape).sum(axis=0)
+    perm, starts = _degree_groups(z.nvars, z.order)
     state.gauge_by_degree.append(
-        [float(np.max(np.abs(z.coeffs[degree == k]))) for k in range(z.order + 1)]
+        np.maximum.reduceat(np.abs(z.coeffs.ravel()[perm]), starts).tolist()
     )
     state.theta_systems.append(theta)
     return state

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from plap import cli, psolve, recover
+from plap import cli, jets, psolve, recover
 from plap.cli import (
     ConfigError,
     ExperimentConfig,
@@ -488,6 +488,28 @@ def test_recover_sample_passes_at_order_16(tmp_path):
     assert scenarios[0]["max_gauge_residual"] <= 1e-10
 
 
+def _report_files(out: Path) -> dict[str, bytes]:
+    """report.json and every table of a run, by relative path."""
+    paths = [out / "report.json", *sorted((out / "tables").iterdir())]
+    return {str(path.relative_to(out)): path.read_bytes() for path in paths}
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_recover_sample_cold_and_warm_runs_identical(tmp_path, order):
+    # the first run builds the jet tables (windowed ones included) from
+    # empty caches, the second reads them
+    sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
+    cfg = _write(tmp_path, "r.cfg", sample.replace("\norder = 8\n", f"\norder = {order}\n"))
+    jets._product_table.cache_clear()
+    jets._division_levels.cache_clear()
+    runs = []
+    for run in ("cold", "warm"):
+        assert main(["recover", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        runs.append(_report_files(tmp_path / run))
+    assert len(runs[0]) == 5
+    assert runs[0] == runs[1]
+
+
 class _SerialPool:
     """Stand-in for ProcessPoolExecutor: records its size, maps in-process."""
 
@@ -557,6 +579,16 @@ def test_recover_mode_b_is_config_error(tmp_path, capsys):
 
 def test_cli_missing_config_file(tmp_path):
     assert main(["forward", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_cli_parser_built_once_and_reusable_after_a_usage_error(tmp_path, capsys):
+    parser = cli._parser()
+    with pytest.raises(SystemExit) as err:
+        main(["forward"])  # --config missing
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(["forward", "--config", str(tmp_path / "nope.cfg")]) == 2
+    assert cli._parser() is parser
 
 
 def test_run_command_mismatch(tmp_path):

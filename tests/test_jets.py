@@ -25,6 +25,7 @@ from plap.jets import (
     jet_compose1,
     jet_const,
     jet_div,
+    jet_matvec,
     jet_mul,
     jet_partial,
     jet_pow,
@@ -226,6 +227,53 @@ def test_coefficients_above_degree_stay_zero(nvars, order):
     outs = (jet_mul(a, b), jet_div(a, b), jet_pow(b, 0.5), jet_unary("exp", a), jet_unary("sin", a))
     for out in outs:
         assert np.all(out.coeffs[above] == 0.0)
+
+
+@st.composite
+def _windowed_case(draw):
+    """A jet pair of random shape (nvars 1-3, order <= 10), with exact and
+    negative zeros, the divisor's constant term in [1, 2], and a random
+    window (K, T)."""
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(0, 10))
+    window = (draw(st.integers(0, order + 1)), draw(st.integers(0, order + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (order + 1,) * nvars
+    a = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
+    b = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
+    a.coeffs[rng.uniform(size=shape) < 0.2] = -0.0
+    b.coeffs[rng.uniform(size=shape) < 0.2] = 0.0
+    b.coeffs[(0,) * nvars] = rng.uniform(1.0, 2.0)
+    return a, b, window
+
+
+@given(_windowed_case())
+@settings(max_examples=80, deadline=None)
+def test_windowed_operations_match_full_inside_and_vanish_outside(case):
+    a, b, (k, t) = case
+    idx = np.indices(a.coeffs.shape)
+    deg = idx.sum(axis=0)
+    inside = (deg <= a.order) & (idx[0] <= k) & (deg - idx[0] <= t)
+    pairs = [(jet_mul(a, b), jet_mul(a, b, (k, t))), (jet_div(a, b), jet_div(a, b, (k, t)))]
+    pairs += [(jet_pow(b, e), jet_pow(b, e, (k, t))) for e in (2, -2, 0.5, -0.35)]
+    for full, windowed in pairs:
+        assert _same_bits(windowed.coeffs[inside], full.coeffs[inside])
+        assert not np.any(windowed.coeffs[~inside])
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 0), (1, 5), (2, 0), (2, 4), (2, 7), (3, 3)])
+def test_matvec_bitwise_equal_truncated_products(nvars, order):
+    vec = [pair[0] for pair in _random_pairs(nvars, order, count=3)]
+    rows = [[pair[1] for pair in _random_pairs(nvars, order + k, count=3)] for k in (0, 1, 3)]
+    got = jet_matvec(rows, vec)
+    for row, out in zip(rows, got):
+        want = jet_mul(jet_truncate(row[0], order), vec[0])
+        for w, x in zip(row[1:], vec[1:]):
+            want = want + jet_mul(jet_truncate(w, order), x)
+        assert (out.nvars, out.order) == (nvars, order)
+        assert _same_bits(out.coeffs, want.coeffs)
+    if order:  # a matrix entry below the vector's order
+        with pytest.raises(ValueError):
+            jet_matvec([[jet_truncate(w, order - 1) for w in rows[0]]], vec)
 
 
 @pytest.mark.parametrize(

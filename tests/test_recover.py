@@ -6,8 +6,10 @@ import pytest
 import sympy
 
 from plap.jets import (
+    Jet,
     eval_jet,
     jet_const,
+    jet_partial,
     jet_variable,
     extract_normal_slice,
     parse_expr,
@@ -435,25 +437,110 @@ def test_singular_order_system_is_ill_conditioned(monkeypatch):
         run_recovery(bj)
 
 
-@pytest.mark.parametrize("p, mul_calls, div_calls", [(1.3, 194, 12), (6.0, 211, 13)])
+def _count_jet_calls(monkeypatch, calls):
+    """Count the jet products and quotients of everything run afterwards in
+    ``calls``, and under "triples" the product-table triples the products
+    read; ``recover`` holds its own references to both functions."""
+    mul, div = jets.jet_mul, jets.jet_div
+
+    def counted_mul(a, b, window=None):
+        calls["mul"] += 1
+        calls["triples"] += jets._product_table(a.nvars, a.order, window)[0].size
+        return mul(a, b, window)
+
+    def counted_div(a, b, window=None):
+        calls["div"] += 1
+        return div(a, b, window)
+
+    for module in (jets, recover):
+        monkeypatch.setattr(module, "jet_mul", counted_mul)
+        monkeypatch.setattr(module, "jet_div", counted_div)
+
+
+@pytest.mark.parametrize("p, mul_calls, div_calls", [(1.3, 134, 12), (6.0, 151, 13)])
 def test_recovery_jet_call_counts(monkeypatch, p, mul_calls, div_calls):
     # order 8: order 0, the columns and their inverse once, then one forward
-    # evaluation and nine products per induction order
+    # evaluation (12 products, 13 at p = 6) and one jet_matvec per induction order
     bj = _criterion_08_measurements(p, "exp(0.2*x1)")
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(jets, "jet_mul", counted("mul", jets.jet_mul))
-    monkeypatch.setattr(jets, "jet_div", counted("div", jets.jet_div))
-    monkeypatch.setattr(recover, "jet_div", jets.jet_div)
+    _count_jet_calls(monkeypatch, calls)
     run_recovery(bj)
     assert (calls["mul"], calls["div"]) == (mul_calls, div_calls)
+
+
+def test_recovery_reads_windowed_product_tables(monkeypatch):
+    # the jet_mul triples one order-8 recovery reads; its 72 forward-row
+    # products read 98,988 of them, where full order-8 tables (3003 triples
+    # each) would make the total 238,491
+    bj = _criterion_08_measurements(1.3, "exp(0.2*x1)")
+    calls = collections.Counter()
+    _count_jet_calls(monkeypatch, calls)
+    run_recovery(bj)
+    assert calls["triples"] == 121_263
+
+
+def _assert_same_bits(got, want):
+    assert (got.nvars, got.order) == (want.nvars, want.order)
+    assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+def _assert_windowed_rows_equal_full_rows(monkeypatch, state, m):
+    """``_step_functional`` at order m equals, bit for bit, the same rows
+    with the window dropped; its divergence row also equals the slice of
+    the whole divergence jet, summed over the axes in jet arithmetic."""
+    windowed = recover._step_functional(state, m)
+    with monkeypatch.context() as patch:
+        for name in ("jet_mul", "jet_div", "jet_pow"):
+            fn = getattr(jets, name)
+            patch.setattr(recover, name, lambda a, b, window=None, fn=fn: fn(a, b))
+        full = recover._step_functional(state, m)
+    for got, want in zip(windowed, full):
+        _assert_same_bits(got, want)
+    grads, _, _, gk = recover._flux_pieces(state.gamma, state.u0, state.p)
+    div = jet_partial(gk * grads[0], 0) + jet_partial(gk * grads[1], 1) + jet_partial(gk * grads[2], 2)
+    _assert_same_bits(windowed[0], extract_normal_slice(div, m - 1))
+
+
+@pytest.mark.parametrize("order", [8, 12, 16])
+@pytest.mark.parametrize("p, profile", _CRITERION_08)
+def test_windowed_rows_equal_full_rows_bitwise(monkeypatch, p, profile, order):
+    bj = _criterion_08_measurements(p, profile, order=order)
+    state = run_recovery(bj, max_order=0)
+    for m in range(1, order - 1):
+        _assert_windowed_rows_equal_full_rows(monkeypatch, state, m)
+        recover.recover_order_m(state, bj, m)
+
+
+def test_windowed_rows_equal_full_rows_bitwise_off_the_tilted_family(monkeypatch):
+    # the curved base of the probe test, each order filled from it
+    order = 8
+    gj = eval_jet(parse_expr("2 + 0.1*x2 + 0.05*x3^2 + 0.1*x1*x3"), (0.0, 0.0, 0.0), order)
+    uj = eval_jet(
+        parse_expr("0.8*x1 + 0.6*x2 + 0.3*x3^2 + 0.1*x2*x3 + 0.2*x1*x3 - 0.1*x1^2"),
+        (0.0, 0.0, 0.0),
+        order + 1,
+    )
+    for p in (1.3, 2.5, 6.0):
+        state = run_recovery(synthesize_measurements(gj, uj, p), max_order=0)
+        for m in range(1, order - 1):
+            _assert_windowed_rows_equal_full_rows(monkeypatch, state, m)
+            state.gamma = set_normal_slice(state.gamma, m, extract_normal_slice(gj, m))
+            state.u0 = set_normal_slice(state.u0, m + 1, extract_normal_slice(uj, m + 1))
+            state.filled_order = m
+
+
+def test_condition_number_taken_once_per_recovery(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(matrix):
+        calls.append(matrix)
+        return cond(matrix)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    state = run_recovery(_criterion_08_measurements(1.7, "exp(0.2*x1)"))
+    assert len(calls) == 1
+    assert state.conds == [float(cond(state.theta_systems[0].matrix))] * 6
 
 
 def _sample_scenario(p, order):
@@ -584,9 +671,20 @@ def test_non_finite_order_system_is_ill_conditioned(monkeypatch):
     matrix[1, 2] = np.nan
     theta = ThetaSystem(matrix=matrix, rhs=np.zeros(3), order=1)
     assert theta.cond == math.inf
-    monkeypatch.setattr(recover, "extract_affine_coefficients", lambda state, bj, m: (None, None, theta))
-    with pytest.raises(IllConditioned):
-        recover.recover_order_m(None, None, 1)
+    # a NaN in the constant term of the gauge column reaches the recovery's
+    # one condition number, taken at order 1
+    columns = recover._columns
+
+    def poisoned(*args):
+        rows = columns(*args)
+        gauge = Jet(2, rows[1][2].order, rows[1][2].coeffs.copy())
+        gauge.coeffs[0, 0] = np.nan
+        return (rows[0], (rows[1][0], rows[1][1], gauge), rows[2])
+
+    monkeypatch.setattr(recover, "_columns", poisoned)
+    with pytest.raises(IllConditioned) as err:
+        run_recovery(_criterion_08_measurements(3.0, "1 + 0.1*x1"))
+    assert (err.value.order, err.value.cond) == (1, math.inf)
 
 
 def test_recovery_invariant_under_tangential_rotation():
