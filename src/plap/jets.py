@@ -415,17 +415,20 @@ def jet_pow(base: Jet, exponent: float, window: tuple[int, int] | None = None) -
     is_int = abs(e - round(e)) < 1e-12 and abs(e) < 1e6
     if is_int:
         k = int(round(e))
-        if k >= 0:
-            acc = jet_const(n, order, 1.0)
-            pw = base
-            m = k
-            while m:
-                if m & 1:
-                    acc = jet_mul(acc, pw, window)
-                m >>= 1
-                if m:
-                    pw = jet_mul(pw, pw, window)
-            return acc
+        if k == 0:
+            return jet_const(n, order, 1.0)
+        if k == 1:  # a copy, zero outside the window as a product leaves it
+            keep = _window_mask(n, order, window).reshape(base.coeffs.shape)
+            return Jet(n, order, np.where(keep, base.coeffs, 0.0))
+        if k > 0:  # k >= 2: the first factor is taken as it is, at least one product follows
+            acc, pw = None, base
+            while True:
+                if k & 1:
+                    acc = pw if acc is None else jet_mul(acc, pw, window)
+                k >>= 1
+                if not k:
+                    return acc
+                pw = jet_mul(pw, pw, window)
         if b0 == 0.0:
             raise JetDomainError("negative integer power of a jet with zero constant term")
         inv = jet_div(jet_const(n, order, 1.0), base, window)
@@ -836,7 +839,11 @@ def eval_point(e, point) -> float:
 
 
 def eval_numpy(e, arrays) -> np.ndarray:
-    """Vectorized evaluation with coordinate arrays in place of variables."""
+    """Vectorized evaluation with coordinate arrays in place of variables.
+
+    Floating-point errors raise no warning: a division by zero, an overflow
+    or a function outside its domain gives inf or nan at those points, and
+    the caller that needs finite values checks them."""
     e = _as_expr(e)
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
@@ -849,7 +856,8 @@ def eval_numpy(e, arrays) -> np.ndarray:
             raise ValueError(f"expression uses x{index + 1} but only {len(arrays)} coordinates given")
         return arrays[index]
 
-    value = _evaluate(e, num, var, lambda fn, x: getattr(np, fn)(x), lambda base, k: base**k)
+    with np.errstate(all="ignore"):
+        value = _evaluate(e, num, var, lambda fn, x: getattr(np, fn)(x), lambda base, k: base**k)
     return np.asarray(value, dtype=float)
 
 

@@ -208,8 +208,7 @@ def pseudo1d_profile(gamma, p: float, xs, c: float = 1.0) -> np.ndarray:
     while parts <= _PROFILE_MAX_PARTS:
         half = 0.5 * width / parts
         t = xs[:-1, None, None] + width * ((np.arange(parts)[:, None] + 0.5) / parts) + half * nodes
-        with np.errstate(all="ignore"):
-            gam = jets.eval_numpy(gamma, (t,))
+        gam = jets.eval_numpy(gamma, (t,))
         require_positive_weight(gam)
         with np.errstate(all="ignore"):
             slope = (c / gam) ** expo

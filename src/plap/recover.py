@@ -43,20 +43,22 @@ is order-0 data and the same at every order.  The recovery inverts it once
 over tangential jets, as its adjugate times one reciprocal of its
 determinant; each order multiplies its right-hand sides by that inverse
 truncated to its own degree (one :func:`plap.jets.jet_matvec`), which equals
-solving the truncated system because truncation commutes with products.  Since the matrix is the same
-at every order, its condition number (the one SVD) is taken at order 1 and
-reported again for each later order.  The known part of each row is
-one forward jet evaluation per order at the state, where the unknowns are
-still zero: the jet flux pieces, 1/|grad u0|^2 among them, are built once,
-and only the three rows read are formed (the flux divergence and the
-entries A_00 and tau . A tau).  Order m reads those rows at normal index
+solving the truncated system because truncation commutes with products.
+The recovery keeps one record of that system: its jets, their inverse and
+the 2-norm condition number of its constant terms (the one SVD), taken
+before any order runs and reported once for each order.  The known part of
+each row is one forward jet evaluation per order at the state, where the
+unknowns are still zero: the jet flux pieces, 1/|grad u0|^2 among them, are
+built once, and only the three rows read are formed (the flux divergence and
+the entries A_00 and tau . A tau).  Order m reads those rows at normal index
 m - 1 and m and tangential degree at most n - m + 1 only, so every product,
 quotient and power of its evaluation runs on the jet window (m, n - m + 1)
 of :mod:`plap.jets`, and the divergence is formed on its slice m - 1 alone;
-this gives the rows bit for bit while computing only the coefficients read.  Solving over the ring fills the mixed
-(tangential x normal) derivatives without finite differencing.  The tests
-check the columns against probing the forward rows at (X, Y) = (0, 0),
-(1, 0) and (0, 1), and the inverse against the identity.
+this gives the rows bit for bit while computing only the coefficients read.
+Solving over the ring fills the mixed (tangential x normal) derivatives
+without finite differencing.  The tests check the columns against probing
+the forward rows at (X, Y) = (0, 0), (1, 0) and (0, 1), and the inverse
+against the identity.
 
 The 3x3 determinant is evaluated two ways: a fixed cofactor expansion of the
 assembled matrix (authoritative) and a verbatim closed-form expression kept
@@ -98,7 +100,6 @@ __all__ = [
     "IllConditioned",
     "Scenario",
     "BoundaryJets",
-    "ThetaSystem",
     "Order0Result",
     "RecoveryState",
     "oracle_tilted_profile",
@@ -107,7 +108,6 @@ __all__ = [
     "theta_matrix",
     "theta_det_direct",
     "theta_det_closed_form",
-    "extract_affine_coefficients",
     "recover_order_m",
     "run_recovery",
     "taylor_reconstruct",
@@ -360,20 +360,6 @@ def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
 # -- the 3x3 induction system -------------------------------------------------------
 
 
-@dataclass
-class ThetaSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    order: int
-
-    @property
-    def cond(self) -> float:
-        """2-norm condition number; inf for a non-finite matrix."""
-        if not np.all(np.isfinite(self.matrix)):
-            return math.inf
-        return float(np.linalg.cond(self.matrix))
-
-
 def _theta_rows(gamma, d, t, w2, p):
     """Rows (i)-(iii) of the induction system, columns (X, Y, Z), in closed form.
 
@@ -400,21 +386,19 @@ def _theta_rows(gamma, d, t, w2, p):
     )
 
 
-def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float, j: int = 2) -> np.ndarray:
+def theta_matrix(gamma_z: float, grad_u0: np.ndarray, p: float) -> np.ndarray:
     """The 3x3 coefficient matrix of the induction step at z (point values).
 
-    ``grad_u0`` is the full gradient at z; ``j`` names the tangential axis
-    of the third row, which the recovery reads in the direction with
-    vanishing tangential slope (grad_u0[j] = 0).
+    ``grad_u0`` is the full gradient at z; the third row reads the
+    tangential axis 2, the direction with vanishing tangential slope
+    (grad_u0[2] = 0) when the slope lies along axis 1.
     """
     grad_u0 = np.asarray(grad_u0, dtype=float)
     d = grad_u0[0]
     w2 = float(grad_u0 @ grad_u0)
     if abs(d) < 1e-14 or w2 <= 0.0:
         raise NormalGradientZero("theta matrix needs a nonzero normal slope")
-    if j not in (1, 2):
-        raise ValueError("j must name a tangential axis (1 or 2)")
-    return np.array(_theta_rows(gamma_z, d, grad_u0[j], w2, p))
+    return np.array(_theta_rows(gamma_z, d, grad_u0[2], w2, p))
 
 
 def _det3(rows):
@@ -462,9 +446,9 @@ class RecoveryState:
     tangent: np.ndarray       # unit tau = (0, -t2, t1) / |(t1, t2)| of row (iii)
     columns: tuple            # rows (i)-(iii) of (X, Y, Z) coefficient jets, tangential order ``order - 1``
     inverse: tuple            # the inverse of ``columns`` over the same jets, row k giving unknown k
-    conds: list[float] = field(default_factory=list)
+    cond: float               # 2-norm condition number of the constant terms of ``columns``
+    conds: list[float] = field(default_factory=list)  # ``cond`` once per order run
     gauge_by_degree: list[list[float]] = field(default_factory=list)  # max |Z| per tangential degree
-    theta_systems: list[ThetaSystem] = field(default_factory=list)
 
     @property
     def gauge_residuals(self) -> list[float]:
@@ -535,46 +519,6 @@ def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> 
     return jet_truncate(jet, order)
 
 
-def _order_rhs(state: RecoveryState, bj: BoundaryJets, m: int):
-    """The right-hand sides of the order-m system (the measurements minus
-    one forward evaluation of the rows at the state) and its scalar record,
-    whose matrix is the constant terms of ``state.columns``."""
-    if state.filled_order != m - 1:
-        raise RecoveryError(
-            f"state is filled to order {state.filled_order}, cannot run order {m}"
-        )
-    nt = state.order - m
-    f0 = _step_functional(state, m)
-    rhs = [
-        -f0[0],
-        jet_truncate(bj.a[(0, 0)][m], nt) - f0[1],
-        _tangential_entry(bj, state.tangent, m, nt) - f0[2],
-    ]
-    theta = ThetaSystem(
-        matrix=np.array([[c.value for c in row] for row in state.columns]),
-        rhs=np.array([r.value for r in rhs]),
-        order=m,
-    )
-    return rhs, theta
-
-
-def extract_affine_coefficients(state: RecoveryState, bj: BoundaryJets, m: int):
-    """Assemble the order-m system over the tangential-jet ring.
-
-    The rows are ``state.columns`` truncated to this order (the X and Y
-    columns of :func:`_theta_rows` and the measured order-0 gauge as Z), and
-    the right-hand sides are the measurements minus one forward evaluation
-    of the rows at the state.
-    Returns (rows, rhs, theta) where rows[i] = (coefficient jets of X, Y, Z),
-    rhs[i] is the measured-minus-known jet, and theta records the scalar
-    (constant-term) system for reporting.
-    """
-    rhs, theta = _order_rhs(state, bj, m)
-    nt = state.order - m
-    rows = [tuple(jet_truncate(c, nt) for c in row) for row in state.columns]
-    return rows, rhs, theta
-
-
 @lru_cache(maxsize=None)
 def _degree_groups(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of a jet's coefficients sorted by total degree, and
@@ -588,35 +532,38 @@ def _degree_groups(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, starts
 
 
-def recover_order_m(
-    state: RecoveryState,
-    bj: BoundaryJets,
-    m: int,
-    cond_limit: float = 1e8,
-) -> RecoveryState:
+def recover_order_m(state: RecoveryState, bj: BoundaryJets, m: int) -> RecoveryState:
     """One induction step: fill d1^m gamma and d1^(m+1) u0 at z.
 
-    The solve happens over the tangential-jet ring, so the filled rows carry
-    their mixed tangential coefficients: each unknown is the row of
-    ``state.inverse`` for it, truncated to this order, times the right-hand
-    sides.  Truncation commutes with products, so this is the inverse of the
-    truncated system.  The matrix is the same at every order, so its
-    condition number is computed at the first order and reused.
+    The right-hand sides are the measurements minus one forward evaluation
+    of the rows at the state.  The solve happens over the tangential-jet
+    ring, so the filled rows carry their mixed tangential coefficients: each
+    unknown is the row of ``state.inverse`` for it, truncated to this order,
+    times the right-hand sides.  Truncation commutes with products, so this
+    is the inverse of the truncated system.  The matrix is the same at every
+    order, so the order records the recovery's one condition number,
+    ``state.cond``, in ``state.conds``.
     """
-    rhs, theta = _order_rhs(state, bj, m)
-    cond = state.conds[0] if state.conds else theta.cond
-    if cond > cond_limit:
-        raise IllConditioned(m, cond, cond_limit)
+    if state.filled_order != m - 1:
+        raise RecoveryError(
+            f"state is filled to order {state.filled_order}, cannot run order {m}"
+        )
+    nt = state.order - m
+    f1, f2, f3 = _step_functional(state, m)
+    rhs = (
+        -f1,
+        jet_truncate(bj.a[(0, 0)][m], nt) - f2,
+        _tangential_entry(bj, state.tangent, m, nt) - f3,
+    )
     x, y, z = jet_matvec(state.inverse, rhs)
     state.gamma = set_normal_slice(state.gamma, m, x)
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
-    state.conds.append(cond)
+    state.conds.append(state.cond)
     perm, starts = _degree_groups(z.nvars, z.order)
     state.gauge_by_degree.append(
         np.maximum.reduceat(np.abs(z.coeffs.ravel()[perm]), starts).tolist()
     )
-    state.theta_systems.append(theta)
     return state
 
 
@@ -627,9 +574,11 @@ def run_recovery(
 ) -> RecoveryState:
     """Full recovery pipeline in the measured frame: fix the tangential
     direction tau orthogonal to the slope of the trace at z, split order 0,
-    invert the induction system once, and run the induction, whose third
-    row reads tau . A tau.  A system whose determinant vanishes at z is
-    ill-conditioned at every order.
+    form the induction system and invert it once, and run the induction,
+    whose third row reads tau . A tau.  The system is the same at every
+    order, so its 2-norm condition number at z is taken once (inf for a
+    vanishing determinant or a non-finite matrix); above ``cond_limit`` the
+    recovery raises :class:`IllConditioned` at order 1, before any order runs.
 
     ``max_order`` defaults to ``bj.order - 2``, the deepest normal order of
     gamma the measurement package determines exactly.
@@ -651,8 +600,12 @@ def run_recovery(
     tangent = np.array([0.0, -t2 / r, t1 / r])
     columns = _columns(gamma, u0, tangent, bj)
     det = _det3(columns)
-    if det.value == 0.0:
-        raise IllConditioned(1, math.inf, cond_limit)
+    matrix = np.array([[c.value for c in row] for row in columns])
+    cond = math.inf
+    if det.value != 0.0 and np.all(np.isfinite(matrix)):
+        cond = float(np.linalg.cond(matrix))
+    if cond > cond_limit:
+        raise IllConditioned(1, cond, cond_limit)
     state = RecoveryState(
         p=bj.p,
         order=n,
@@ -663,9 +616,10 @@ def run_recovery(
         tangent=tangent,
         columns=columns,
         inverse=_inverse3(columns, det),
+        cond=cond,
     )
     for m in range(1, max_order + 1):
-        recover_order_m(state, bj, m, cond_limit=cond_limit)
+        recover_order_m(state, bj, m)
     return state
 
 

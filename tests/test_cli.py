@@ -224,6 +224,7 @@ def test_nonpositive_weight_serialized_as_error(tmp_path):
     assert "strictly positive" in report["error"]["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "gamma, message",
     [("1/x1", "finite"), ("x1 - 0.5", "strictly positive")],

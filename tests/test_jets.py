@@ -254,10 +254,11 @@ def test_windowed_operations_match_full_inside_and_vanish_outside(case):
     deg = idx.sum(axis=0)
     inside = (deg <= a.order) & (idx[0] <= k) & (deg - idx[0] <= t)
     pairs = [(jet_mul(a, b), jet_mul(a, b, (k, t))), (jet_div(a, b), jet_div(a, b, (k, t)))]
-    pairs += [(jet_pow(b, e), jet_pow(b, e, (k, t))) for e in (2, -2, 0.5, -0.35)]
+    pairs += [(jet_pow(b, e), jet_pow(b, e, (k, t))) for e in (1, 2, 3, -2, 0.5, -0.35)]
     for full, windowed in pairs:
         assert _same_bits(windowed.coeffs[inside], full.coeffs[inside])
         assert not np.any(windowed.coeffs[~inside])
+    assert jet_pow(b, 1) is not b and jet_pow(b, 1, (k, t)) is not b
 
 
 @pytest.mark.parametrize("nvars, order", [(1, 0), (1, 5), (2, 0), (2, 4), (2, 7), (3, 3)])

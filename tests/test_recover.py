@@ -10,6 +10,7 @@ from plap.jets import (
     eval_jet,
     jet_const,
     jet_partial,
+    jet_truncate,
     jet_variable,
     extract_normal_slice,
     parse_expr,
@@ -24,7 +25,6 @@ from plap.recover import (
     RecoveryError,
     Scenario,
     TangentialDegenerate,
-    extract_affine_coefficients,
     oracle_tilted_profile,
     recover_order0,
     run_recovery,
@@ -33,7 +33,6 @@ from plap.recover import (
     theta_det_direct,
     theta_det_closed_form,
     theta_matrix,
-    ThetaSystem,
 )
 
 ZETA = np.array([0.6, 0.64, 0.48])
@@ -286,6 +285,11 @@ def test_theta_det_sweep_nonvanishing():
 # -- coefficient columns ------------------------------------------------------------------
 
 
+def _order_rows(state, m):
+    """The order-m system's rows: ``state.columns`` truncated to its degree."""
+    return [tuple(jet_truncate(c, state.order - m) for c in row) for row in state.columns]
+
+
 def _max_scaled_gap(rows, oracle):
     """Largest coefficient gap between the X, Y jets of ``rows`` and the
     oracle's, on the max(|c|, 1) scale."""
@@ -304,13 +308,16 @@ def test_extracted_columns_match_theta_formulas():
     state = run_recovery(bj, max_order=0)
     # the tangential slope lies along axis 1, so row (iii) reads axis 2
     assert np.allclose(state.tangent, [0.0, 0.0, 1.0])
-    rows, rhs, theta = extract_affine_coefficients(state, bj, 1)
-    assert _max_scaled_gap(rows, probed_columns(state, 1)) < 1e-13
+    assert _max_scaled_gap(_order_rows(state, 1), probed_columns(state, 1)) < 1e-13
     # the point values are the closed-form matrix, gauge column included
-    expected = theta_matrix(2.0, np.array([0.8, 0.6, 0.0]), p, j=2)
-    assert np.max(np.abs(theta.matrix - expected)) < 1e-10
-    # measured data of the exact scenario is consistent with zero unknowns
-    assert np.max(np.abs(theta.rhs)) < 1e-12
+    matrix = np.array([[c.value for c in row] for row in state.columns])
+    expected = theta_matrix(2.0, np.array([0.8, 0.6, 0.0]), p)
+    assert np.max(np.abs(matrix - expected)) < 1e-10
+    # measured data of the exact scenario is consistent with zero unknowns:
+    # the order-1 right-hand sides, measured minus known, with tau = e3
+    f1, f2, f3 = recover._step_functional(state, 1)
+    rhs = np.array([-f1.value, bj.a[(0, 0)][1].value - f2.value, bj.a[(2, 2)][1].value - f3.value])
+    assert np.max(np.abs(rhs)) < 1e-12
 
 
 _CRITERION_08 = [
@@ -329,8 +336,7 @@ def _columns_gap_every_order(bj, truth=None):
     state = run_recovery(bj, max_order=0)
     gap = 0.0
     for m in range(1, bj.order - 1):
-        rows, _, _ = extract_affine_coefficients(state, bj, m)
-        gap = max(gap, _max_scaled_gap(rows, probed_columns(state, m)))
+        gap = max(gap, _max_scaled_gap(_order_rows(state, m), probed_columns(state, m)))
         if truth is None:
             recover.recover_order_m(state, bj, m)
         else:
@@ -380,11 +386,11 @@ def test_probe_refuses_state_with_unknowns_set():
     clean = state.gamma
     state.gamma = set_normal_slice(clean, 2, jet_const(2, 4, 1e-3))
     with pytest.raises(RecoveryError):
-        extract_affine_coefficients(state, bj, 2)
+        recover.recover_order_m(state, bj, 2)
     state.gamma = clean
     state.u0 = set_normal_slice(state.u0, 3, jet_const(2, 4, 1e-3))
     with pytest.raises(RecoveryError):
-        extract_affine_coefficients(state, bj, 2)
+        recover.recover_order_m(state, bj, 2)
 
 
 @pytest.mark.parametrize("order", [3, 6, 9])
@@ -409,15 +415,6 @@ def _criterion_08_measurements(p, profile, order=8):
     sc = _scenario(profile=profile, p=p, order=order)
     gj, uj = oracle_tilted_profile(sc)
     return synthesize_measurements(gj, uj, p)
-
-
-@pytest.mark.parametrize("p, profile", _CRITERION_08)
-def test_order_system_matrix_is_the_same_at_every_order(p, profile):
-    state = run_recovery(_criterion_08_measurements(p, profile))
-    first = state.theta_systems[0].matrix
-    for theta in state.theta_systems[1:]:
-        assert np.array_equal(theta.matrix.view(np.uint64), first.view(np.uint64))
-    assert len(set(state.conds)) == 1
 
 
 @pytest.mark.parametrize("p, profile", _CRITERION_08)
@@ -457,7 +454,7 @@ def _count_jet_calls(monkeypatch, calls):
         monkeypatch.setattr(module, "jet_div", counted_div)
 
 
-@pytest.mark.parametrize("p, mul_calls, div_calls", [(1.3, 134, 12), (6.0, 151, 13)])
+@pytest.mark.parametrize("p, mul_calls, div_calls", [(1.3, 134, 12), (6.0, 142, 13)])
 def test_recovery_jet_call_counts(monkeypatch, p, mul_calls, div_calls):
     # order 8: order 0, the columns and their inverse once, then one forward
     # evaluation (12 products, 13 at p = 6) and one jet_matvec per induction order
@@ -540,7 +537,8 @@ def test_condition_number_taken_once_per_recovery(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", counted)
     state = run_recovery(_criterion_08_measurements(1.7, "exp(0.2*x1)"))
     assert len(calls) == 1
-    assert state.conds == [float(cond(state.theta_systems[0].matrix))] * 6
+    assert state.conds == [state.cond] * 6
+    assert state.cond == float(cond(np.array([[c.value for c in row] for row in state.columns])))
 
 
 def _sample_scenario(p, order):
@@ -578,7 +576,7 @@ def test_extract_requires_consistent_state():
     bj = synthesize_measurements(gj, uj, sc.p)
     state = run_recovery(bj, max_order=1)
     with pytest.raises(RecoveryError):
-        extract_affine_coefficients(state, bj, 3)
+        recover.recover_order_m(state, bj, 3)
 
 
 # -- induction ----------------------------------------------------------------------------
@@ -591,8 +589,11 @@ def test_recovery_constant_profile_all_zero():
     state = run_recovery(bj)
     for m in range(1, 6):
         assert abs(state.gamma.coefficient((m, 0, 0))) < 1e-12
-    # the system right-hand sides are consistent with zero unknowns throughout
-    assert all(np.max(np.abs(t.rhs)) < 1e-12 for t in state.theta_systems)
+    # the system right-hand sides are consistent with zero unknowns throughout:
+    # the matrix is invertible, so the unknowns u0 and Z vanish with them
+    for m in range(2, 7):
+        assert abs(state.u0.coefficient((m, 0, 0))) < 1e-12
+    assert max(state.gauge_residuals) < 1e-12
 
 
 def test_recovery_linear_profile_delta_pattern():
@@ -666,13 +667,19 @@ def test_recovery_condition_limit():
         run_recovery(bj, cond_limit=1.0)
 
 
+def test_ill_conditioned_system_fails_before_any_forward_work(monkeypatch):
+    def refuse(state, m):
+        raise AssertionError(f"order {m} evaluated its forward rows")
+
+    monkeypatch.setattr(recover, "_step_functional", refuse)
+    with pytest.raises(IllConditioned) as err:
+        run_recovery(_criterion_08_measurements(3.0, "1 + 0.1*x1"), cond_limit=1.0)
+    assert err.value.order == 1
+
+
 def test_non_finite_order_system_is_ill_conditioned(monkeypatch):
-    matrix = np.eye(3)
-    matrix[1, 2] = np.nan
-    theta = ThetaSystem(matrix=matrix, rhs=np.zeros(3), order=1)
-    assert theta.cond == math.inf
     # a NaN in the constant term of the gauge column reaches the recovery's
-    # one condition number, taken at order 1
+    # one condition number, taken before order 1
     columns = recover._columns
 
     def poisoned(*args):
