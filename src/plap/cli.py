@@ -498,9 +498,9 @@ def run_fixedpoint(cfg: ExperimentConfig):
     }
     passed = (
         rep.converged
-        and rep.sup_grad_R <= fcfg.ball_radius
+        and rep.sup_grad_R <= criticalfree.BALL_RADIUS
         and rep.min_grad_u0 > 0.5
-        and rep.residual_norm < fcfg.residual_tol
+        and rep.residual_norm < criticalfree.RESIDUAL_TOL
     )
     return results, tables, passed
 

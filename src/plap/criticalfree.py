@@ -14,11 +14,11 @@ When the directional derivative of gamma is small the solution map is a
 contraction near zero; we realize it by Picard iteration V -> solve with
 frozen coefficients B(grad V), starting from V = 0.  A converged run is
 certified by the three quantities that make the construction useful
-downstream: sup |grad R| <= 1/2, min |grad u0| > 1/2, and a nonlinear
-residual of u0 at solver tolerance.  The iteration aborts with
-:class:`BallEscape` the moment an iterate leaves the 1/2 ball, and with
-:class:`~plap.psolve.NonConvergence` when the budget runs out (Picard may in
-principle cycle; we report rather than assert).
+downstream: sup |grad R| <= 1/2 (``BALL_RADIUS``), min |grad u0| > 1/2, and
+a nonlinear residual of u0 below 1e-6 (``RESIDUAL_TOL``).  The iteration
+aborts with :class:`BallEscape` the moment an iterate leaves the 1/2 ball,
+and with :class:`~plap.psolve.NonConvergence` when the budget runs out
+(Picard may in principle cycle; we report rather than assert).
 
 In 2D, tilted linear boundary data has a single strict maximum and minimum
 corner on the boundary loop of a convex box, which is the classical route to
@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+# the sup-norm gradient ball every Picard iterate must stay in, and the bound
+# on the nonlinear residual of u0 that certifies a converged run
+BALL_RADIUS = 0.5
+RESIDUAL_TOL = 1e-6
+
+
 class BallEscape(Exception):
     """An iterate left the sup-norm gradient ball of radius 1/2."""
 
@@ -62,7 +68,7 @@ class BallEscape(Exception):
         self.iteration = iteration
         self.sup_grad = sup_grad
         super().__init__(
-            f"iterate {iteration} has sup |grad V| = {sup_grad:.4f} >= 0.5; "
+            f"iterate {iteration} has sup |grad V| = {sup_grad:.4f} >= {BALL_RADIUS}; "
             "the smallness condition on the weight is violated"
         )
 
@@ -71,12 +77,6 @@ class BallEscape(Exception):
 class FixedPointConfig:
     tol: float = 1e-10
     max_iter: int = 60
-    ball_radius: float = 0.5
-    # error target of the Gauss-Legendre rule of assemble_B, which takes
-    # ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes for the Bernstein-ellipse
-    # parameter rho of the nearest singularity (12 nodes at most in the ball)
-    quad_tol: float = 1e-12
-    residual_tol: float = 1e-6
 
 
 @dataclass
@@ -100,7 +100,6 @@ def assemble_B(
     p: float,
     xi_field: VectorField,
     zeta=None,
-    quad_tol: float = 1e-12,
 ) -> TensorField:
     """Nodewise B = gamma * int_0^1 dJ(zeta + t xi) dt by Gauss-Legendre quadrature.
 
@@ -117,7 +116,7 @@ def assemble_B(
     if zeta is None:
         zeta = np.zeros(dom.n)
         zeta[0] = 1.0
-    integral = linearize.segment_integral_dJ(zeta, xi_field.values, p, quad_tol)
+    integral = linearize.segment_integral_dJ(zeta, xi_field.values, p)
     return TensorField(dom, gamma.values[..., None, None] * integral)
 
 
@@ -156,9 +155,9 @@ def fixed_point_u0(
         grad_v = gradient(ScalarField(dom, v))
         sup_grad = float(np.max(np.sqrt(np.sum(grad_v.values**2, axis=-1))))
         history.append(sup_grad)
-        if sup_grad >= cfg.ball_radius:
+        if sup_grad >= BALL_RADIUS:
             raise BallEscape(k, sup_grad)
-        b = assemble_B(gamma, p, grad_v, zeta=zeta, quad_tol=cfg.quad_tol)
+        b = assemble_B(gamma, p, grad_v, zeta=zeta)
         u_next = linearize.solve_linear(b, phi=None, source=rhs, lu=lu)
         iterations = k + 1
         diff = float(np.max(np.abs(u_next.values - v)))

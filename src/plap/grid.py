@@ -313,13 +313,6 @@ class Domain:
         """
         return _nested_dissection(self.shape)
 
-    @property
-    def interior_in_c_order(self) -> bool:
-        """Whether :attr:`interior_flat` is plain C order: every interior axis
-        is shorter than a nested-dissection leaf, as on grids with at most 9
-        nodes per axis."""
-        return max(self.shape) - 2 < _ND_LEAF
-
     @cached_property
     def boundary_flat(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_mask.ravel())

@@ -116,9 +116,23 @@ class DivisionByZeroConstantTerm(JetError):
 
 
 @lru_cache(maxsize=None)
+def _multi_indices(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multi-indices of the (order+1)^nvars hypercube, shared by every
+    table: per flat index the exponents alpha (one row each) and the total
+    degree |alpha|, and the flat indices with |alpha| <= order in graded
+    order (total degree, then lexicographic)."""
+    exponents = np.indices((order + 1,) * nvars).reshape(nvars, -1).T
+    deg = exponents.sum(axis=1)
+    graded = np.flatnonzero(deg <= order)
+    graded = graded[np.argsort(deg[graded], kind="stable")]
+    return _read_only(exponents, deg, graded)
+
+
+@lru_cache(maxsize=None)
 def _degree_mask(nvars: int, order: int) -> np.ndarray:
-    grids = np.indices((order + 1,) * nvars)
-    return grids.sum(axis=0) <= order
+    """Hypercube mask of the coefficients with total degree at most ``order``."""
+    mask = _multi_indices(nvars, order)[1] <= order
+    return _read_only(mask.reshape((order + 1,) * nvars))[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -132,12 +146,11 @@ def _window_mask(nvars: int, order: int, window: tuple[int, int] | None) -> np.n
     """Flat hypercube mask of the coefficients an operation computes: total
     degree at most ``order`` and, with a window (K, T), normal index alpha_0
     at most K and tangential degree |alpha| - alpha_0 at most T."""
-    grids = np.indices((order + 1,) * nvars).reshape(nvars, -1)
-    deg = grids.sum(axis=0)
+    exponents, deg, _ = _multi_indices(nvars, order)
     keep = deg <= order
     if window is not None:
         k, t = window
-        keep &= (grids[0] <= k) & (deg - grids[0] <= t)
+        keep &= (exponents[:, 0] <= k) & (deg - exponents[:, 0] <= t)
     return keep
 
 
@@ -150,19 +163,19 @@ def _product_table(
 
     The triples run over a in graded order (total degree, then lexicographic),
     so each target receives its terms in the order of a graded loop over a.
-    There are C(order + 2 nvars, 2 nvars) of them.  With a window, only the
-    triples whose target lies in it are kept, in the same order.
+    There are C(order + 2 nvars, 2 nvars) of them.  No component of a + b
+    exceeds ``order``, so flat indices add like the multi-indices.  With a
+    window, only the triples whose target lies in it are kept, in the same
+    order.
     """
     if window is not None:
         ia, ib, tgt = _product_table(nvars, order)
         keep = _window_mask(nvars, order, window)[tgt]
         return _read_only(ia[keep], ib[keep], tgt[keep])
-    idx = np.argwhere(_degree_mask(nvars, order))  # lexicographic
-    idx = idx[np.argsort(idx.sum(axis=1), kind="stable")]
-    deg = idx.sum(axis=1)
-    strides = (order + 1) ** np.arange(nvars - 1, -1, -1)
-    ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= order)
-    return _read_only(idx[ia] @ strides, idx[ib] @ strides, (idx[ia] + idx[ib]) @ strides)
+    _, deg, graded = _multi_indices(nvars, order)
+    dg = deg[graded]
+    ia, ib = np.nonzero(dg[:, None] + dg[None, :] <= order)
+    return _read_only(graded[ia], graded[ib], graded[ia] + graded[ib])
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +183,9 @@ def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Per flat hypercube index: the exponents alpha (one row each), the total
     degree |alpha| capped at ``order``, and the multinomial coefficient
     |alpha|! / alpha! (0 above the truncation degree)."""
-    idx = np.indices((order + 1,) * nvars).reshape(nvars, -1).T
-    deg = idx.sum(axis=1)
+    idx, deg, graded = _multi_indices(nvars, order)
     multinomial = np.zeros(deg.size)
-    for k in np.flatnonzero(deg <= order):
+    for k in graded:
         count = math.factorial(int(deg[k]))
         for a in idx[k]:
             count //= math.factorial(int(a))
@@ -200,7 +212,7 @@ def _division_levels(nvars: int, order: int, window: tuple[int, int] | None = No
     sums its terms in the order of a loop over b.
     """
     ia, ib, tgt = _product_table(nvars, order)
-    deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
+    deg = _multi_indices(nvars, order)[1]
     inside = _window_mask(nvars, order, window)
     pos = np.zeros(deg.size, dtype=np.intp)
     level_targets, sels = [], []
@@ -510,8 +522,8 @@ def jet_truncate(j: Jet, order: int) -> Jet:
     return Jet(j.nvars, order, j.coeffs[sl] * _degree_mask(j.nvars, order))
 
 
-def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None) -> Jet:
-    """Jet of d^m f / d x_axis^m restricted to the hyperplane x_axis = const.
+def extract_normal_slice(j: Jet, m: int, order: int | None = None) -> Jet:
+    """Jet of d^m f / d x1^m restricted to the hyperplane x1 = const.
 
     The result lives in the remaining nvars-1 variables; by default its order
     is ``j.order - m`` (entries beyond that are not represented in ``j``).
@@ -521,9 +533,7 @@ def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None
     default = j.order - m
     if order is None:
         order = default
-    sl = [slice(0, order + 1)] * j.nvars
-    sl[axis] = m
-    block = j.coeffs[tuple(sl)]
+    block = j.coeffs[(m,) + (slice(0, order + 1),) * (j.nvars - 1)]
     if order == default:
         # the block is the whole slice, and zero above its degree already
         return Jet(j.nvars - 1, order, block * math.factorial(m))
@@ -533,9 +543,9 @@ def extract_normal_slice(j: Jet, m: int, axis: int = 0, order: int | None = None
     return Jet(j.nvars - 1, order, c)
 
 
-def set_normal_slice(j: Jet, m: int, tangential: Jet, axis: int = 0) -> Jet:
-    """Copy of ``j`` whose x_axis-order-m coefficient row is taken from a
-    tangential jet of d^m f / d x_axis^m (inverse of :func:`extract_normal_slice`).
+def set_normal_slice(j: Jet, m: int, tangential: Jet) -> Jet:
+    """Copy of ``j`` whose x1-order-m coefficient row is taken from a
+    tangential jet of d^m f / d x1^m (inverse of :func:`extract_normal_slice`).
 
     Tangential coefficients that would exceed the total degree of ``j`` are
     dropped.
@@ -544,10 +554,9 @@ def set_normal_slice(j: Jet, m: int, tangential: Jet, axis: int = 0) -> Jet:
         raise ValueError("tangential jet must have one variable fewer")
     c = np.array(j.coeffs)
     keep = min(tangential.order, j.order - m)
-    src = tangential.coeffs[tuple(slice(0, keep + 1) for _ in range(tangential.nvars))]
-    dst = [slice(0, keep + 1)] * j.nvars
-    dst[axis] = m
-    c[tuple(dst)] = np.where(_degree_mask(tangential.nvars, keep), src / math.factorial(m), 0.0)
+    sl = (slice(0, keep + 1),) * tangential.nvars
+    src = tangential.coeffs[sl] / math.factorial(m)
+    c[(m,) + sl] = np.where(_degree_mask(tangential.nvars, keep), src, 0.0)
     return Jet(j.nvars, j.order, c)
 
 

@@ -82,11 +82,15 @@ def J(xi, p: float) -> np.ndarray:
     return norm ** (p - 2.0) * xi
 
 
-# Gauss-Legendre rule of segment_integral_dJ: the most nodes it takes by
-# default before a segment counts as degenerate, and the most for the single
-# segment of taylor_identity_check
+# Gauss-Legendre rule of segment_integral_dJ: its error target, the most
+# nodes it takes by default before a segment counts as degenerate, and the
+# most for the single segment of taylor_identity_check
+_QUAD_TOL = 1e-12
 _MAX_QUAD_NODES = 64
 _MAX_TAYLOR_NODES = 256
+
+# assemble_A refuses a base gradient below this anywhere
+_GRAD_THRESHOLD = 1e-8
 
 
 def _segment_min_distance(xi, zeta):
@@ -99,9 +103,7 @@ def _segment_min_distance(xi, zeta):
     return np.sqrt(np.sum((xi + t[..., None] * d) ** 2, axis=-1))
 
 
-def segment_integral_dJ(
-    start, step, p: float, quad_tol: float = 1e-12, max_nodes: int = _MAX_QUAD_NODES
-) -> np.ndarray:
+def segment_integral_dJ(start, step, p: float, max_nodes: int = _MAX_QUAD_NODES) -> np.ndarray:
     """int_0^1 dJ(start + t step) dt for every segment, by one Gauss-Legendre rule.
 
     ``start`` and ``step`` hold vectors along their last axis and broadcast
@@ -110,10 +112,11 @@ def segment_integral_dJ(
     |start + t step|^2.  The nearest zero over all segments lies on the
     Bernstein ellipse of [0, 1] with semi-axis sum rho = a + sqrt(a^2 - 1),
     a = (|start| + |start + step|) / |step|, and one rule of
-    ceil(log(1/quad_tol) / (2 log rho)) + 4 nodes serves every segment (one
-    node, exact, when every step is zero).  Raises :class:`SegmentDegenerate`
-    when some segment passes within 1e-6 times the largest end-point norm of
-    the origin, or the rule would need more than ``max_nodes`` nodes.
+    ceil(log(1/tol) / (2 log rho)) + 4 nodes with tol = 1e-12 serves every
+    segment (one node, exact, when every step is zero).  Raises
+    :class:`SegmentDegenerate` when some segment passes within 1e-6 times
+    the largest end-point norm of the origin, or the rule would need more
+    than ``max_nodes`` nodes.
     """
     start, step = np.broadcast_arrays(np.asarray(start, dtype=float), np.asarray(step, dtype=float))
     end = start + step
@@ -129,7 +132,7 @@ def segment_integral_dJ(
     if np.any(moving):
         a = float(np.min((start_norm[moving] + end_norm[moving]) / np.sqrt(step_sq[moving])))
         rho = a + math.sqrt(a * a - 1.0)
-        n_nodes = math.ceil(math.log(1.0 / quad_tol) / (2.0 * math.log(rho))) + 4
+        n_nodes = math.ceil(math.log(1.0 / _QUAD_TOL) / (2.0 * math.log(rho))) + 4
         if n_nodes > max_nodes:
             raise SegmentDegenerate(
                 f"some segment passes within {min_dist:.2e} of the origin; the "
@@ -142,7 +145,7 @@ def segment_integral_dJ(
     return integral
 
 
-def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
+def taylor_identity_check(zeta, xi, p: float) -> float:
     """Defect of J(zeta) = J(xi) + [int_0^1 dJ(xi + t (zeta - xi)) dt] (zeta - xi).
 
     The integral takes the Gauss-Legendre rule of :func:`segment_integral_dJ`
@@ -154,7 +157,7 @@ def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
     if np.array_equal(xi, zeta):
         return 0.0
     d = zeta - xi
-    integral = segment_integral_dJ(xi, d, p, quad_tol, _MAX_TAYLOR_NODES)
+    integral = segment_integral_dJ(xi, d, p, _MAX_TAYLOR_NODES)
     defect = J(zeta, p) - J(xi, p) - integral @ d
     return float(np.max(np.abs(defect)))
 
@@ -162,14 +165,14 @@ def taylor_identity_check(zeta, xi, p: float, quad_tol: float = 1e-12) -> float:
 # -- the linearized problem -------------------------------------------------------
 
 
-def assemble_A(gamma: ScalarField, p: float, u0: ScalarField, grad_threshold: float = 1e-8) -> TensorField:
-    """Nodewise tensor A = gamma * dJ(grad u0); requires |grad u0| > 0 everywhere."""
+def assemble_A(gamma: ScalarField, p: float, u0: ScalarField) -> TensorField:
+    """Nodewise tensor A = gamma * dJ(grad u0); requires |grad u0| >= 1e-8 everywhere."""
     require_positive_weight(gamma)
     g = gradient(u0).values
     mn = float(np.sqrt(np.min(np.sum(g**2, axis=-1))))
-    if mn < grad_threshold:
+    if mn < _GRAD_THRESHOLD:
         raise DegenerateGradient(
-            f"minimum |grad u0| = {mn:.3e} below threshold {grad_threshold:.1e}"
+            f"minimum |grad u0| = {mn:.3e} below threshold {_GRAD_THRESHOLD:.1e}"
         )
     return TensorField(u0.domain, gamma.values[..., None, None] * psolve.flux_derivative(g, p))
 
@@ -184,7 +187,7 @@ def _solve_interior(dom: Domain, blocks, u, source, tol: float, lu: psolve._Reus
     rhs = -(a_ib @ u[dom.boundary_flat])
     if source is not None:
         rhs = rhs - source.values.ravel()[int_idx]
-    u[int_idx] = lu.solve(a_ii, rhs, psolve._LINEAR_RTOL, "linear operator", dom.interior_in_c_order)
+    u[int_idx] = lu.solve(a_ii, rhs, psolve._LINEAR_RTOL, "linear operator")
     # the interior rows A_II u_I + A_IB u_B + source
     res_norm = float(np.max(np.abs(a_ii @ u[int_idx] - rhs)))
     # singularity guard: a healthy solve leaves residual near machine
@@ -230,9 +233,9 @@ def linear_boundary_flux(A: TensorField, u: ScalarField) -> dict:
     return normal_component(VectorField(dom, ag))
 
 
-def dn_linear(A: TensorField, phi: ScalarField, tol: float = 1e-8) -> dict:
+def dn_linear(A: TensorField, phi: ScalarField) -> dict:
     """Linear DN map for div(A grad u) = 0: Dirichlet data -> conormal flux."""
-    u = solve_linear(A, phi, tol=tol)
+    u = solve_linear(A, phi)
     return linear_boundary_flux(A, u)
 
 
@@ -290,7 +293,6 @@ def verify_linearization(
     phi: ScalarField,
     eps_schedule=None,
     cfg: psolve.PSolveConfig | None = None,
-    tol_linear: float = 1e-10,
 ) -> LinearizationReport:
     """Measure how difference quotients of the nonlinear DN map approach the
     linear one, over a decreasing epsilon schedule.
@@ -311,7 +313,7 @@ def verify_linearization(
     sol = psolve.solve_p_laplace(gamma, p, phi0, cfg)
     A = assemble_A(gamma, p, sol.u)
     lu = psolve._ReusedLU()
-    v = solve_linear(A, phi, tol=tol_linear, lu=lu)
+    v = solve_linear(A, phi, tol=1e-10, lu=lu)
     reference = linear_boundary_flux(A, v)
     base = psolve.boundary_flux(gamma, p, sol.u, cfg.eps_reg)
     dom = phi0.domain

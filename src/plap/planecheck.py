@@ -110,13 +110,13 @@ def fp_identity_residuals(pair: ProjectorPair) -> FPResiduals:
     )
 
 
-def solve_theta_eta(alpha: float, p: float, tol: float = 1e-12):
+def solve_theta_eta(alpha: float, p: float):
     """Joint solve of theta + alpha (p-2) theta^2 = p - 1 with eta = 1 and
     theta eta = 1.
 
     The constraints pin theta = eta = 1, which satisfies the quadratic exactly
-    when alpha = 1; for any other alpha the system is inconsistent and the
-    function returns None.
+    when alpha = 1 (to 1e-12 max(1, |p - 1|)); for any other alpha the
+    system is inconsistent and the function returns None.
     """
     if p == 2.0:
         raise ValueError("p must differ from 2")
@@ -124,7 +124,7 @@ def solve_theta_eta(alpha: float, p: float, tol: float = 1e-12):
         raise ValueError("alpha must be positive")
     theta = eta = 1.0
     defect = abs(theta + alpha * (p - 2.0) * theta**2 - (p - 1.0))
-    if defect <= tol * max(1.0, abs(p - 1.0)):
+    if defect <= 1e-12 * max(1.0, abs(p - 1.0)):
         return (theta, eta)
     return None
 

@@ -23,12 +23,12 @@ dropped first.  Interior unknowns come in the nested-dissection order of
 :attr:`~plap.grid.Domain.interior_flat`.  The isotropic operator and each
 Jacobian are assembled directly as their interior blocks in that order
 (:func:`~plap.grid.anisotropic_operator`), already in CSC.  The LU takes
-no column permutation of its own: it orders a block only by its strongly
-connected components, block lower triangularly, keeping the grid order
-inside each.  The isotropic operator of an odd-resolution grid splits into
-2^n parity lattices this way, and its fill drops by a quarter in 2-D and
-by half in 3-D; a Jacobian, with its full tensor, is one component and is
-factored as given.
+no column permutation of its own: on every grid, it orders a block only by
+its strongly connected components, block lower triangularly, keeping the
+grid order inside each.  The isotropic operator of an odd-resolution grid
+splits into 2^n parity lattices this way, and its fill drops by a quarter
+in 2-D and by half in 3-D; a Jacobian, with its full tensor, is one
+component and is factored as given.
 Each Newton step is halved until the max norm of the residual drops.
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -274,7 +274,7 @@ def _block_triangular_order(mat):
 class _ReusedLU:
     """One sparse LU of an interior block, reused while the matrices stay near.
 
-    ``solve(mat, rhs, rtol, name, keep_order)`` solves mat x = rhs for a CSC
+    ``solve(mat, rhs, rtol, name)`` solves mat x = rhs for a CSC
     interior block ``mat``.  With no factor held it factors ``mat`` and
     solves directly; ``rhs`` may then be 2-D, one column per right-hand
     side.  The factor is one SuperLU (natural column order, default partial
@@ -282,9 +282,8 @@ class _ReusedLU:
     components of ``mat`` block lower triangularly
     (:func:`_block_triangular_order`) and keeps the nested-dissection order
     of :attr:`~plap.grid.Domain.interior_flat` inside each; right-hand sides
-    are permuted in and solutions out.  A matrix with one component, or a
-    call with ``keep_order`` (a grid whose interior stays in C order,
-    :attr:`~plap.grid.Domain.interior_in_c_order`), is factored as given.
+    are permuted in and solutions out.  A matrix with one component is
+    factored as given.
     With a factor held, GMRES, right-preconditioned by it, runs one restart
     cycle, and its result stands when the true residual satisfies
     |mat x - rhs| <= rtol |rhs|; on a miss the old factor is dropped and
@@ -307,7 +306,7 @@ class _ReusedLU:
         self._lu = None
         self._perm = None
 
-    def solve(self, mat, rhs, rtol: float, name: str, keep_order: bool = False):
+    def solve(self, mat, rhs, rtol: float, name: str):
         if self._lu is not None:
             x = self._preconditioned_gmres(mat, rhs, rtol)
             if np.linalg.norm(mat @ x - rhs) <= rtol * np.linalg.norm(rhs):
@@ -315,7 +314,7 @@ class _ReusedLU:
         import scipy.sparse.linalg as spla
 
         self._lu = None  # never two factors at once
-        self._perm = None if keep_order else _block_triangular_order(mat)
+        self._perm = _block_triangular_order(mat)
         try:
             self._lu = spla.splu(
                 mat if self._perm is None else mat[self._perm][:, self._perm], permc_spec="NATURAL"
@@ -403,8 +402,7 @@ def solve_p_laplace(
         eye_t = gamma.values[..., None, None] * np.eye(dom.n)
         lin_ii, lin_ib = anisotropic_operator(dom, eye_t)
         u_flat[int_idx] = lu.solve(
-            lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator",
-            dom.interior_in_c_order,
+            lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator"
         )
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
@@ -455,7 +453,7 @@ def solve_p_laplace(
         g = gradient(as_field(u_flat)).values
         blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
         jac, _ = anisotropic_operator(dom, blocks, boundary=False)
-        step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian", dom.interior_in_c_order)
+        step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian")
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)

@@ -71,13 +71,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .jets import (
     Expr,
     Jet,
+    _multi_indices,
     eval_jet,
     jet_compose1,
     jet_const,
@@ -112,6 +112,12 @@ __all__ = [
     "run_recovery",
     "taylor_reconstruct",
 ]
+
+
+# recover_order0 refuses a tangential slope of the trace below this at z, and
+# run_recovery an order system whose condition number exceeds _COND_LIMIT
+_TANGENTIAL_MIN = 1e-8
+_COND_LIMIT = 1e8
 
 
 class RecoveryError(Exception):
@@ -317,7 +323,7 @@ class Order0Result:
     consistency: float        # | |grad'|^2 + slope^2 - |grad|^2 | over the patch jets
 
 
-def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
+def recover_order0(bj: BoundaryJets) -> Order0Result:
     """Split gamma(z), the normal slope and the gradient norm out of the
     order-0 tensor block and the flux.
 
@@ -326,6 +332,8 @@ def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
     kappa = gamma |grad u0|^(p-2); the p-2 part then gives |grad u0|^2, and
     the flux divides out to the normal slope.  Everything is done in
     tangential-jet arithmetic so the result carries whole patch expansions.
+    Raises :class:`TangentialDegenerate` when the tangential slope at z is
+    below 1e-8.
     """
     n = bj.order
     g1 = jet_partial(bj.trace, 0)
@@ -333,7 +341,7 @@ def recover_order0(bj: BoundaryJets, threshold: float = 1e-8) -> Order0Result:
     g1 = jet_truncate(g1, n)
     g2 = jet_truncate(g2, n)
     gp2 = g1 * g1 + g2 * g2
-    if gp2.value < threshold**2:
+    if gp2.value < _TANGENTIAL_MIN**2:
         raise TangentialDegenerate(
             f"|tangential grad u0(z)| = {math.sqrt(max(gp2.value, 0.0)):.3e} below threshold"
         )
@@ -519,19 +527,6 @@ def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> 
     return jet_truncate(jet, order)
 
 
-@lru_cache(maxsize=None)
-def _degree_groups(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of a jet's coefficients sorted by total degree, and
-    where each degree 0..order starts among them."""
-    deg = np.indices((order + 1,) * nvars).sum(axis=0).ravel()
-    perm = np.flatnonzero(deg <= order)
-    perm = perm[np.argsort(deg[perm], kind="stable")]
-    starts = np.searchsorted(deg[perm], np.arange(order + 1))
-    for arr in (perm, starts):
-        arr.setflags(write=False)  # shared by every caller
-    return perm, starts
-
-
 def recover_order_m(state: RecoveryState, bj: BoundaryJets, m: int) -> RecoveryState:
     """One induction step: fill d1^m gamma and d1^(m+1) u0 at z.
 
@@ -560,25 +555,24 @@ def recover_order_m(state: RecoveryState, bj: BoundaryJets, m: int) -> RecoveryS
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
     state.conds.append(state.cond)
-    perm, starts = _degree_groups(z.nvars, z.order)
+    # z's coefficients in graded order, and where each degree starts among them
+    _, deg, graded = _multi_indices(z.nvars, z.order)
+    starts = np.searchsorted(deg[graded], np.arange(z.order + 1))
     state.gauge_by_degree.append(
-        np.maximum.reduceat(np.abs(z.coeffs.ravel()[perm]), starts).tolist()
+        np.maximum.reduceat(np.abs(z.coeffs.ravel()[graded]), starts).tolist()
     )
     return state
 
 
-def run_recovery(
-    bj: BoundaryJets,
-    max_order: int | None = None,
-    cond_limit: float = 1e8,
-) -> RecoveryState:
-    """Full recovery pipeline in the measured frame: fix the tangential
-    direction tau orthogonal to the slope of the trace at z, split order 0,
-    form the induction system and invert it once, and run the induction,
-    whose third row reads tau . A tau.  The system is the same at every
-    order, so its 2-norm condition number at z is taken once (inf for a
-    vanishing determinant or a non-finite matrix); above ``cond_limit`` the
-    recovery raises :class:`IllConditioned` at order 1, before any order runs.
+def run_recovery(bj: BoundaryJets, max_order: int | None = None) -> RecoveryState:
+    """Full recovery pipeline in the measured frame: split order 0 (which
+    checks the tangential slope of the trace at z), fix the tangential
+    direction tau orthogonal to that slope, form the induction system and
+    invert it once, and run the induction, whose third row reads
+    tau . A tau.  The system is the same at every order, so its 2-norm
+    condition number at z is taken once (inf for a vanishing determinant or
+    a non-finite matrix); above 1e8 the recovery raises
+    :class:`IllConditioned` at order 1, before any order runs.
 
     ``max_order`` defaults to ``bj.order - 2``, the deepest normal order of
     gamma the measurement package determines exactly.
@@ -588,12 +582,10 @@ def run_recovery(
         max_order = n - 2
     if max_order > n - 2:
         raise ValueError(f"max_order {max_order} exceeds recoverable depth {n - 2}")
+    o0 = recover_order0(bj)
     t1 = bj.trace.derivative((1, 0))
     t2 = bj.trace.derivative((0, 1))
     r = math.hypot(t1, t2)
-    if r < 1e-12:
-        raise TangentialDegenerate("tangential slope of the trace vanishes at z")
-    o0 = recover_order0(bj)
     gamma = set_normal_slice(jet_const(3, n, 0.0), 0, o0.gamma_jet)
     u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj.trace)
     u0 = set_normal_slice(u0, 1, o0.slope_jet)
@@ -604,8 +596,8 @@ def run_recovery(
     cond = math.inf
     if det.value != 0.0 and np.all(np.isfinite(matrix)):
         cond = float(np.linalg.cond(matrix))
-    if cond > cond_limit:
-        raise IllConditioned(1, cond, cond_limit)
+    if cond > _COND_LIMIT:
+        raise IllConditioned(1, cond, _COND_LIMIT)
     state = RecoveryState(
         p=bj.p,
         order=n,

@@ -33,12 +33,15 @@ from plap.recover import NormalGradientZero, RecoveryError, TangentialDegenerate
 
 
 def pseudo1d_boundary_profile(gamma_of_t, p: float, xs: np.ndarray, c: float = 1.0, x0: float = 0.0) -> np.ndarray:
-    """G(x) = int_x0^x (c / gamma(t))^(1/(p-1)) dt by adaptive quadrature."""
+    """G(x) = int_x0^x (c / gamma(t))^(1/(p-1)) dt at increasing ``xs``, by
+    adaptive quadrature over each cell from x0 through the xs, summed."""
     expo = 1.0 / (p - 1.0)
-    out = np.empty_like(xs, dtype=float)
-    for i, x in enumerate(xs):
-        out[i], _ = quad(lambda t: (c / gamma_of_t(t)) ** expo, x0, x, epsabs=1e-14, epsrel=1e-14, limit=200)
-    return out
+    edges = np.concatenate([[x0], np.asarray(xs, dtype=float)])
+    cells = [
+        quad(lambda t: (c / gamma_of_t(t)) ** expo, a, b, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    return np.cumsum(cells)
 
 
 def pseudo1d_fields(gamma_of_t, p: float, res: int, c: float = 1.0):

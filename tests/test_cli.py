@@ -26,6 +26,10 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _report(out):
+    return json.loads(Path(out, "report.json").read_text())
+
+
 # -- config parsing ------------------------------------------------------------------
 
 
@@ -113,8 +117,8 @@ def test_checks_run_and_determinism(tmp_path):
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["checks", "--config", cfg, "--out", out1]) == 0
     assert main(["checks", "--config", cfg, "--out", out2]) == 0
-    b1 = open(os.path.join(out1, "report.json"), "rb").read()
-    b2 = open(os.path.join(out2, "report.json"), "rb").read()
+    b1 = Path(out1, "report.json").read_bytes()
+    b2 = Path(out2, "report.json").read_bytes()
     assert b1 == b2
     report = json.loads(b1)
     assert report["pass"] is True
@@ -127,7 +131,7 @@ def test_report_config_echo_reparses(tmp_path):
     cfg_path = _write(tmp_path, "c.cfg", "[domain]\nresolution = 9 9\n")
     out = str(tmp_path / "out")
     assert main(["checks", "--config", cfg_path, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     echoed = parse_config_text(report["config"])
     assert echoed == replace(load_config(cfg_path), command="checks")
 
@@ -140,7 +144,7 @@ def test_forward_reports_extension_deviation(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["results"]["max_dev_from_extension"] <= 1e-8
     assert os.path.exists(os.path.join(out, "tables", "residual_history.csv"))
     assert os.path.exists(os.path.join(out, "run_meta.json"))
@@ -154,9 +158,9 @@ def test_dn_pseudo1d_run(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["dn", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert abs(report["results"]["flux_balance"]) < 0.05
-    lines = open(os.path.join(out, "tables", "flux.csv")).read().splitlines()
+    lines = Path(out, "tables", "flux.csv").read_text().splitlines()
     assert lines[0] == "face,x1,x2,flux"
     assert len(lines) == 1 + 4 * 17
 
@@ -170,9 +174,9 @@ def test_dn_dense_matrix_opt_in(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["dn", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["results"]["dn_matrix_nodes"] == 32
-    lines = open(os.path.join(out, "tables", "dn_matrix.csv")).read().splitlines()
+    lines = Path(out, "tables", "dn_matrix.csv").read_text().splitlines()
     # one row per (flux node, boundary bump) pair
     assert len(lines) == 1 + (4 * 9) * 32
 
@@ -186,7 +190,7 @@ def test_linearize_run(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["linearize", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["results"]["monotone_verdict"] is True
     devs = report["results"]["deviations"]
     assert devs[0] > devs[-1]
@@ -204,7 +208,7 @@ def test_fixedpoint_run(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["fixedpoint", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["results"]["sup_grad_R"] < 0.5
     assert report["results"]["min_grad_u0"] > 0.5
     assert report["results"]["factorizations"] == 1
@@ -220,7 +224,7 @@ def test_nonpositive_weight_serialized_as_error(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert "strictly positive" in report["error"]["message"]
 
 
@@ -237,7 +241,7 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
     )
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
 
@@ -258,7 +262,7 @@ def test_pseudo1d_profile_error_serialized(tmp_path, gamma, p, error, message):
     )
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["error"]["type"] == error
     assert message in report["error"]["message"]
 
@@ -290,28 +294,29 @@ def test_bad_value_serialized_as_error(tmp_path, command, text, error):
     cfg = _write(tmp_path, "bad.cfg", text)
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["pass"] is False
     assert report["error"]["type"] == error
 
 
 def test_zero_gradient_without_regularization_is_named(tmp_path):
     # p < 2: the flux itself is undefined at the zero gradient, so the check
-    # must come before the first residual
-    for p in ("3", "1.5"):
-        cfg = _write(
-            tmp_path,
-            f"zero_grad_{p}.cfg",
-            f"[domain]\nresolution = 9 9\n[problem]\np = {p}\ngamma = 1\ndata = expr:(x1-0.5)^2\n"
-            "[solver]\neps_reg = 0\n",
-        )
-        out = str(tmp_path / f"out_{p}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["forward", "--config", cfg, "--out", out]) == 3
-        report = json.loads(open(os.path.join(out, "report.json")).read())
-        assert report["error"]["type"] == "NonConvergence"
-        assert "gradient is exactly zero" in report["error"]["message"]
+    # must come before the first residual; zero data starts Newton from zero
+    # whatever order the isotropic solve eliminates in (the Newton-loop check
+    # at p > 2 is test_psolve's test_zero_gradient_in_newton_loop_is_named)
+    cfg = _write(
+        tmp_path,
+        "zero_grad_1.5.cfg",
+        "[domain]\nresolution = 9 9\n[problem]\np = 1.5\ngamma = 1\ndata = expr:0\n"
+        "[solver]\neps_reg = 0\n",
+    )
+    out = str(tmp_path / "out_1.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["forward", "--config", cfg, "--out", out]) == 3
+    report = _report(out)
+    assert report["error"]["type"] == "NonConvergence"
+    assert "gradient is exactly zero" in report["error"]["message"]
     # p > 2: the flux is 0 at a zero gradient, so zero data solves at once
     cfg = _write(
         tmp_path,
@@ -323,7 +328,7 @@ def test_zero_gradient_without_regularization_is_named(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["forward", "--config", cfg, "--out", out]) == 0
-    results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+    results = _report(out)["results"]
     assert results["iterations"] == 0 and results["residual_norm"] == 0.0
 
 
@@ -335,7 +340,7 @@ def test_degenerate_gradient_still_passes_forward_and_dn(tmp_path):
         out = str(tmp_path / command)
         with pytest.warns(psolve.DegenerateGradientWarning):
             assert main([command, "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = _report(out)
         assert report["pass"] is True
         assert report["results"]["degenerate_gradient"] is True
         assert report["results"]["residual_norm"] == 0.0
@@ -347,7 +352,7 @@ def test_forward_and_dn_reports_carry_solver_counts(tmp_path):
         cfg = _write(tmp_path, f"{command}.cfg", text)
         out = str(tmp_path / command)
         assert main([command, "--config", cfg, "--out", out]) == 0
-        results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+        results = _report(out)["results"]
         assert results["factorizations"] == 1
         assert results["factor_fill"] > 0
         assert isinstance(results["krylov_iterations"], int)
@@ -416,7 +421,7 @@ def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):
     )
     out = str(tmp_path / "out")
     assert main(["recover", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["error"]["type"] == "JetDomainError"
 
 
@@ -428,7 +433,7 @@ def test_fixedpoint_solver_error_serialized(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["fixedpoint", "--config", cfg, "--out", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["error"]["type"] == "BallEscape"
     assert report["pass"] is False
 
@@ -442,8 +447,8 @@ def test_recover_run_and_jobs_merge(tmp_path):
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["recover", "--config", cfg, "--out", out1]) == 0
     assert main(["recover", "--config", cfg, "--jobs", "2", "--out", out2]) == 0
-    b1 = open(os.path.join(out1, "report.json"), "rb").read()
-    b2 = open(os.path.join(out2, "report.json"), "rb").read()
+    b1 = Path(out1, "report.json").read_bytes()
+    b2 = Path(out2, "report.json").read_bytes()
     assert b1 == b2
     report = json.loads(b1)
     assert [s["p"] for s in report["results"]["scenarios"]] == [1.5, 3.0]
@@ -461,7 +466,7 @@ def test_recover_gauge_residual_table(tmp_path):
     for run in ("o1", "o2"):
         out = str(tmp_path / run)
         assert main(["recover", "--config", cfg, "--out", out]) == 0
-        blobs.append(open(os.path.join(out, "tables", "gauge_residual.csv"), "rb").read())
+        blobs.append(Path(out, "tables", "gauge_residual.csv").read_bytes())
     assert blobs[0] == blobs[1]
     lines = blobs[0].decode("ascii").splitlines()
     assert lines[0] == "p,order,tangential_degree,max_abs_Z"
@@ -469,7 +474,7 @@ def test_recover_gauge_residual_table(tmp_path):
     # orders 1..4, tangential degrees 0..6-m, for each p
     expected = [(p, m, k) for p in ("1.5", "3") for m in range(1, 5) for k in range(7 - m)]
     assert [(r[0], int(r[1]), int(r[2])) for r in rows] == expected
-    report = json.load(open(os.path.join(str(tmp_path / "o1"), "report.json")))
+    report = _report(tmp_path / "o1")
     for scen in report["results"]["scenarios"]:
         zs = [float(r[3]) for r in rows if float(r[0]) == scen["p"]]
         assert max(zs) == scen["max_gauge_residual"]
@@ -481,7 +486,7 @@ def test_recover_sample_passes_at_order_16(tmp_path):
     cfg = _write(tmp_path, "r16.cfg", sample.replace("\norder = 8\n", "\norder = 16\n"))
     out = str(tmp_path / "o")
     assert main(["recover", "--config", cfg, "--out", out]) == 0
-    scenarios = json.load(open(os.path.join(out, "report.json")))["results"]["scenarios"]
+    scenarios = _report(out)["results"]["scenarios"]
     assert [s["p"] for s in scenarios] == [1.3, 1.7, 2.5, 3.0, 6.0]
     for scen in scenarios:
         assert scen["passed"]
@@ -552,7 +557,7 @@ def test_rescale_run(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["rescale", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = _report(out)
     assert report["results"]["stretch"] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
 
 
@@ -618,7 +623,7 @@ def test_factor_counts_are_pinned(tmp_path, monkeypatch, command, n, extra, fill
     cfg = _write(tmp_path, "wavy.cfg", _WAVY.format(n=n, extra=extra))
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg, "--out", out]) == 0
-    results = json.loads(open(os.path.join(out, "report.json")).read())["results"]
+    results = _report(out)["results"]
     assert results["factorizations"] == 1
     assert results["factor_fill"] == fills[0]
     assert [lu.nnz for lu in factors] == fills

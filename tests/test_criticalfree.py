@@ -82,7 +82,7 @@ def test_b_rejects_degenerate_segment(square):
 
 def test_b_rejects_segment_needing_too_many_nodes(square):
     # |xi| = 0.99 anti-aligned: the segment stays 0.01 from the origin, but
-    # the rule for quad_tol = 1e-12 would need 73 > 64 nodes
+    # the rule for the error target 1e-12 would need 73 > 64 nodes
     gam = ScalarField.constant(square, 1.0)
     xi = np.zeros(square.shape + (2,))
     xi[8, 8] = [-0.99, 0.0]

@@ -90,16 +90,13 @@ def test_interior_order_is_shared_per_shape():
 
 
 def test_small_grids_keep_c_order():
-    # fewer than 8 interior nodes on every axis: one leaf, C order, and
-    # interior_in_c_order says so
+    # fewer than 8 interior nodes on every axis: one leaf, C order
     for shape in [(9, 9), (3, 9), (9, 9, 9)]:
         dom = build_domain((1.0,) * len(shape), shape)
         assert np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
-        assert dom.interior_in_c_order
     for shape in [(10, 10), (3, 10), (9, 33), (9, 9, 10)]:
         dom = build_domain((1.0,) * len(shape), shape)
         assert not np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
-        assert not dom.interior_in_c_order
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])

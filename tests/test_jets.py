@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from plap.jets import (
     parse_expr,
     set_normal_slice,
 )
-from plap.jets import _product_table
+from plap.jets import _degree_mask, _product_table
 
 
 def _x(nvars, order, axis, base=0.0):
@@ -284,6 +285,20 @@ def test_product_table_size(nvars, order, size):
     assert size == math.comb(order + 2 * nvars, 2 * nvars)
     ia, ib, tgt = _product_table(nvars, order)
     assert ia.size == ib.size == tgt.size == size
+    # the triples of a loop over a, then b, both in graded order (total
+    # degree, then lexicographic), as flat hypercube indices
+    graded = sorted(
+        (a for a in itertools.product(range(order + 1), repeat=nvars) if sum(a) <= order), key=sum
+    )
+    shape = (order + 1,) * nvars
+    want = [
+        tuple(int(np.ravel_multi_index(m, shape)) for m in (a, b, tuple(np.add(a, b))))
+        for a in graded
+        for b in graded
+        if sum(a) + sum(b) <= order
+    ]
+    assert list(zip(ia.tolist(), ib.tolist(), tgt.tolist())) == want
+    assert not _degree_mask(nvars, order).flags.writeable  # shared by every caller
 
 
 def test_chain_consistency():

@@ -296,6 +296,21 @@ def test_nonconvergence_reports_history(square17):
     assert len(err.value.history) >= 1
 
 
+def test_zero_gradient_in_newton_loop_is_named():
+    # p > 2: the flux is 0 at a zero gradient, so the first residual is
+    # defined; the Jacobian is not, on the midline x1 = 0.5 of this start
+    dom = build_domain((1.0, 1.0), (9, 9))
+    gam = ScalarField.constant(dom, 1.0)
+    f = ScalarField.from_function(dom, lambda x, y: (x - 0.5) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergence) as err:
+            solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, eps_reg=0.0), start=f)
+    assert "gradient is exactly zero at 9 of the nodes" in str(err.value)
+    assert "the flux derivative is undefined" in str(err.value)
+    assert len(err.value.history) == 1
+
+
 def _count_factorizations(monkeypatch) -> list:
     calls = []
     splu = spla.splu

@@ -659,12 +659,13 @@ def test_recovery_gauge_residuals_small():
     assert all(c < 1e3 for c in state.conds)
 
 
-def test_recovery_condition_limit():
+def test_recovery_condition_limit(monkeypatch):
     sc = _scenario(order=6)
     gj, uj = oracle_tilted_profile(sc)
     bj = synthesize_measurements(gj, uj, sc.p)
+    monkeypatch.setattr(recover, "_COND_LIMIT", 1.0)
     with pytest.raises(IllConditioned):
-        run_recovery(bj, cond_limit=1.0)
+        run_recovery(bj)
 
 
 def test_ill_conditioned_system_fails_before_any_forward_work(monkeypatch):
@@ -672,8 +673,9 @@ def test_ill_conditioned_system_fails_before_any_forward_work(monkeypatch):
         raise AssertionError(f"order {m} evaluated its forward rows")
 
     monkeypatch.setattr(recover, "_step_functional", refuse)
+    monkeypatch.setattr(recover, "_COND_LIMIT", 1.0)
     with pytest.raises(IllConditioned) as err:
-        run_recovery(_criterion_08_measurements(3.0, "1 + 0.1*x1"), cond_limit=1.0)
+        run_recovery(_criterion_08_measurements(3.0, "1 + 0.1*x1"))
     assert err.value.order == 1
 
 

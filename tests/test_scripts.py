@@ -1,7 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from plap import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -34,3 +38,11 @@ def test_determinant_sweep_runs(tmp_path, capsys):
     e1 = np.array([1.0, 0.0, 0.0])
     assert sweep.theta_det_direct(sweep.theta_matrix(1.0, e1, 3.0)) == 4.0
     assert sweep.theta_det_closed_form(1.0, e1, 3.0) == 6.0
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in (SCRIPTS / "configs").glob("*.cfg")))
+def test_sample_config_passes(tmp_path, name):
+    # each sample config is named after the subcommand it runs
+    cfg = SCRIPTS / "configs" / f"{name}.cfg"
+    assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
