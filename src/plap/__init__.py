@@ -1,6 +1,6 @@
 """Numerical laboratory for the weighted p-Laplace inverse boundary value problem.
 
-Subpackages by role:
+Modules by role:
 
 - :mod:`plap.grid` -- box grids, fields, finite-difference calculus;
 - :mod:`plap.psolve` -- forward solver and nonlinear Dirichlet-to-Neumann map;
@@ -17,9 +17,13 @@ Subpackages by role:
 - :mod:`plap.planecheck` -- machine-precision checks of the 2D projector and
   determinant algebra;
 - :mod:`plap.cli` -- the ``plap`` batch experiment runner.
+
+``import plap`` loads none of them: a module named in ``__all__`` is imported
+on its first attribute access (``plap.psolve.solve_p_laplace``), so a program
+pays only for the modules it uses.  ``plap.cli`` is reached by importing it.
 """
 
-from . import criticalfree, grid, jets, linearize, planecheck, psolve, recover
+import importlib
 
 __all__ = [
     "grid",
@@ -32,3 +36,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -30,8 +30,6 @@ so reports stay deterministic.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -39,21 +37,26 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import criticalfree, jets, linearize, planecheck, psolve, recover
-from .grid import (
-    ScalarField,
-    TensorField,
-    build_domain,
-    integrate_boundary,
-    require_positive_weight,
-)
+# config parsing needs only the expression grammar; each runner and field
+# helper imports the modules it drives when it is called, so ``recover``
+# never loads the PDE stack and no run loads what it does not use
+from . import jets
+
+if TYPE_CHECKING:
+    import argparse
+
+    from . import psolve
+    from .grid import ScalarField
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "run", "main"]
 
 SUBCOMMANDS = ("forward", "dn", "linearize", "fixedpoint", "recover", "checks", "rescale")
+# run_checks tests the projector identities on the first this many sampled p
+_IDENTITY_SAMPLES = 50
 
 class ConfigError(Exception):
     pass
@@ -78,7 +81,8 @@ class ExperimentConfig:
     max_iter: int = 60
     # linearize
     phi: str = "x2^2 - x2"
-    eps_schedule: tuple[float, ...] = linearize._DEFAULT_EPS_SCHEDULE
+    # 10^-1 down to 10^-3 in half decades
+    eps_schedule: tuple[float, ...] = (0.1, 0.03162277660168379, 0.01, 0.0031622776601683794, 0.001)
     # fixedpoint
     fp_tol: float = 1e-10
     fp_max_iter: int = 60
@@ -204,8 +208,12 @@ def _validate_config(cfg: ExperimentConfig):
     if any(e <= 0 for e in cfg.extents):
         raise ConfigError("domain.extents must be positive")
     for p_val, name in [(cfg.p, "problem.p")] + [(q, "recover.p_list") for q in cfg.p_list]:
+        if not math.isfinite(p_val):
+            raise ConfigError(f"{name}: p must be finite, got {p_val}")
         if not (p_val > 1.0) or p_val == 2.0:
             raise ConfigError(f"{name}: p must avoid 2 and exceed 1, got {p_val}")
+    if not (all(map(math.isfinite, cfg.zeta)) and any(cfg.zeta)):
+        raise ConfigError(f"problem.zeta must be finite and nonzero, got {cfg.zeta}")
     for expr_key in ("gamma", "phi", "profile"):
         text = getattr(cfg, expr_key)
         try:
@@ -223,6 +231,10 @@ def _validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"recover.mode must be 'A', got {cfg.mode!r} (mode B was removed)")
     if cfg.command and cfg.command not in SUBCOMMANDS:
         raise ConfigError(f"run.command must be one of {SUBCOMMANDS}")
+    if cfg.n_samples < _IDENTITY_SAMPLES:
+        raise ConfigError(
+            f"checks.n_samples must be at least {_IDENTITY_SAMPLES}, got {cfg.n_samples}"
+        )
     if len(list(cfg.eps_schedule)) < 2 or any(
         b >= a for a, b in zip(cfg.eps_schedule, cfg.eps_schedule[1:])
     ):
@@ -329,21 +341,29 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 
 
 def _build_domain(cfg: ExperimentConfig):
+    from .grid import build_domain
+
     return build_domain(cfg.extents, cfg.resolution, origin=cfg.origin)
 
 
 def _expr_field(dom, text: str) -> ScalarField:
     """An expression of the node coordinates as a field on ``dom``."""
+    from .grid import ScalarField
+
     return ScalarField(dom, jets.eval_numpy(text, dom.coords) * np.ones(dom.shape))
 
 
 def _gamma_field(cfg: ExperimentConfig, dom) -> ScalarField:
+    from .grid import require_positive_weight
+
     gamma = _expr_field(dom, cfg.gamma)
     require_positive_weight(gamma)
     return gamma
 
 
 def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
+    from . import psolve
+
     expr = jets.parse_expr(cfg.gamma)
     if not jets.free_variables(expr) <= {0}:
         raise ConfigError("problem.data = pseudo1d needs gamma to depend on x1 only")
@@ -352,6 +372,8 @@ def _pseudo1d_profile(cfg: ExperimentConfig, dom) -> np.ndarray:
 
 def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | None]:
     """Boundary data field plus (when known) the exact extension for reporting."""
+    from .grid import ScalarField
+
     if cfg.data.startswith("expr:"):
         data = _expr_field(dom, cfg.data[len("expr:"):])
         return data, data.values
@@ -370,6 +392,8 @@ def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | N
 
 
 def _solver_cfg(cfg: ExperimentConfig) -> psolve.PSolveConfig:
+    from . import psolve
+
     return psolve.PSolveConfig(
         p=cfg.p, eps_reg=cfg.eps_reg, tol=cfg.tol, max_iter=cfg.max_iter
     )
@@ -391,6 +415,9 @@ def _flux_tables(dom, flux: dict) -> tuple[list[str], list[list]]:
 
 
 def run_forward(cfg: ExperimentConfig):
+    from . import psolve
+    from .grid import integrate_boundary
+
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     f, extension = _data_field(cfg, dom)
@@ -417,6 +444,9 @@ def run_forward(cfg: ExperimentConfig):
 
 
 def run_dn(cfg: ExperimentConfig):
+    from . import psolve
+    from .grid import integrate_boundary
+
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     f, _ = _data_field(cfg, dom)
@@ -435,6 +465,8 @@ def run_dn(cfg: ExperimentConfig):
     }
     tables = {"flux": _flux_tables(dom, flux)}
     if cfg.dn_matrix:
+        from . import linearize
+
         matrix, index = linearize.dn_matrix(linearize.assemble_A(gamma, cfg.p, sol.u))
         tables["dn_matrix"] = (
             ["row", "col", "value"],
@@ -446,6 +478,8 @@ def run_dn(cfg: ExperimentConfig):
 
 
 def run_linearize(cfg: ExperimentConfig):
+    from . import linearize, psolve
+
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     phi0, _ = _data_field(cfg, dom)
@@ -474,6 +508,8 @@ def run_linearize(cfg: ExperimentConfig):
 
 
 def run_fixedpoint(cfg: ExperimentConfig):
+    from . import criticalfree
+
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     zeta = np.asarray(cfg.zeta, dtype=float)
@@ -506,6 +542,8 @@ def run_fixedpoint(cfg: ExperimentConfig):
 
 
 def _recover_scenario(args):
+    from . import recover
+
     cfg, p_val = args
     sc = recover.Scenario(
         profile=cfg.profile,
@@ -583,10 +621,14 @@ def _recover_scenario(args):
 
 
 def run_recover(cfg: ExperimentConfig, jobs: int = 1):
+    from . import recover
+
     p_values = list(cfg.p_list) if cfg.p_list else [cfg.p]
     tasks = [(cfg, p_val) for p_val in p_values]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_recover_scenario, tasks))
     else:
@@ -617,6 +659,8 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
 
 
 def run_checks(cfg: ExperimentConfig):
+    from . import planecheck
+
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
 
@@ -640,7 +684,7 @@ def run_checks(cfg: ExperimentConfig):
     # identity residuals: F = I passes; eta != 1 violates the identity for
     # every p and alpha (the complement-eigenspace constraint is eta = 1)
     passes, fails = [], []
-    for k in range(50):
+    for k in range(_IDENTITY_SAMPLES):
         v = rng.normal(size=2)
         pmat = planecheck.projector(v)
         p_val = float(ps[k])
@@ -693,6 +737,9 @@ def run_checks(cfg: ExperimentConfig):
 
 
 def run_rescale(cfg: ExperimentConfig):
+    from . import linearize
+    from .grid import ScalarField, TensorField
+
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     zeta = np.asarray(cfg.zeta, dtype=float)
@@ -729,6 +776,31 @@ def run_rescale(cfg: ExperimentConfig):
     return results, tables, passed
 
 
+# the typed errors a run serializes with exit code 3, by defining module
+_SOLVER_ERRORS = {
+    "psolve": ("NonConvergence", "ProfileNotResolved"),
+    "criticalfree": ("BallEscape",),
+    "linearize": ("DegenerateGradient", "DegenerateInput", "SegmentDegenerate"),
+    "recover": ("RecoveryError",),
+}
+
+
+def _solver_errors() -> tuple[type[Exception], ...]:
+    """The typed errors of the plap modules loaded so far.
+
+    A runner imports the modules it drives, and a module that was never
+    imported cannot have raised, so an ``except`` clause (evaluated only when
+    an exception reaches it) catches every typed error without importing the
+    modules a run left out.
+    """
+    errors: list[type[Exception]] = [ValueError, jets.JetError]
+    for name, classes in _SOLVER_ERRORS.items():
+        module = sys.modules.get(f"{__package__}.{name}")
+        if module is not None:
+            errors.extend(getattr(module, c) for c in classes)
+    return tuple(errors)
+
+
 _RUNNERS = {
     "forward": run_forward,
     "dn": run_dn,
@@ -759,9 +831,7 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
         report["pass"] = bool(passed)
         if not passed:
             exit_code = 1
-    except (psolve.NonConvergence, psolve.ProfileNotResolved, criticalfree.BallEscape,
-            linearize.DegenerateGradient, linearize.DegenerateInput, linearize.SegmentDegenerate,
-            recover.RecoveryError, jets.JetError, ValueError) as exc:
+    except _solver_errors() as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["pass"] = False
         exit_code = 3
@@ -786,6 +856,8 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept for the process:
     the tests and scripts call :func:`main` many times in one interpreter."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="plap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:

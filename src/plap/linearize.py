@@ -261,10 +261,6 @@ def dn_matrix(A: TensorField) -> tuple[np.ndarray, list[tuple[int, ...]]]:
 
 # -- quotient verification --------------------------------------------------------
 
-# the epsilon schedule of verify_linearization and of the CLI's linearize runs
-_DEFAULT_EPS_SCHEDULE = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
-
-
 @dataclass
 class LinearizationReport:
     eps_schedule: list[float]
@@ -291,7 +287,7 @@ def verify_linearization(
     p: float,
     phi0: ScalarField,
     phi: ScalarField,
-    eps_schedule=None,
+    eps_schedule,
     cfg: psolve.PSolveConfig | None = None,
 ) -> LinearizationReport:
     """Measure how difference quotients of the nonlinear DN map approach the
@@ -305,8 +301,6 @@ def verify_linearization(
     report counts the factorizations, their fill and the Krylov iterations
     of the whole call, base solve included.
     """
-    if eps_schedule is None:
-        eps_schedule = _DEFAULT_EPS_SCHEDULE
     eps_schedule = [float(e) for e in eps_schedule]
     if cfg is None:
         cfg = psolve.PSolveConfig(p=p, tol=1e-10)

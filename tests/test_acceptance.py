@@ -150,7 +150,9 @@ def test_criterion_05_linearization_quotients():
             phi = ScalarField(dom, cli.jets.eval_numpy(phi_text, coords) * np.ones(dom.shape))
             cfg = psolve.PSolveConfig(p=p, tol=1e-11)
             if res == 33:
-                rep = linearize.verify_linearization(gam, p, phi0, phi, cfg=cfg)
+                rep = linearize.verify_linearization(
+                    gam, p, phi0, phi, cli.ExperimentConfig().eps_schedule, cfg=cfg
+                )
             else:
                 sol = psolve.solve_p_laplace(gam, p, phi0, cfg)
                 fine_flux = linearize.dn_linear(linearize.assemble_A(gam, p, sol.u), phi)

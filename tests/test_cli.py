@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import warnings
@@ -409,6 +410,49 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert out.stdout.strip() == "0 []"
 
 
+_LOAD_AND_RUN = """\
+import json, sys
+import plap.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("plap", "scipy", "concurrent"))
+
+command, config, out, *configs = sys.argv[1:]
+for path in configs:
+    plap.cli.load_config(path)
+before = loaded()
+code = plap.cli.main([command, "--config", config, "--out", out])
+print(json.dumps([before, code, [m for m in loaded() if m not in before]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, added",
+    [("recover", ["plap.recover"]), ("forward", ["plap.grid", "plap.psolve"])],
+)
+def test_subcommands_load_only_the_modules_they_run(tmp_path, command, added):
+    import subprocess
+    import sys
+
+    # config parsing loads numpy and the expression grammar only; each run
+    # then imports the plap modules it drives, and recover solves no PDE
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    paths = sorted(str(p) for p in configs.glob("*.cfg"))
+    assert len(paths) == 7
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_RUN, command, str(configs / f"{command}.cfg"),
+         str(tmp_path / "out"), *paths],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    before, code, new = json.loads(out.stdout)
+    assert before == ["plap", "plap.cli", "plap.jets"]
+    assert code == 0
+    assert [m for m in new if m.startswith("plap")] == added
+    if command == "recover":  # scipy, which a PDE run loads, imports concurrent.futures itself
+        assert new == added
+
+
 def test_recover_bad_depth_fails_before_recovery(tmp_path, monkeypatch):
     def no_recovery(*args, **kwargs):
         raise AssertionError("the recovery ran before the depths were checked")
@@ -540,7 +584,7 @@ class _SerialPool:
 )
 def test_recover_jobs_capped(monkeypatch, jobs, n_cpus, n_tasks, expected):
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: n_cpus)
     monkeypatch.setattr(cli, "_recover_scenario", lambda task: ({"passed": True}, [], [], [], []))
     cfg = ExperimentConfig(p_list=tuple(1.5 + 0.5 * k for k in range(n_tasks)))
@@ -581,6 +625,40 @@ def test_recover_mode_b_is_config_error(tmp_path, capsys):
     assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "recover.mode" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        # unchecked, inf reaches jet_pow's integer exponent test as an OverflowError
+        ("recover", "[recover]\norder = 4\ndepths = 0.1\np_list = 3 inf\n", "recover.p_list"),
+        # and a forward solve at p = inf warns, then fails on a nan residual
+        ("forward", "[domain]\nresolution = 9 9\n[problem]\np = inf\n", "problem.p"),
+    ],
+    ids=["p_list", "p"],
+)
+def test_non_finite_p_is_config_error(tmp_path, capsys, command, text, key):
+    cfg = _write(tmp_path, "inf.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{key}: p must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_samples", [0, 10])
+def test_too_few_check_samples_is_config_error(tmp_path, capsys, n_samples):
+    # the identity checks read the first 50 sampled p values
+    cfg = _write(tmp_path, "c.cfg", f"[checks]\nn_samples = {n_samples}\n")
+    assert main(["checks", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "checks.n_samples must be at least 50" in capsys.readouterr().err
+    assert parse_config_text("[checks]\nn_samples = 50\n").n_samples == 50
+
+
+@pytest.mark.parametrize("zeta", ["0 0", "inf 0", "nan 1"])
+def test_degenerate_zeta_is_config_error(tmp_path, capsys, zeta):
+    # unchecked, a zero direction is divided by its zero norm before the solve
+    cfg = _write(tmp_path, "z.cfg", f"[domain]\nresolution = 9 9\n[problem]\ndata = linear\nzeta = {zeta}\n")
+    assert main(["dn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "problem.zeta must be finite and nonzero" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path):

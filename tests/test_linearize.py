@@ -30,6 +30,9 @@ from plap.linearize import (
 
 from oracles import anisotropic_operator_chain, dJ, fd_jacobian, same_sparse
 
+# the epsilon schedule of the CLI's linearize runs
+EPS_SCHEDULE = cli.ExperimentConfig().eps_schedule
+
 
 # -- flux map algebra ---------------------------------------------------------------
 
@@ -345,7 +348,7 @@ def test_verify_linearization_monotone(square):
     gam = ScalarField.constant(square, 1.0)
     phi0 = ScalarField.from_function(square, lambda x, y: x)
     phi = ScalarField.from_function(square, lambda x, y: y**2 - y)
-    rep = verify_linearization(gam, 3.0, phi0, phi)
+    rep = verify_linearization(gam, 3.0, phi0, phi, EPS_SCHEDULE)
     assert rep.passed
     assert rep.floor_value < rep.deviations[0]
     assert list(rep.quotients) == list(rep.eps_schedule)
@@ -375,7 +378,7 @@ def test_verify_linearization_factors_twice(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting)
     gam, phi0, phi, cfg = _sample_problem()
-    rep = verify_linearization(gam, 3.0, phi0, phi, cfg=cfg)
+    rep = verify_linearization(gam, 3.0, phi0, phi, EPS_SCHEDULE, cfg=cfg)
     assert rep.passed
     assert len(fills) == 2
     assert rep.factorizations == 2
@@ -398,7 +401,7 @@ def test_failing_quotient_solve_reports_its_own_history(monkeypatch):
 
     monkeypatch.setattr(psolve, "dn_apply", first_ok_then_zero_jacobians)
     with pytest.raises(psolve.NonConvergence, match="Newton Jacobian is singular") as err:
-        verify_linearization(gam, 3.0, phi0, phi, cfg=cfg)
+        verify_linearization(gam, 3.0, phi0, phi, EPS_SCHEDULE, cfg=cfg)
     # the second solve's starting residual alone, not the first solve's history
     assert len(histories) == 1 and len(histories[0]) > 1
     assert len(err.value.history) == 1
