@@ -23,9 +23,10 @@ outside the deterministic report).  Exit code 0 iff every verdict passes,
 1 on failed verdicts, 2 on config errors, 3 on solver errors (which are
 serialized into the report).
 
-``--jobs k`` fans the independent scenario list entries of ``recover`` (one
-per entry of ``p_list``) across processes; results merge in scenario order,
-so reports stay deterministic.
+``recover`` runs all entries of ``p_list`` as one lockstep batch (see
+:mod:`plap.recover`); ``--jobs k`` splits the list into k contiguous
+chunks, one batch per worker process.  Results merge in p order, so
+reports stay deterministic.
 """
 
 from __future__ import annotations
@@ -201,6 +202,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig):
+    # every number of a float key first, so no later check compares a nan
+    for (section, key), (field_name, parser) in _SCHEMA.items():
+        if parser is float or parser is _floats:
+            value = getattr(cfg, field_name)
+            if not all(map(math.isfinite, value if parser is _floats else (value,))):
+                raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if len(cfg.extents) != len(cfg.resolution):
         raise ConfigError("domain.extents and domain.resolution must have equal length")
     if len(cfg.origin) != len(cfg.extents):
@@ -208,12 +215,10 @@ def _validate_config(cfg: ExperimentConfig):
     if any(e <= 0 for e in cfg.extents):
         raise ConfigError("domain.extents must be positive")
     for p_val, name in [(cfg.p, "problem.p")] + [(q, "recover.p_list") for q in cfg.p_list]:
-        if not math.isfinite(p_val):
-            raise ConfigError(f"{name}: p must be finite, got {p_val}")
         if not (p_val > 1.0) or p_val == 2.0:
             raise ConfigError(f"{name}: p must avoid 2 and exceed 1, got {p_val}")
-    if not (all(map(math.isfinite, cfg.zeta)) and any(cfg.zeta)):
-        raise ConfigError(f"problem.zeta must be finite and nonzero, got {cfg.zeta}")
+    if not any(cfg.zeta):
+        raise ConfigError(f"problem.zeta must be nonzero, got {cfg.zeta}")
     for expr_key in ("gamma", "phi", "profile"):
         text = getattr(cfg, expr_key)
         try:
@@ -542,14 +547,29 @@ def run_fixedpoint(cfg: ExperimentConfig):
 
 
 def _recover_scenario(args):
+    """Recover the p values of ``args`` = (cfg, p_values) as one lockstep
+    batch and return one outcome per p, in order.  If anything raises
+    inside the batch, the p values rerun one at a time, so the error that
+    reaches the report is the first failing p's, as in a one-by-one run."""
+    cfg, p_values = args
+    try:
+        return _recover_batch(cfg, p_values)
+    except Exception:
+        if len(p_values) == 1:
+            raise
+    return [outcome for p_val in p_values for outcome in _recover_batch(cfg, [p_val])]
+
+
+def _recover_batch(cfg: ExperimentConfig, p_values: list[float]):
+    """The outcomes of the p values recovered in lockstep; a batch of one is
+    the unbatched recovery of that p."""
     from . import recover
 
-    cfg, p_val = args
     sc = recover.Scenario(
         profile=cfg.profile,
         c=cfg.rc,
         zeta=np.asarray(cfg.rzeta, dtype=float),
-        p=p_val,
+        p=p_values[0] if len(p_values) == 1 else np.array(p_values),
         z=np.asarray(cfg.z, dtype=float),
         order=cfg.order,
     )
@@ -559,9 +579,17 @@ def _recover_scenario(args):
     truth = np.array(
         [jets.eval_point(sc.profile, (s0 - sc.zeta[0] * s,)) for s in depths]
     )
-    gamma_jet, u0_jet = recover.oracle_tilted_profile(sc)
-    bj = recover.synthesize_measurements(gamma_jet, u0_jet, p_val)
-    state = recover.run_recovery(bj)
+    gamma_jets, u0_jets = recover.oracle_tilted_profile(sc)
+    batch = recover.run_recovery(recover.synthesize_measurements(gamma_jets, u0_jets, sc.p))
+    return [
+        _recover_outcome(cfg, p_val, gamma_jets.take(k), u0_jets.take(k), batch.scenario(k), depths, truth)
+        for k, p_val in enumerate(p_values)
+    ]
+
+
+def _recover_outcome(cfg: ExperimentConfig, p_val: float, gamma_jet, u0_jet, state, depths, truth):
+    """The report entry and table rows of one p's recovery."""
+    from . import recover
 
     def relerr(rec, true):
         return abs(rec - true) / max(abs(true), 1.0)
@@ -624,15 +652,17 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
     from . import recover
 
     p_values = list(cfg.p_list) if cfg.p_list else [cfg.p]
-    tasks = [(cfg, p_val) for p_val in p_values]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures
 
+        # one contiguous chunk of the p list per worker, each run as one batch
+        bounds = [len(p_values) * w // workers for w in range(workers + 1)]
+        chunks = [(cfg, p_values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_recover_scenario, tasks))
+            outcomes = [outcome for chunk in pool.map(_recover_scenario, chunks) for outcome in chunk]
     else:
-        outcomes = [_recover_scenario(t) for t in tasks]
+        outcomes = _recover_scenario((cfg, p_values))
     scenarios = []
     gamma_rows, u_rows, recon_rows, gauge_rows = [], [], [], []
     for (res, grow, urow, rrow, zrow), p_val in zip(outcomes, p_values):

@@ -20,12 +20,30 @@ with |alpha| <= order, alpha_0 <= K and alpha_1 + ... + alpha_{nvars-1} <= T
 (the normal index and the tangential degree when x1 is the normal
 variable).  The window is downward closed, so every term of a coefficient
 inside it reads only coefficients inside it.  A windowed operation keeps
-the triples of its table whose target lies in the window, in their order,
-so each kept coefficient sums the same terms in the same order as the full
+the triples of its table whose target lies in it, in their order, so each
+kept coefficient sums the same terms in the same order as the full
 operation and is bitwise equal to it; the coefficients outside the window
 come out zero.  Integer powers square through windowed products.  The
 filtered tables are built on first use and kept in a bounded cache per
 (nvars, order, window).
+
+A jet's coefficient array may carry leading batch axes, one jet per batch
+entry (a scenario), so that one call runs many independent jets in lockstep
+and pays its Python overhead once (vector-mode Taylor propagation, Griewank
+& Walther, ch. 13).  A jet without batch axes is exactly a single jet, and
+it broadcasts against any batch.  A batched product, quotient or power
+gathers its table's terms from every entry at once and sums them with the
+bins (a product's targets, a quotient's positions) offset per entry, so
+each entry gets bins of its own and sums the same terms in the same order
+as it would alone: every entry's result equals its unbatched result bit
+for bit.  The offset bins are kept in a least-recently-used cache of at
+most ``_BATCH_TABLE_BYTES``.  Scalars that differ per entry (an exponent, a
+scale) are arrays of the batch shape; the per-entry constants that numpy's
+vectorized ``**`` and ``math`` functions would round differently (the
+constant term of a power, of exp, log, sin, cos) are computed per entry
+with Python floats, and a power splits its batch by exponent path
+(integer squaring or the real recurrence).  The slicing helpers index the
+axes after the batch axes.
 
 Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
 are graded recurrences on the same levels as division.  Applying the Euler
@@ -65,8 +83,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -178,6 +197,65 @@ def _product_table(
     return _read_only(graded[ia], graded[ib], graded[ia] + graded[ib])
 
 
+def _offset(index: np.ndarray, stride: int, rows: int) -> np.ndarray:
+    """``index`` once per batch entry, entry r's copy shifted by r * stride."""
+    return (index + stride * np.arange(rows)[:, None]).ravel()
+
+
+# the most bytes of batch tables kept between calls
+_BATCH_TABLE_BYTES = 16 << 20
+
+
+def _batch_cache(build):
+    """Cache the batch tables ``build`` makes, least recently used first out
+    once all of them hold more than ``_BATCH_TABLE_BYTES`` (the newest
+    always stays).  A batch table grows with the number of entries, and a
+    deep recovery reads the tables of each window during one order only, so
+    an unbounded cache would keep them all (the order-16 sample would hold
+    some 45 MB more); the bound holds one order's tables at order 16."""
+
+    @wraps(build)
+    def cached(*args):
+        key = (build, *args)
+        entry = _batch_tables.get(key)
+        if entry is None:
+            table = build(*args)
+            _batch_tables[key] = table, _nbytes(table)
+            while len(_batch_tables) > 1 and sum(n for _, n in _batch_tables.values()) > _BATCH_TABLE_BYTES:
+                _batch_tables.popitem(last=False)
+            return table
+        _batch_tables.move_to_end(key)
+        return entry[0]
+
+    return cached
+
+
+# (table, bytes) of every _batch_cache function's tables, least recently used first
+_batch_tables: OrderedDict = OrderedDict()
+
+
+def _nbytes(table) -> int:
+    """The bytes of the arrays in a table: an array, or tuples of them."""
+    if isinstance(table, np.ndarray):
+        return table.nbytes
+    return sum(_nbytes(t) for t in table) if isinstance(table, tuple) else 0
+
+
+@_batch_cache
+def _product_bins(nvars: int, order: int, window: tuple[int, int] | None, rows: int) -> np.ndarray:
+    """The targets of :func:`_product_table` as the bins of a batch of
+    ``rows`` jets held one after another: offset per entry."""
+    return _read_only(_offset(_product_table(nvars, order, window)[2], (order + 1) ** nvars, rows))[0]
+
+
+def _gather(flat: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
+    """The entries at ``index`` of each of the ``rows`` jets held one after
+    another in ``flat``, entry after entry."""
+    if rows == 1:
+        return flat[index]
+    return flat.reshape(rows, -1).take(index, axis=1).ravel()
+
+
 @lru_cache(maxsize=None)
 def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per flat hypercube index: the exponents alpha (one row each), the total
@@ -202,11 +280,13 @@ def _division_levels(nvars: int, order: int, window: tuple[int, int] | None = No
     Returns (levels, ib, nb, nd).  Over all the triples, level by level,
     ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as floats, so
     a recurrence forms its per-triple weights in one pass.  ``levels[d]`` is
-    (targets, ia, pos, sl): the flat indices of the degree-d coefficients,
-    and over the level's triples (the slice ``sl`` of the arrays above) the
-    flat index of a and the position of a + b among the targets.  With a
-    window, only its targets and the triples into them are kept, and pos
-    numbers the kept targets.
+    (targets, bins, ia, pos, row, sl): the flat indices of the degree-d
+    coefficients (twice: within a jet, and as the bins of a batch, see
+    :func:`_batch_levels`), over the level's triples (the slice ``sl`` of
+    the arrays above) the flat index of a and the position of a + b among
+    the targets, and the batch entry of each target (0).  With a window,
+    only its targets and the triples into them are kept, and pos numbers
+    the kept targets.
 
     A level's triples run over b in lexicographic order, so each target
     sums its terms in the order of a loop over b.
@@ -226,20 +306,41 @@ def _division_levels(nvars: int, order: int, window: tuple[int, int] | None = No
     ia_all, pos_all = _read_only(ia[sel], pos[tgt[sel]])
     bounds = np.cumsum([0] + [s.size for s in sels])
     levels = tuple(
-        (*_read_only(targets), ia_all[lo:hi], pos_all[lo:hi], slice(lo, hi))
-        for targets, lo, hi in zip(level_targets, bounds[:-1], bounds[1:])
+        (targets, targets, ia_all[lo:hi], pos_all[lo:hi], 0, slice(lo, hi))
+        for targets, lo, hi in zip(_read_only(*level_targets), bounds[:-1], bounds[1:])
     )
     return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(float), deg[tgt[sel]].astype(float)))
 
 
+@_batch_cache
+def _batch_levels(nvars: int, order: int, window: tuple[int, int] | None, rows: int):
+    """The levels d >= 1 of :func:`_division_levels` for a batch of ``rows``
+    jets held one after another: each level's bins and positions offset per
+    entry, and the entry of each bin."""
+    size = (order + 1) ** nvars
+    entries = np.arange(rows)
+    return tuple(
+        (targets, *_read_only(_offset(targets, size, rows)), ia,
+         *_read_only(_offset(pos, targets.size, rows), np.repeat(entries, targets.size)), sl)
+        for targets, _, ia, pos, _, sl in _division_levels(nvars, order, window)[0][1:]
+    )
+
+
 class Jet:
-    """Truncated Taylor expansion; ``coeffs[alpha] = d^alpha f / alpha!``."""
+    """Truncated Taylor expansion; ``coeffs[..., alpha] = d^alpha f / alpha!``.
+
+    The axes of ``coeffs`` before its last ``nvars`` are batch axes (see the
+    module docstring).  ``value``, ``derivative`` and ``coefficient`` give a
+    float for a single jet and an array of the batch shape for a batch.
+    """
 
     __slots__ = ("nvars", "order", "coeffs")
+    __array_ufunc__ = None  # ``array * jet`` defers to the jet's own operator
 
     def __init__(self, nvars: int, order: int, coeffs: np.ndarray):
-        if coeffs.shape != (order + 1,) * nvars:
-            raise ValueError(f"coefficient array must have shape {(order + 1,) * nvars}")
+        shape = (order + 1,) * nvars
+        if coeffs.shape != shape and coeffs.shape[coeffs.ndim - nvars :] != shape:
+            raise ValueError(f"coefficient array must have shape {shape} after its batch axes")
         self.nvars = nvars
         self.order = order
         self.coeffs = coeffs
@@ -248,21 +349,36 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, coeffs={self.coeffs!r})"
 
     @property
-    def value(self) -> float:
-        """Constant term (evaluation at the expansion point)."""
-        return float(self.coeffs[(0,) * self.nvars])
+    def batch(self) -> tuple[int, ...]:
+        """The shape of the batch axes, () for a single jet."""
+        return self.coeffs.shape[: self.coeffs.ndim - self.nvars]
 
-    def derivative(self, alpha: tuple[int, ...]) -> float:
+    def take(self, index) -> Jet:
+        """The jet of one batch entry; a jet without batch axes is the same
+        for every entry."""
+        return Jet(self.nvars, self.order, self.coeffs[index]) if self.batch else self
+
+    def _at(self, alpha: tuple[int, ...]):
+        if self.coeffs.ndim == self.nvars:
+            return float(self.coeffs[alpha])
+        return self.coeffs[(Ellipsis, *alpha)]
+
+    @property
+    def value(self):
+        """Constant term (evaluation at the expansion point)."""
+        return self._at((0,) * self.nvars)
+
+    def derivative(self, alpha: tuple[int, ...]):
         """d^alpha f at the expansion point (de-normalized coefficient)."""
         if len(alpha) != self.nvars or sum(alpha) > self.order:
             raise ValueError(f"multi-index {alpha} out of range")
         fact = 1.0
         for a in alpha:
             fact *= math.factorial(a)
-        return float(self.coeffs[tuple(alpha)]) * fact
+        return self._at(tuple(alpha)) * fact
 
-    def coefficient(self, alpha: tuple[int, ...]) -> float:
-        return float(self.coeffs[tuple(alpha)])
+    def coefficient(self, alpha: tuple[int, ...]):
+        return self._at(tuple(alpha))
 
     def __add__(self, other):
         if not (isinstance(other, Jet) and other.nvars == self.nvars and other.order == self.order):
@@ -279,9 +395,13 @@ class Jet:
         return _coerce(other, self) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.nvars, self.order, self.coeffs * float(other))
-        return jet_mul(self, other)
+        """A product of jets, or a scaling by a number or by an array of one
+        number per batch entry."""
+        if isinstance(other, Jet):
+            return jet_mul(self, other)
+        if isinstance(other, np.ndarray):
+            return Jet(self.nvars, self.order, self.coeffs * other.reshape(other.shape + (1,) * self.nvars))
+        return Jet(self.nvars, self.order, self.coeffs * float(other))
 
     __rmul__ = __mul__
 
@@ -294,7 +414,7 @@ class Jet:
         return jet_div(_coerce(other, self), self)
 
     def __pow__(self, exponent):
-        return jet_pow(self, float(exponent))
+        return jet_pow(self, exponent)
 
     def __neg__(self):
         return self * -1.0
@@ -313,6 +433,21 @@ def _check_compatible(a: Jet, b: Jet):
         raise ValueError(
             f"jet mismatch: ({a.nvars} vars, order {a.order}) vs ({b.nvars} vars, order {b.order})"
         )
+
+
+def _common_batch(*jets: Jet) -> tuple[int, ...]:
+    """The batch shape the jets broadcast to."""
+    batch = jets[0].batch
+    for j in jets[1:]:
+        if j.batch != batch:
+            batch = np.broadcast_shapes(batch, j.batch)
+    return batch
+
+
+def _broadcast(a: Jet, b: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of two jets broadcast to their common batch."""
+    shape = _common_batch(a, b) + (a.order + 1,) * a.nvars
+    return tuple(c if c.shape == shape else np.broadcast_to(c, shape) for c in (a.coeffs, b.coeffs))
 
 
 def jet_const(nvars: int, order: int, value: float) -> Jet:
@@ -336,10 +471,20 @@ def jet_mul(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
     """Truncated Cauchy product, on the coefficients of ``window`` if given."""
     _check_compatible(a, b)
     n, order = a.nvars, a.order
+    ac, bc = a.coeffs, b.coeffs
+    if ac.shape != bc.shape:
+        ac, bc = _broadcast(a, b)
+    size = (order + 1) ** n
+    rows = ac.size // size
     ia, ib, tgt = _product_table(n, order, window)
-    terms = a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib]
-    out = np.bincount(tgt, weights=terms, minlength=a.coeffs.size)
-    return Jet(n, order, out.reshape(a.coeffs.shape))
+    af, bf = ac.ravel(), bc.ravel()
+    if rows == 1:
+        terms = af[ia] * bf[ib]
+    else:
+        terms = _gather(af, rows, ia) * _gather(bf, rows, ib)
+        tgt = _product_bins(n, order, window, rows)
+    out = np.bincount(tgt, weights=terms, minlength=ac.size)
+    return Jet(n, order, out.reshape(ac.shape))
 
 
 def jet_matvec(rows, vec) -> list[Jet]:
@@ -347,8 +492,9 @@ def jet_matvec(rows, vec) -> list[Jet]:
     first truncated to the order of the jets in ``vec``.
 
     All the products are one gather and one ``np.bincount`` over
-    :func:`_product_table`, each product into bins of its own, and each row
-    adds its products left to right, so every result is bit for bit
+    :func:`_product_table`, each product (and each batch entry of it) into
+    bins of its own, and each row adds its products left to right, so every
+    result is bit for bit
     ``jet_truncate(rows[k][0], order) * vec[0] + jet_truncate(rows[k][1], order) * vec[1] + ...``.
     """
     n, order = vec[0].nvars, vec[0].order
@@ -357,15 +503,20 @@ def jet_matvec(rows, vec) -> list[Jet]:
     if any(w.nvars != n or w.order < order for row in rows for w in row):
         raise ValueError("matrix jets must have the vector's variables and at least its order")
     ia, ib, tgt = _product_table(n, order)
-    size, shape = (order + 1) ** n, (order + 1,) * n
-    sl = (slice(0, order + 1),) * n
-    mat = np.array([[w.coeffs[sl] for w in row] for row in rows]) * _degree_mask(n, order)
-    mat = mat.reshape(len(rows), len(vec), size)
-    terms = mat[:, :, ia] * np.array([x.coeffs.ravel() for x in vec])[:, ib]
-    bins = tgt + size * np.arange(mat.shape[0] * mat.shape[1])[:, None]
-    prods = np.bincount(bins.ravel(), terms.ravel(), bins.shape[0] * size)
+    size = (order + 1) ** n
+    sl = (Ellipsis,) + (slice(0, order + 1),) * n
+    cells = [w.coeffs[sl] for row in rows for w in row] + [x.coeffs for x in vec]
+    shape = cells[0].shape
+    if any(c.shape != shape for c in cells):
+        shape = np.broadcast_shapes(*(c.shape for c in cells))
+        cells = [np.broadcast_to(c, shape) for c in cells]
+    cells = np.array(cells).reshape(len(cells), -1, size)
+    mat = cells[: -len(vec)].reshape(len(rows), len(vec), -1, size) * _degree_mask(n, order).ravel()
+    terms = mat[..., ia] * cells[-len(vec) :, :, ib]
+    bins = tgt + size * np.arange(terms.size // tgt.size)[:, None]
+    prods = np.bincount(bins.ravel(), terms.ravel(), bins.shape[0] * size).reshape(mat.shape)
     out = []
-    for row in prods.reshape(mat.shape):
+    for row in prods:
         acc = row[0]
         for p in row[1:]:
             acc = acc + p
@@ -382,37 +533,54 @@ def jet_div(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
     window, only its coefficients are solved for.
     """
     _check_compatible(a, b)
-    b0 = b.value
-    if b0 == 0.0:
+    n, order = a.nvars, a.order
+    ac, bc = a.coeffs, b.coeffs
+    if ac.shape != bc.shape:
+        ac, bc = _broadcast(a, b)
+    af, bf = ac.ravel(), bc.ravel()
+    size = (order + 1) ** n
+    b0 = bf[::size]
+    if 0.0 in b0.tolist():
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
-    levels, ib, _, _ = _division_levels(a.nvars, a.order, window)
-    af = a.coeffs.ravel()
-    neg_b = -b.coeffs.ravel()[ib]  # out * (-b) is -(out * b) bit for bit
-    out = np.zeros(a.coeffs.size)
-    for targets, ia, pos, sl in levels:
-        acc = af[targets]
-        np.add.at(acc, pos, out[ia] * neg_b[sl])
-        out[targets] = acc / b0
-    return Jet(a.nvars, a.order, out.reshape(a.coeffs.shape))
+    rows = b0.size
+    levels, ib, _, _ = _division_levels(n, order, window)
+    neg_b = -_gather(bf, rows, ib).reshape(rows, -1)  # out * (-b) is -(out * b) bit for bit
+    out = np.zeros(af.size)
+    out[::size] = af[::size] / b0  # degree 0 has no terms to subtract
+    b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
+    for targets, bins, ia, pos, row, sl in levels[1:] if rows == 1 else _batch_levels(n, order, window, rows):
+        acc = _gather(af, rows, targets)
+        np.add.at(acc, pos, _gather(out, rows, ia) * (neg_b[0, sl] if rows == 1 else neg_b[:, sl].ravel()))
+        out[bins] = acc / b0[row]
+    return Jet(n, order, out.reshape(ac.shape))
 
 
 def _graded_levels(g: Jet, weight, window: tuple[int, int] | None = None):
     """Per total degree d >= 1: d, the flat indices of the degree-d
-    coefficients, and over the pairs (alpha - beta, beta) with |alpha| = d
-    and beta != 0: the flat index of alpha - beta, the position of alpha
-    among the targets, and the weight of each pair, where
+    coefficients of ``g``'s batch entries held one after another, and over
+    the pairs (alpha - beta, beta) with |alpha| = d and beta != 0, entry
+    after entry: the terms' flat index of alpha - beta (gathered per entry
+    with :func:`_gather`), the position of alpha among the targets, the batch
+    entry of each target, and the weight of each pair, where
     ``weight(nb, nd, gb)`` forms the weights of all the levels at once from
-    |beta|, d and g_beta.  A recurrence sums its terms per target with
-    ``np.bincount(pos, w * c[ia], len(targets))``, in the order of a loop
-    over beta."""
+    |beta|, d and g_beta (one row per entry).  A recurrence sums its terms
+    per target with ``np.bincount(pos, w * _gather(c, rows, ia), len(targets))``,
+    in the order of a loop over beta."""
+    size = (g.order + 1) ** g.nvars
+    rows = g.coeffs.size // size
     levels, ib, nb, nd = _division_levels(g.nvars, g.order, window)
-    w = weight(nb, nd, g.coeffs.ravel()[ib])
-    for d in range(1, len(levels)):
-        targets, ia, pos, sl = levels[d]
-        yield d, targets, ia, pos, w[sl]
+    levels = levels[1:] if rows == 1 else _batch_levels(g.nvars, g.order, window, rows)
+    w = weight(nb, nd, _gather(g.coeffs.ravel(), rows, ib).reshape(rows, -1))
+    for d, (_, bins, ia, pos, row, sl) in enumerate(levels, start=1):
+        yield d, bins, ia, pos, row, w[0, sl] if rows == 1 else w[:, sl].ravel()
 
 
-def jet_pow(base: Jet, exponent: float, window: tuple[int, int] | None = None) -> Jet:
+def _integer_exponent(e: float) -> int | None:
+    """``e`` as an int when a power takes the exact squaring path, else None."""
+    return int(round(e)) if abs(e) < 1e6 and abs(e - round(e)) < 1e-12 else None
+
+
+def jet_pow(base: Jet, exponent, window: tuple[int, int] | None = None) -> Jet:
     """base**exponent, on the coefficients of ``window`` if given.
 
     Integer exponents use exact repeated squaring and allow any nonzero
@@ -420,41 +588,72 @@ def jet_pow(base: Jet, exponent: float, window: tuple[int, int] | None = None) -
     real exponents need a positive constant term.  A real power c = b^e
     solves b E c = e c E b, which per total degree d reads
     c_alpha = sum_{0 != beta <= alpha} ((e + 1) |beta| - d) b_beta c_{alpha - beta} / (d b0).
+    An array exponent gives each batch entry its own: the entries that share
+    a path (one integer, or the real recurrence) run as one batch.
     """
+    if isinstance(exponent, np.ndarray):
+        return _pow_per_entry(base, exponent, window)
     n, order = base.nvars, base.order
-    b0 = base.value
     e = float(exponent)
-    is_int = abs(e - round(e)) < 1e-12 and abs(e) < 1e6
-    if is_int:
-        k = int(round(e))
-        if k == 0:
-            return jet_const(n, order, 1.0)
-        if k == 1:  # a copy, zero outside the window as a product leaves it
-            keep = _window_mask(n, order, window).reshape(base.coeffs.shape)
-            return Jet(n, order, np.where(keep, base.coeffs, 0.0))
-        if k > 0:  # k >= 2: the first factor is taken as it is, at least one product follows
-            acc, pw = None, base
-            while True:
-                if k & 1:
-                    acc = pw if acc is None else jet_mul(acc, pw, window)
-                k >>= 1
-                if not k:
-                    return acc
-                pw = jet_mul(pw, pw, window)
-        if b0 == 0.0:
-            raise JetDomainError("negative integer power of a jet with zero constant term")
-        inv = jet_div(jet_const(n, order, 1.0), base, window)
-        return jet_pow(inv, -k, window)
-    if b0 <= 0.0:
-        raise JetDomainError(
-            f"real power {e:g} needs a positive constant term, got {b0:g}"
-        )
-    out = np.zeros(base.coeffs.size)
-    out[0] = b0**e
+    k = _integer_exponent(e)
+    if k is None:
+        return _real_pow(base, e, window)
+    if k == 0:
+        return jet_const(n, order, 1.0)
+    if k == 1:  # a copy, zero outside the window as a product leaves it
+        keep = _window_mask(n, order, window).reshape((order + 1,) * n)
+        return Jet(n, order, np.where(keep, base.coeffs, 0.0))
+    if k > 0:  # k >= 2: the first factor is taken as it is, at least one product follows
+        acc, pw = None, base
+        while True:
+            if k & 1:
+                acc = pw if acc is None else jet_mul(acc, pw, window)
+            k >>= 1
+            if not k:
+                return acc
+            pw = jet_mul(pw, pw, window)
+    if 0.0 in np.ravel(base.value).tolist():
+        raise JetDomainError("negative integer power of a jet with zero constant term")
+    inv = jet_div(jet_const(n, order, 1.0), base, window)
+    return jet_pow(inv, -k, window)
+
+
+def _pow_per_entry(base: Jet, exponent: np.ndarray, window) -> Jet:
+    """:func:`jet_pow` with one exponent per batch entry."""
+    batch = np.broadcast_shapes(base.batch, exponent.shape)
+    shape = (base.order + 1,) * base.nvars
+    base = Jet(base.nvars, base.order, np.broadcast_to(base.coeffs, batch + shape).reshape((-1,) + shape))
+    es = np.broadcast_to(exponent, batch).ravel()
+    groups: dict[int | None, list[int]] = {}
+    for i, e in enumerate(es.tolist()):
+        groups.setdefault(_integer_exponent(e), []).append(i)
+    out = np.empty(base.coeffs.shape)
+    for k, entries in groups.items():
+        part = base if len(groups) == 1 else Jet(base.nvars, base.order, base.coeffs[entries])
+        part = _real_pow(part, es[entries], window) if k is None else jet_pow(part, k, window)
+        out[entries] = part.coeffs
+    return Jet(base.nvars, base.order, out.reshape(batch + shape))
+
+
+def _real_pow(base: Jet, e, window) -> Jet:
+    """The real power of :func:`jet_pow`; ``e`` is a float, or a 1-D array
+    of one exponent per entry of ``base``'s batch."""
+    size = (base.order + 1) ** base.nvars
+    bf = base.coeffs.ravel()
+    b0 = bf[::size]
+    rows = b0.size
+    out = np.zeros(bf.size)
+    for i, b in enumerate(b0.tolist()):
+        x = float(e[i]) if isinstance(e, np.ndarray) else e
+        if b <= 0.0:
+            raise JetDomainError(f"real power {x:g} needs a positive constant term, got {b:g}")
+        out[i * size] = b**x
+    b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
+    e = np.reshape(e, (-1, 1)) if isinstance(e, np.ndarray) else e
     weights = _graded_levels(base, lambda nb, nd, bb: ((e + 1.0) * nb - nd) * bb, window)
-    for d, targets, ia, pos, w in weights:
-        out[targets] = np.bincount(pos, w * out[ia], targets.size) / (d * b0)
-    return Jet(n, order, out.reshape(base.coeffs.shape))
+    for d, targets, ia, pos, row, w in weights:
+        out[targets] = np.bincount(pos, w * _gather(out, rows, ia), targets.size) / (d * b0[row])
+    return Jet(base.nvars, base.order, out.reshape(base.coeffs.shape))
 
 
 _UNARY_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -467,31 +666,33 @@ def jet_unary(name: str, g: Jet) -> Jet:
     for c = log g; and the coupled pair s = sin g, k = cos g with
     d s_alpha = sum |beta| g_beta k_{alpha - beta},
     d k_alpha = -sum |beta| g_beta s_{alpha - beta}."""
-    g0 = g.value
-    out = np.zeros(g.coeffs.size)
+    size = (g.order + 1) ** g.nvars
+    gf = g.coeffs.ravel()
+    g0 = gf[::size]
+    rows = g0.size
+    out = np.zeros(gf.size)
     if name == "exp":
-        out[0] = math.exp(g0)
-        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
-            out[targets] = np.bincount(pos, w * out[ia], targets.size) / d
+        out[::size] = [math.exp(x) for x in g0.tolist()]
+        for d, targets, ia, pos, _, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
+            out[targets] = np.bincount(pos, w * _gather(out, rows, ia), targets.size) / d
     elif name in ("sin", "cos"):
-        other = np.zeros(g.coeffs.size)
+        other = np.zeros(gf.size)
         s, k = (out, other) if name == "sin" else (other, out)
-        s[0], k[0] = math.sin(g0), math.cos(g0)
-        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
-            s[targets] = np.bincount(pos, w * k[ia], targets.size) / d
-            k[targets] = -np.bincount(pos, w * s[ia], targets.size) / d
-    elif name == "log":
-        if g0 <= 0.0:
-            raise JetDomainError(f"log of jet with non-positive constant term {g0:g}")
-        gf = g.coeffs.ravel()
-        out[0] = math.log(g0)
-        for d, targets, ia, pos, w in _graded_levels(g, lambda nb, nd, gb: (nd - nb) * gb):
-            acc = np.bincount(pos, w * out[ia], targets.size)
-            out[targets] = (d * gf[targets] - acc) / (d * g0)
-    elif name == "sqrt":
-        if g0 <= 0.0:
-            raise JetDomainError(f"sqrt of jet with non-positive constant term {g0:g}")
-        return jet_pow(g, 0.5)
+        s[::size] = [math.sin(x) for x in g0.tolist()]
+        k[::size] = [math.cos(x) for x in g0.tolist()]
+        for d, targets, ia, pos, _, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
+            s[targets] = np.bincount(pos, w * _gather(k, rows, ia), targets.size) / d
+            k[targets] = -np.bincount(pos, w * _gather(s, rows, ia), targets.size) / d
+    elif name in ("log", "sqrt"):
+        for x in g0.tolist():
+            if x <= 0.0:
+                raise JetDomainError(f"{name} of jet with non-positive constant term {x:g}")
+        if name == "sqrt":
+            return jet_pow(g, 0.5)
+        out[::size] = [math.log(x) for x in g0.tolist()]
+        for d, targets, ia, pos, row, w in _graded_levels(g, lambda nb, nd, gb: (nd - nb) * gb):
+            acc = np.bincount(pos, w * _gather(out, rows, ia), targets.size)
+            out[targets] = (d * gf[targets] - acc) / (d * g0[row])
     else:
         raise ValueError(f"unknown unary function {name!r}")
     return Jet(g.nvars, g.order, out.reshape(g.coeffs.shape))
@@ -509,7 +710,7 @@ def jet_partial(j: Jet, axis: int) -> Jet:
     mult_shape[axis] = new_order + 1
     mult = np.arange(1, new_order + 2).reshape(mult_shape)
     # entries above the new degree come from ones above the old, which are zero
-    return Jet(n, new_order, j.coeffs[tuple(src)] * mult)
+    return Jet(n, new_order, j.coeffs[(Ellipsis, *src)] * mult)
 
 
 def jet_truncate(j: Jet, order: int) -> Jet:
@@ -518,7 +719,7 @@ def jet_truncate(j: Jet, order: int) -> Jet:
         raise ValueError("can only truncate to a lower order")
     if order == j.order:
         return j
-    sl = tuple(slice(0, order + 1) for _ in range(j.nvars))
+    sl = (Ellipsis,) + (slice(0, order + 1),) * j.nvars
     return Jet(j.nvars, order, j.coeffs[sl] * _degree_mask(j.nvars, order))
 
 
@@ -533,13 +734,14 @@ def extract_normal_slice(j: Jet, m: int, order: int | None = None) -> Jet:
     default = j.order - m
     if order is None:
         order = default
-    block = j.coeffs[(m,) + (slice(0, order + 1),) * (j.nvars - 1)]
+    block = j.coeffs[(Ellipsis, m) + (slice(0, order + 1),) * (j.nvars - 1)]
     if order == default:
         # the block is the whole slice, and zero above its degree already
         return Jet(j.nvars - 1, order, block * math.factorial(m))
-    c = np.zeros((order + 1,) * (j.nvars - 1))
-    c[tuple(slice(0, s) for s in block.shape)] = block * math.factorial(m)
-    c[~_degree_mask(j.nvars - 1, order)] = 0.0
+    batch = j.batch
+    c = np.zeros(batch + (order + 1,) * (j.nvars - 1))
+    c[(Ellipsis,) + tuple(slice(0, s) for s in block.shape[len(batch) :])] = block * math.factorial(m)
+    np.copyto(c, 0.0, where=~_degree_mask(j.nvars - 1, order))
     return Jet(j.nvars - 1, order, c)
 
 
@@ -548,15 +750,17 @@ def set_normal_slice(j: Jet, m: int, tangential: Jet) -> Jet:
     tangential jet of d^m f / d x1^m (inverse of :func:`extract_normal_slice`).
 
     Tangential coefficients that would exceed the total degree of ``j`` are
-    dropped.
+    dropped.  The copy carries the batch axes of both.
     """
     if tangential.nvars != j.nvars - 1:
         raise ValueError("tangential jet must have one variable fewer")
     c = np.array(j.coeffs)
+    if tangential.batch != j.batch:
+        c = np.array(np.broadcast_to(c, _common_batch(j, tangential) + (j.order + 1,) * j.nvars))
     keep = min(tangential.order, j.order - m)
     sl = (slice(0, keep + 1),) * tangential.nvars
-    src = tangential.coeffs[sl] / math.factorial(m)
-    c[(m,) + sl] = np.where(_degree_mask(tangential.nvars, keep), src, 0.0)
+    src = tangential.coeffs[(Ellipsis,) + sl] / math.factorial(m)
+    c[(Ellipsis, m) + sl] = np.where(_degree_mask(tangential.nvars, keep), src, 0.0)
     return Jet(j.nvars, j.order, c)
 
 
@@ -564,13 +768,17 @@ def jet_compose1(outer: Jet, inner: Jet) -> Jet:
     """Compose a univariate jet with a linear inner form s0 + zeta . x.
 
     ``outer`` is a 1-variable jet of f at s0 with coefficients f_k; ``inner``
-    must be a first-degree jet, whose constant term is taken to be that same
-    s0 (the univariate jet does not store its expansion point, so the caller
-    owns this convention).  The result is the jet of f(inner), by the
-    multinomial closed form c_alpha = f_|alpha| |alpha|!/alpha! zeta^alpha.
+    must be a first-degree jet without batch axes, whose constant term is
+    taken to be that same s0 (the univariate jet does not store its
+    expansion point, so the caller owns this convention).  The result is the
+    jet of f(inner), by the multinomial closed form
+    c_alpha = f_|alpha| |alpha|!/alpha! zeta^alpha, with the batch axes of
+    ``outer``.
     """
     if outer.nvars != 1:
         raise ValueError("outer jet must be univariate")
+    if inner.batch:
+        raise ValueError("inner jet must not be batched")
     n, order = inner.nvars, inner.order
     idx, deg, multinomial = _monomials(n, order)
     flat = inner.coeffs.ravel()
@@ -578,10 +786,13 @@ def jet_compose1(outer: Jet, inner: Jet) -> Jet:
         raise ValueError("inner jet must be a linear form")
     # the unit multi-indices sit at the flat strides of the hypercube
     zeta = flat[(order + 1) ** np.arange(n - 1, -1, -1)] if order else np.zeros(n)
-    series = np.zeros(order + 1)
-    series[: min(order, outer.order) + 1] = outer.coeffs[: order + 1]
-    c = series[deg] * multinomial * np.prod(zeta ** idx, axis=1)
-    return Jet(n, order, c.reshape(inner.coeffs.shape))
+    series = np.zeros(outer.batch + (order + 1,))
+    series[..., : min(order, outer.order) + 1] = outer.coeffs[..., : order + 1]
+    # zeta_i^k for k <= order, looked up per multi-index: the same float
+    # powers as zeta ** idx, in (order + 1) * nvars calls of pow
+    powers = zeta[:, None] ** np.arange(order + 1.0)
+    c = series[..., deg] * multinomial * np.prod(powers[np.arange(n), idx], axis=1)
+    return Jet(n, order, c.reshape(outer.batch + inner.coeffs.shape))
 
 
 # -- expression language --------------------------------------------------------

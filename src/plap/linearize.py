@@ -43,7 +43,6 @@ __all__ = [
     "LinearizationReport",
     "RescaledProblem",
     "J",
-    "taylor_identity_check",
     "segment_integral_dJ",
     "assemble_A",
     "solve_linear",
@@ -82,12 +81,10 @@ def J(xi, p: float) -> np.ndarray:
     return norm ** (p - 2.0) * xi
 
 
-# Gauss-Legendre rule of segment_integral_dJ: its error target, the most
-# nodes it takes by default before a segment counts as degenerate, and the
-# most for the single segment of taylor_identity_check
+# Gauss-Legendre rule of segment_integral_dJ: its error target and the most
+# nodes it takes before a segment counts as degenerate
 _QUAD_TOL = 1e-12
 _MAX_QUAD_NODES = 64
-_MAX_TAYLOR_NODES = 256
 
 # assemble_A refuses a base gradient below this anywhere
 _GRAD_THRESHOLD = 1e-8
@@ -103,7 +100,7 @@ def _segment_min_distance(xi, zeta):
     return np.sqrt(np.sum((xi + t[..., None] * d) ** 2, axis=-1))
 
 
-def segment_integral_dJ(start, step, p: float, max_nodes: int = _MAX_QUAD_NODES) -> np.ndarray:
+def segment_integral_dJ(start, step, p: float) -> np.ndarray:
     """int_0^1 dJ(start + t step) dt for every segment, by one Gauss-Legendre rule.
 
     ``start`` and ``step`` hold vectors along their last axis and broadcast
@@ -116,7 +113,7 @@ def segment_integral_dJ(start, step, p: float, max_nodes: int = _MAX_QUAD_NODES)
     segment (one node, exact, when every step is zero).  Raises
     :class:`SegmentDegenerate` when some segment passes within 1e-6 times
     the largest end-point norm of the origin, or the rule would need more
-    than ``max_nodes`` nodes.
+    than 64 nodes.
     """
     start, step = np.broadcast_arrays(np.asarray(start, dtype=float), np.asarray(step, dtype=float))
     end = start + step
@@ -133,33 +130,16 @@ def segment_integral_dJ(start, step, p: float, max_nodes: int = _MAX_QUAD_NODES)
         a = float(np.min((start_norm[moving] + end_norm[moving]) / np.sqrt(step_sq[moving])))
         rho = a + math.sqrt(a * a - 1.0)
         n_nodes = math.ceil(math.log(1.0 / _QUAD_TOL) / (2.0 * math.log(rho))) + 4
-        if n_nodes > max_nodes:
+        if n_nodes > _MAX_QUAD_NODES:
             raise SegmentDegenerate(
                 f"some segment passes within {min_dist:.2e} of the origin; the "
-                f"quadrature in t would need {n_nodes} > {max_nodes} nodes"
+                f"quadrature in t would need {n_nodes} > {_MAX_QUAD_NODES} nodes"
             )
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     integral = np.zeros(step.shape + (step.shape[-1],))
     for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
         integral += w * psolve.flux_derivative(start + t * step, p)
     return integral
-
-
-def taylor_identity_check(zeta, xi, p: float) -> float:
-    """Defect of J(zeta) = J(xi) + [int_0^1 dJ(xi + t (zeta - xi)) dt] (zeta - xi).
-
-    The integral takes the Gauss-Legendre rule of :func:`segment_integral_dJ`
-    (at most 256 nodes); the defect should sit at roundoff whenever the
-    segment stays away from the origin.
-    """
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if np.array_equal(xi, zeta):
-        return 0.0
-    d = zeta - xi
-    integral = segment_integral_dJ(xi, d, p, _MAX_TAYLOR_NODES)
-    defect = J(zeta, p) - J(xi, p) - integral @ d
-    return float(np.max(np.abs(defect)))
 
 
 # -- the linearized problem -------------------------------------------------------

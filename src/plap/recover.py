@@ -21,6 +21,20 @@ identically and all jets are available in closed jet arithmetic.  The tilt
 zeta must have nonzero normal and tangential parts so that the recovery is
 nondegenerate at z.
 
+Batches.  ``Scenario.p`` may be an array of p values.  The p values share
+the profile, the tilt, the point and the jet order, so the whole pipeline
+(oracle, synthesis, order 0 and every induction order) runs them in
+lockstep: the jets of u0, of the measurements and of the state carry one
+leading batch axis over p (see :mod:`plap.jets`), the profile's jets carry
+none, and every per-p scalar (an exponent, a norm, a condition number) is
+an array over the batch.  Each entry of a batched recovery equals its
+one-p recovery bit for bit: the jet operations are bitwise per entry, and
+the scalars that numpy would round differently (``**``, ``hypot``, the SVD
+behind the condition number) are taken per entry as a one-p run takes
+them.  A check that fails for any entry raises for the whole batch, so a
+caller that needs the error of the first failing p reruns the p values one
+at a time; :meth:`RecoveryState.scenario` gives one entry's record.
+
 Recovery.  Order 0 splits gamma(z), d1 u0(z) and |grad u0|(z) out of the
 tangential block of A plus the flux.  Each induction step m solves a 3x3
 linear system for the leading unknowns
@@ -150,13 +164,14 @@ class Scenario:
 
     ``profile`` is an expression in x1 for the weight profile along the tilt;
     it must be positive near zeta . z.  ``zeta`` needs a nonzero normal
-    component (zeta[0]) and a nonzero tangential part.
+    component (zeta[0]) and a nonzero tangential part.  ``p`` is a float, or
+    a 1-D array of p values for a batch (see the module docstring).
     """
 
     profile: Expr | str
     c: float
     zeta: np.ndarray
-    p: float
+    p: float | np.ndarray
     z: np.ndarray
     order: int
 
@@ -175,7 +190,7 @@ class Scenario:
             raise ValueError("zeta must have a nonzero tangential part")
         if not self.c > 0.0:
             raise ValueError("flux constant c must be positive")
-        if not (self.p > 1.0 and self.p != 2.0):
+        if not np.all((self.p > 1.0) & (self.p != 2.0)):
             raise ValueError("p must lie in (1,2) or (2,inf)")
         if self.order < 3:
             raise ValueError("jet order must be at least 3")
@@ -188,10 +203,11 @@ class BoundaryJets:
     ``a[(j, k)][m]`` is the tangential jet (variables = offsets along axes 1
     and 2) of the m-th normal derivative of the tensor entry A_jk, truncated
     at tangential order ``order - m``.  ``trace`` and ``flux`` are the
-    tangential jets of u0 and of its conormal flux on the patch.
+    tangential jets of u0 and of its conormal flux on the patch.  For an
+    array ``p`` the jets carry its batch axis.
     """
 
-    p: float
+    p: float | np.ndarray
     order: int
     a: dict[tuple[int, int], list[Jet]]
     trace: Jet
@@ -211,7 +227,9 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
 
     gamma(x) = profile(zeta . x), u0(x) = G(zeta . x) with
     G' = (c / profile)^(1/(p-1)) and G(zeta . z) normalized to zeta . z, so
-    the constant-profile case collapses to u0 = zeta . x.
+    the constant-profile case collapses to u0 = zeta . x.  gamma does not
+    depend on p: for an array ``sc.p`` it is one jet without batch axes, and
+    u0 carries the batch axis over p.
     """
     n = sc.order
     s0 = float(sc.zeta @ sc.z)
@@ -220,15 +238,13 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
         raise ValueError(f"profile must be positive at zeta . z, got {prof.value:g}")
     gprime = jet_pow(jet_div(jet_const(1, n, sc.c), prof), 1.0 / (sc.p - 1.0))
     # antiderivative with G(s0) = s0
-    gcoeffs = np.zeros(n + 2)
-    gcoeffs[0] = s0
-    for k in range(1, n + 2):
-        if k - 1 <= n:
-            gcoeffs[k] = gprime.coeffs[(k - 1,)] / k
+    gcoeffs = np.zeros(gprime.batch + (n + 2,))
+    gcoeffs[..., 0] = s0
+    gcoeffs[..., 1:] = gprime.coeffs / np.arange(1, n + 2)
     g_jet = Jet(1, n + 1, gcoeffs)
 
-    s3_n = _linear_form_jet(sc.zeta, s0, 3, n)
     s3_np1 = _linear_form_jet(sc.zeta, s0, 3, n + 1)
+    s3_n = jet_truncate(s3_np1, n)
     gamma_jet = jet_compose1(prof, s3_n)
     u0_jet = jet_compose1(g_jet, s3_np1)
     return gamma_jet, u0_jet
@@ -243,7 +259,7 @@ def _flux_pieces(
     grads = [jet_partial(u0_jet, a) for a in range(3)]
     g00 = jet_mul(grads[0], grads[0], window)
     w2 = g00 + jet_mul(grads[1], grads[1], window) + jet_mul(grads[2], grads[2], window)
-    if w2.value <= 0.0:
+    if any(v <= 0.0 for v in _floats(w2.value)):
         raise NormalGradientZero("grad u0 vanishes at z")
     gk = jet_mul(gamma_jet, jet_pow(w2, (p - 2.0) / 2.0, window), window)
     inv_w2 = jet_div(jet_const(w2.nvars, w2.order, 1.0), w2, window)
@@ -274,9 +290,9 @@ def _divergence_slice(
     nt = gk.order - 1 - k
     t = np.arange(1, nt + 2)
     div = (
-        f[0][k + 1, : nt + 1, : nt + 1] * (k + 1)
-        + f[1][k, 1 : nt + 2, : nt + 1] * t[:, None]
-        + f[2][k, : nt + 1, 1 : nt + 2] * t
+        f[0][..., k + 1, : nt + 1, : nt + 1] * (k + 1)
+        + f[1][..., k, 1 : nt + 2, : nt + 1] * t[:, None]
+        + f[2][..., k, : nt + 1, 1 : nt + 2] * t
     )
     return Jet(2, nt, div * math.factorial(k))
 
@@ -299,8 +315,8 @@ def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJe
         raise ValueError("u0 jet must carry one order more than the gamma jet")
     entries, flux = _a_entries(gamma_jet, u0_jet, p)
     a: dict[tuple[int, int], list[Jet]] = {}
-    for key, jet in entries.items():
-        a[key] = [extract_normal_slice(jet, m) for m in range(n + 1)]
+    for (j, k), jet in entries.items():  # A is symmetric: (k, j) shares the slices of (j, k)
+        a[(j, k)] = a.get((k, j)) or [extract_normal_slice(jet, m) for m in range(n + 1)]
     return BoundaryJets(
         p=p,
         order=n,
@@ -315,6 +331,8 @@ def synthesize_measurements(gamma_jet: Jet, u0_jet: Jet, p: float) -> BoundaryJe
 
 @dataclass
 class Order0Result:
+    """The order-0 split; for a batch, each float is an array over it."""
+
     gamma_z: float
     normal_slope: float       # d u0/dx1 at z
     grad_norm: float          # |grad u0| at z
@@ -341,15 +359,16 @@ def recover_order0(bj: BoundaryJets) -> Order0Result:
     g1 = jet_truncate(g1, n)
     g2 = jet_truncate(g2, n)
     gp2 = g1 * g1 + g2 * g2
-    if gp2.value < _TANGENTIAL_MIN**2:
-        raise TangentialDegenerate(
-            f"|tangential grad u0(z)| = {math.sqrt(max(gp2.value, 0.0)):.3e} below threshold"
-        )
+    for v in _floats(gp2.value):
+        if v < _TANGENTIAL_MIN**2:
+            raise TangentialDegenerate(
+                f"|tangential grad u0(z)| = {math.sqrt(max(v, 0.0)):.3e} below threshold"
+            )
     a11, a12, a22 = bj.a[(1, 1)][0], bj.a[(1, 2)][0], bj.a[(2, 2)][0]
     s = jet_div(g1 * (a11 * g1 + a12 * g2) + g2 * (a12 * g1 + a22 * g2), gp2)
     kappa = (a11 + a22) - s
     denom = s - kappa
-    if abs(denom.value) < 1e-14 * max(1.0, abs(kappa.value)):
+    if any(abs(d) < 1e-14 * max(1.0, abs(k)) for d, k in zip(_floats(denom.value), _floats(kappa.value))):
         raise RecoveryError("tensor block is isotropic; cannot separate the gradient norm")
     w2 = jet_div((bj.p - 2.0) * (gp2 * kappa), denom)
     slope = jet_div(bj.flux, kappa)
@@ -358,11 +377,31 @@ def recover_order0(bj: BoundaryJets) -> Order0Result:
     return Order0Result(
         gamma_z=gamma0.value,
         normal_slope=slope.value,
-        grad_norm=math.sqrt(w2.value),
+        grad_norm=_per_entry(math.sqrt, w2.value),
         gamma_jet=gamma0,
         slope_jet=slope,
-        consistency=float(np.max(np.abs(cons.coeffs))),
+        consistency=_scalar(np.max(np.abs(cons.coeffs), axis=(-2, -1))),
     )
+
+
+def _floats(x) -> list[float]:
+    """A one-p float, or each entry of a batch array, as Python floats."""
+    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _scalar(x):
+    """A 0-d array as the one-p float it holds; a batch array as it is."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _per_entry(fn, *args):
+    """``fn`` of Python floats, once per batch entry.  The arguments are all
+    one-p floats or all arrays over the batch, and so is the result: a
+    one-p run takes these scalars with ``math``, whose results numpy's
+    vectorized functions need not match bit for bit."""
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    return np.array([fn(*entry) for entry in zip(*map(_floats, args))])
 
 
 # -- the 3x3 induction system -------------------------------------------------------
@@ -445,6 +484,10 @@ def theta_det_closed_form(gamma_z: float, grad_u0: np.ndarray, p: float) -> floa
 
 @dataclass
 class RecoveryState:
+    """The record of a recovery; for a batch, each per-p float is an array
+    over it (``tangent`` gets the batch axis first), and each order's
+    ``gauge_by_degree`` entry holds one list per p."""
+
     p: float
     order: int
     gamma: Jet
@@ -455,13 +498,40 @@ class RecoveryState:
     columns: tuple            # rows (i)-(iii) of (X, Y, Z) coefficient jets, tangential order ``order - 1``
     inverse: tuple            # the inverse of ``columns`` over the same jets, row k giving unknown k
     cond: float               # 2-norm condition number of the constant terms of ``columns``
-    conds: list[float] = field(default_factory=list)  # ``cond`` once per order run
+    conds: list[float] = field(default_factory=list)  # ``cond`` (the batch's largest) once per order run
     gauge_by_degree: list[list[float]] = field(default_factory=list)  # max |Z| per tangential degree
 
     @property
     def gauge_residuals(self) -> list[float]:
-        """max |Z| over the tangential jet, per order."""
+        """max |Z| over the tangential jet, per order (of a one-p state)."""
         return [max(by_degree) for by_degree in self.gauge_by_degree]
+
+    def scenario(self, k: int) -> RecoveryState:
+        """The record of entry k of a batched recovery, equal to the one-p
+        recovery of that p; a one-p record is its own only entry."""
+        if np.ndim(self.p) == 0:
+            return self
+        o0 = self.order0
+        cond = float(self.cond[k])
+        return RecoveryState(
+            p=float(self.p[k]),
+            order=self.order,
+            gamma=self.gamma.take(k),
+            u0=self.u0.take(k),
+            filled_order=self.filled_order,
+            order0=Order0Result(
+                *(float(getattr(o0, f)[k]) for f in ("gamma_z", "normal_slope", "grad_norm")),
+                gamma_jet=o0.gamma_jet.take(k),
+                slope_jet=o0.slope_jet.take(k),
+                consistency=float(o0.consistency[k]),
+            ),
+            tangent=self.tangent[k],
+            columns=tuple(tuple(c.take(k) for c in row) for row in self.columns),
+            inverse=tuple(tuple(c.take(k) for c in row) for row in self.inverse),
+            cond=cond,
+            conds=[cond] * len(self.conds),
+            gauge_by_degree=[by_degree[k] for by_degree in self.gauge_by_degree],
+        )
 
 
 def _columns(gamma: Jet, u0: Jet, tangent: np.ndarray, bj: BoundaryJets):
@@ -473,7 +543,7 @@ def _columns(gamma: Jet, u0: Jet, tangent: np.ndarray, bj: BoundaryJets):
     u0_face = extract_normal_slice(u0, 0, order=nt + 1)
     g1, g2 = jet_partial(u0_face, 0), jet_partial(u0_face, 1)
     d = extract_normal_slice(u0, 1, order=nt)
-    t = float(tangent[1]) * g1 + float(tangent[2]) * g2
+    t = _scalar(tangent[..., 1]) * g1 + _scalar(tangent[..., 2]) * g2
     w2 = d * d + g1 * g1 + g2 * g2
     rows = _theta_rows(extract_normal_slice(gamma, 0, order=nt), d, t, w2, bj.p)
     gauge = (
@@ -506,11 +576,11 @@ def _step_functional(state: RecoveryState, m: int):
     tangential degree at most n - m + 1 (the divergence differentiates once
     tangentially), so every product, quotient and power runs on the window
     (m, n - m + 1), and only the read slice of the divergence is formed."""
-    if np.any(state.gamma.coeffs[m]) or np.any(state.u0.coeffs[m + 1]):
+    if np.any(state.gamma.coeffs[..., m, :, :]) or np.any(state.u0.coeffs[..., m + 1, :, :]):
         raise RecoveryError(f"the order-{m} unknowns are already set in the state")
     p = state.p
     window = (m, state.order - m + 1)
-    tau1, tau2 = float(state.tangent[1]), float(state.tangent[2])
+    tau1, tau2 = _scalar(state.tangent[..., 1]), _scalar(state.tangent[..., 2])
     grads, g00, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p, window)
     f1 = _divergence_slice(grads, gk, m - 1, window)
     f2 = extract_normal_slice(_entry(g00, inv_w2, gk, p, True, window), m)
@@ -521,7 +591,7 @@ def _step_functional(state: RecoveryState, m: int):
 
 def _tangential_entry(bj: BoundaryJets, tau: np.ndarray, m: int, order: int) -> Jet:
     """Measured tangential jet of tau . A tau at normal order m, truncated."""
-    t1, t2 = float(tau[1]), float(tau[2])
+    t1, t2 = _scalar(tau[..., 1]), _scalar(tau[..., 2])
     a = bj.a
     jet = t1 * t1 * a[(1, 1)][m] + 2.0 * t1 * t2 * a[(1, 2)][m] + t2 * t2 * a[(2, 2)][m]
     return jet_truncate(jet, order)
@@ -537,7 +607,7 @@ def recover_order_m(state: RecoveryState, bj: BoundaryJets, m: int) -> RecoveryS
     times the right-hand sides.  Truncation commutes with products, so this
     is the inverse of the truncated system.  The matrix is the same at every
     order, so the order records the recovery's one condition number,
-    ``state.cond``, in ``state.conds``.
+    ``state.cond`` (a batch's largest), in ``state.conds``.
     """
     if state.filled_order != m - 1:
         raise RecoveryError(
@@ -554,13 +624,12 @@ def recover_order_m(state: RecoveryState, bj: BoundaryJets, m: int) -> RecoveryS
     state.gamma = set_normal_slice(state.gamma, m, x)
     state.u0 = set_normal_slice(state.u0, m + 1, y)
     state.filled_order = m
-    state.conds.append(state.cond)
+    state.conds.append(max(_floats(state.cond)))
     # z's coefficients in graded order, and where each degree starts among them
     _, deg, graded = _multi_indices(z.nvars, z.order)
     starts = np.searchsorted(deg[graded], np.arange(z.order + 1))
-    state.gauge_by_degree.append(
-        np.maximum.reduceat(np.abs(z.coeffs.ravel()[graded]), starts).tolist()
-    )
+    zc = z.coeffs.reshape(z.batch + (-1,))[..., graded]
+    state.gauge_by_degree.append(np.maximum.reduceat(np.abs(zc), starts, axis=-1).tolist())
     return state
 
 
@@ -572,7 +641,8 @@ def run_recovery(bj: BoundaryJets, max_order: int | None = None) -> RecoveryStat
     tau . A tau.  The system is the same at every order, so its 2-norm
     condition number at z is taken once (inf for a vanishing determinant or
     a non-finite matrix); above 1e8 the recovery raises
-    :class:`IllConditioned` at order 1, before any order runs.
+    :class:`IllConditioned` at order 1, before any order runs.  A batch
+    takes one condition number per p, and raises if any exceeds the limit.
 
     ``max_order`` defaults to ``bj.order - 2``, the deepest normal order of
     gamma the measurement package determines exactly.
@@ -585,19 +655,26 @@ def run_recovery(bj: BoundaryJets, max_order: int | None = None) -> RecoveryStat
     o0 = recover_order0(bj)
     t1 = bj.trace.derivative((1, 0))
     t2 = bj.trace.derivative((0, 1))
-    r = math.hypot(t1, t2)
+    r = _per_entry(math.hypot, t1, t2)
     gamma = set_normal_slice(jet_const(3, n, 0.0), 0, o0.gamma_jet)
     u0 = set_normal_slice(jet_const(3, n + 1, 0.0), 0, bj.trace)
     u0 = set_normal_slice(u0, 1, o0.slope_jet)
-    tangent = np.array([0.0, -t2 / r, t1 / r])
+    tangent = np.zeros(np.shape(r) + (3,))
+    tangent[..., 1], tangent[..., 2] = -t2 / r, t1 / r
     columns = _columns(gamma, u0, tangent, bj)
     det = _det3(columns)
-    matrix = np.array([[c.value for c in row] for row in columns])
-    cond = math.inf
-    if det.value != 0.0 and np.all(np.isfinite(matrix)):
-        cond = float(np.linalg.cond(matrix))
-    if cond > _COND_LIMIT:
-        raise IllConditioned(1, cond, _COND_LIMIT)
+    matrix = np.empty(det.batch + (3, 3))
+    for i, row in enumerate(columns):
+        for j, c in enumerate(row):
+            matrix[..., i, j] = c.value
+    conds = [
+        math.inf if d == 0.0 or not np.all(np.isfinite(entry)) else float(np.linalg.cond(entry))
+        for d, entry in zip(_floats(det.value), matrix.reshape(-1, 3, 3))
+    ]
+    cond = np.array(conds).reshape(det.batch) if det.batch else conds[0]
+    for c in conds:
+        if c > _COND_LIMIT:
+            raise IllConditioned(1, c, _COND_LIMIT)
     state = RecoveryState(
         p=bj.p,
         order=n,

@@ -3,7 +3,8 @@
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
 for Jacobians, convergence-order measurement, the closed form of the flux
-derivative dJ and a tensor symmetry defect, loop versions of the jet
+derivative dJ, the defect of the integral Taylor identity of the flux map,
+a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
 divergence, the closed-form order-0 split in two dimensions, the coefficient
 columns of a recovery order by probing its forward rows, and the
@@ -29,6 +30,7 @@ from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
 from plap.jets import Jet, extract_normal_slice, jet_const, jet_partial, jet_pow, set_normal_slice
+from plap.linearize import J, segment_integral_dJ
 from plap.recover import NormalGradientZero, RecoveryError, TangentialDegenerate
 
 
@@ -83,6 +85,21 @@ def symmetry_defect(tensor_values) -> float:
     """Largest |T_ab - T_ba| over the last two axes."""
     t = np.asarray(tensor_values, dtype=float)
     return float(np.max(np.abs(t - np.swapaxes(t, -1, -2))))
+
+
+def taylor_identity_check(zeta, xi, p: float) -> float:
+    """Defect of J(zeta) = J(xi) + [int_0^1 dJ(xi + t (zeta - xi)) dt] (zeta - xi),
+    with the integral by the library's Gauss-Legendre rule
+    (``linearize.segment_integral_dJ``); it should sit at roundoff whenever
+    the segment stays away from the origin."""
+    xi = np.asarray(xi, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    if np.array_equal(xi, zeta):
+        return 0.0
+    d = zeta - xi
+    integral = segment_integral_dJ(xi, d, p)
+    defect = J(zeta, p) - J(xi, p) - integral @ d
+    return float(np.max(np.abs(defect)))
 
 
 def gauss_legendre_matrix_integral(fn, npts: int = 64) -> np.ndarray:

@@ -381,10 +381,10 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 False"
-    # nor does the Taylor identity check, which takes the same rule
+    # nor does the segment integral of dJ, which takes the same rule
     code = (
         "import sys, plap.linearize as lin; "
-        "print(lin.taylor_identity_check([2.0, 0.5], [1.0, 0.0], 1.5) < 1e-12, 'scipy.integrate' in sys.modules)"
+        "print(lin.segment_integral_dJ([1.0, 0.0], [1.0, 0.5], 1.5).shape == (2, 2), 'scipy.integrate' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True False"
@@ -538,6 +538,34 @@ def test_recover_sample_passes_at_order_16(tmp_path):
     assert scenarios[0]["max_gauge_residual"] <= 1e-10
 
 
+def test_recover_batch_error_is_the_first_failing_p(tmp_path, monkeypatch):
+    # the sample p values 1.3, 1.7, 2.5, 3 and 6 have condition numbers 2.06,
+    # 1.42, 2.68, 4.56 and 41.46: at a limit of 2.5 the last three fail, so
+    # the batch raises, the p values rerun one at a time, and the report
+    # names the third p's error, as a one-at-a-time run does
+    sample = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg"
+    monkeypatch.setattr(recover, "_COND_LIMIT", 2.5)
+    batches = []
+    run_batch = cli._recover_batch
+
+    def spy(cfg, p_values):
+        batches.append(list(p_values))
+        return run_batch(cfg, p_values)
+
+    monkeypatch.setattr(cli, "_recover_batch", spy)
+    out = str(tmp_path / "o")
+    assert main(["recover", "--config", str(sample), "--out", out]) == 3
+    assert batches == [[1.3, 1.7, 2.5, 3.0, 6.0], [1.3], [1.7], [2.5]]
+    sc = recover.Scenario(
+        profile="exp(0.2*x1)", c=1.0, zeta=np.array([0.48, -0.6, 0.64]), p=2.5,
+        z=np.array([0.1, -0.3, 0.2]), order=8,
+    )
+    with pytest.raises(recover.IllConditioned) as one:
+        recover.run_recovery(recover.synthesize_measurements(*recover.oracle_tilted_profile(sc), 2.5))
+    assert _report(out)["error"] == {"type": "IllConditioned", "message": str(one.value)}
+    assert "condition number 2.677e+00 exceeds" in str(one.value)
+
+
 def _report_files(out: Path) -> dict[str, bytes]:
     """report.json and every table of a run, by relative path."""
     paths = [out / "report.json", *sorted((out / "tables").iterdir())]
@@ -546,12 +574,13 @@ def _report_files(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("order", [8, 16])
 def test_recover_sample_cold_and_warm_runs_identical(tmp_path, order):
-    # the first run builds the jet tables (windowed ones included) from
-    # empty caches, the second reads them
+    # the first run builds the jet tables (windowed and batch ones
+    # included) from empty caches, the second reads them
     sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
     cfg = _write(tmp_path, "r.cfg", sample.replace("\norder = 8\n", f"\norder = {order}\n"))
     jets._product_table.cache_clear()
     jets._division_levels.cache_clear()
+    jets._batch_tables.clear()
     runs = []
     for run in ("cold", "warm"):
         assert main(["recover", "--config", cfg, "--out", str(tmp_path / run)]) == 0
@@ -586,11 +615,20 @@ def test_recover_jobs_capped(monkeypatch, jobs, n_cpus, n_tasks, expected):
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: n_cpus)
-    monkeypatch.setattr(cli, "_recover_scenario", lambda task: ({"passed": True}, [], [], [], []))
+    chunks = []
+
+    def batch(args):
+        chunks.append(args[1])
+        return [({"passed": True}, [], [], [], [])] * len(args[1])
+
+    monkeypatch.setattr(cli, "_recover_scenario", batch)
     cfg = ExperimentConfig(p_list=tuple(1.5 + 0.5 * k for k in range(n_tasks)))
     results, _, passed = cli.run_recover(cfg, jobs=jobs)
     assert passed and len(results["scenarios"]) == n_tasks
     assert _SerialPool.sizes == expected
+    # each worker runs one contiguous chunk of the p list as one batch
+    assert len(chunks) == (expected[0] if expected else 1)
+    assert [p for chunk in chunks for p in chunk] == list(cfg.p_list)
 
 
 def test_rescale_run(tmp_path):
@@ -632,16 +670,29 @@ def test_recover_mode_b_is_config_error(tmp_path, capsys):
     [
         # unchecked, inf reaches jet_pow's integer exponent test as an OverflowError
         ("recover", "[recover]\norder = 4\ndepths = 0.1\np_list = 3 inf\n", "recover.p_list"),
-        # and a forward solve at p = inf warns, then fails on a nan residual
+        # a forward solve at p = inf warns, then fails on a nan residual
         ("forward", "[domain]\nresolution = 9 9\n[problem]\np = inf\n", "problem.p"),
+        # three numpy warnings, then IllConditioned "condition number inf" (exit 3)
+        ("recover", "[recover]\norder = 4\nrc = inf\n", "recover.rc"),
+        # the solve stops with "line search stalled at residual 0.000e+00" (exit 3)
+        ("forward", "[domain]\nresolution = 9 9\n[solver]\ntol = nan\n", "solver.tol"),
     ],
-    ids=["p_list", "p"],
+    ids=["p_list", "p", "rc_inf", "tol_nan"],
 )
-def test_non_finite_p_is_config_error(tmp_path, capsys, command, text, key):
-    cfg = _write(tmp_path, "inf.cfg", text)
+def test_non_finite_float_is_config_error(tmp_path, capsys, command, text, key):
+    cfg = _write(tmp_path, "nf.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"{key}: p must be finite" in capsys.readouterr().err
+    assert f"{key} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key", [sk for sk, (_, parser) in cli._SCHEMA.items() if parser in (float, cli._floats)]
+)
+def test_every_float_key_rejects_non_finite_values(section, key):
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
+            parse_config_text(f"[{section}]\n{key} = {bad}\n")
 
 
 @pytest.mark.parametrize("n_samples", [0, 10])
@@ -658,7 +709,8 @@ def test_degenerate_zeta_is_config_error(tmp_path, capsys, zeta):
     # unchecked, a zero direction is divided by its zero norm before the solve
     cfg = _write(tmp_path, "z.cfg", f"[domain]\nresolution = 9 9\n[problem]\ndata = linear\nzeta = {zeta}\n")
     assert main(["dn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "problem.zeta must be finite and nonzero" in capsys.readouterr().err
+    expected = "nonzero" if zeta == "0 0" else "finite"
+    assert f"problem.zeta must be {expected}" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -24,11 +24,10 @@ from plap.linearize import (
     dn_matrix,
     rescale_translation_invariant,
     solve_linear,
-    taylor_identity_check,
     verify_linearization,
 )
 
-from oracles import anisotropic_operator_chain, dJ, fd_jacobian, same_sparse
+from oracles import anisotropic_operator_chain, dJ, fd_jacobian, same_sparse, taylor_identity_check
 
 # the epsilon schedule of the CLI's linearize runs
 EPS_SCHEDULE = cli.ExperimentConfig().eps_schedule
@@ -110,7 +109,10 @@ def test_taylor_identity_1d_segment():
 
 
 def test_taylor_identity_random_annulus():
+    # of the 17 segments clear of the origin, the rule refuses the one that
+    # would need more than its 64 nodes (77, passing 0.33 from the origin)
     rng = np.random.default_rng(9)
+    checked = 0
     for _ in range(20):
         xi = rng.normal(size=2)
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
@@ -118,7 +120,14 @@ def test_taylor_identity_random_annulus():
         zeta *= rng.uniform(0.5, 2.0) / np.linalg.norm(zeta)
         if linearize._segment_min_distance(xi, zeta) < 0.2:
             continue
-        assert taylor_identity_check(zeta, xi, 2.5) < 1e-8
+        try:
+            defect = taylor_identity_check(zeta, xi, 2.5)
+        except SegmentDegenerate as exc:
+            assert "would need 77 > 64 nodes" in str(exc)
+            continue
+        assert defect < 1e-8
+        checked += 1
+    assert checked == 16
 
 
 def test_taylor_identity_rejects_origin_segment():

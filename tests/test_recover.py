@@ -549,6 +549,45 @@ def _sample_scenario(p, order):
     )
 
 
+def _same_floats(got, want):
+    """Floats, or arrays or lists of them, equal bit for bit."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the sample p values and five more; over the oracle's 1/(p - 1) and the
+# exponents (p - 2)/2, (2 - p)/2 and (p - 4)/2 they take every path of
+# jet_pow: the integers 2 (p = 1.5), 0, 1 and -1 (p = 4), 1, 2 and -2
+# (p = 6) and 2, 3 and -3 (p = 8), and the real recurrence
+_BATCH_P = [1.3, 1.7, 2.5, 3.0, 6.0, 1.35, 1.5, 2.9, 4.0, 8.0]
+
+
+def test_batched_recovery_equals_one_p_recoveries_bitwise():
+    sc = _sample_scenario(np.array(_BATCH_P), 8)
+    gj, uj = oracle_tilted_profile(sc)
+    assert gj.batch == () and uj.batch == (len(_BATCH_P),)
+    batch = run_recovery(synthesize_measurements(gj, uj, sc.p))
+    assert batch.conds == [max(float(c) for c in batch.cond)] * 6
+    for k, p in enumerate(_BATCH_P):
+        gj1, uj1 = oracle_tilted_profile(_sample_scenario(p, 8))
+        one = run_recovery(synthesize_measurements(gj1, uj1, p))
+        got = batch.scenario(k)
+        for a, b in [(gj.take(k), gj1), (uj.take(k), uj1), (got.gamma, one.gamma), (got.u0, one.u0)]:
+            _assert_same_bits(a, b)
+        for a, b in zip(sum(got.columns + got.inverse, ()), sum(one.columns + one.inverse, ())):
+            _assert_same_bits(a, b)
+        assert got.p == p and got.filled_order == one.filled_order == 6
+        assert _same_floats(got.tangent, one.tangent)
+        assert _same_floats(got.cond, one.cond) and _same_floats(got.conds, one.conds)
+        assert len(got.gauge_by_degree) == len(one.gauge_by_degree)
+        assert all(map(_same_floats, got.gauge_by_degree, one.gauge_by_degree))
+        o0, w0 = got.order0, one.order0
+        _assert_same_bits(o0.gamma_jet, w0.gamma_jet)
+        _assert_same_bits(o0.slope_jet, w0.slope_jet)
+        for name in ("gamma_z", "normal_slope", "grad_norm", "consistency"):
+            assert _same_floats(getattr(o0, name), getattr(w0, name)), name
+
+
 @pytest.mark.parametrize("p", [1.3, 1.7, 2.5, 3.0, 6.0])
 def test_order_16_sample_against_closed_form(p):
     # gamma = exp(0.2 zeta . x) and G' = exp(-0.2 s / (p - 1)) (c = 1), so
