@@ -144,7 +144,8 @@ def fixed_point_u0(
         raise ValueError("zeta must be a unit vector")
 
     dgamma = gradient(gamma).values
-    rhs = ScalarField(dom, np.tensordot(dgamma, zeta, axes=([-1], [0])))
+    # numpy's own loop, not the BLAS, whose sum order follows its thread count
+    rhs = ScalarField(dom, np.einsum("...a,a->...", dgamma, zeta))
 
     v = np.zeros(dom.shape)
     history: list[float] = []

@@ -68,69 +68,6 @@ class Face:
         return (self.axis, self.side)
 
 
-# Nested-dissection order of the interior nodes (see Domain.interior_flat):
-# boxes with every axis shorter than this stay in C order, and a separator is
-# this many node planes wide
-_ND_LEAF = 8
-_ND_SEPARATOR = 2
-
-
-@lru_cache(maxsize=16)
-def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat C-order indices of the interior nodes of a grid, in nested-dissection order.
-
-    The interior box is split along its longest axis (the lowest such axis
-    on a tie) by a separator two node planes wide, since the operators
-    D_a diag(T) D_b couple nodes two apart along an axis and a one-plane
-    separator would not separate.  The two halves come first, each ordered
-    the same way, then the separator, its nodes sorted stably by index
-    parity sum_a (i_a mod 2) << a: a diagonal tensor couples only nodes of
-    equal parity away from the boundary.  On a grid of odd resolution the
-    LU already splits such a block into its parity lattices, the strongly
-    connected components that the one-sided boundary-flux rows join in one
-    direction only, and factors them one after another, each in this order;
-    there the sort changes nothing.  It still pays where the lattices meet
-    in a cycle, on an axis of even resolution, and for full tensors: LU
-    fill without and with it 216k -> 212k for the isotropic block at 64^2,
-    2.23M -> 2.20M for a full-tensor one at 129^2.  A box whose every axis
-    has fewer than 8 nodes stays in C order.  The order is cached per shape
-    and returned read-only, so every grid of one shape shares it.
-    """
-    n = len(shape)
-    boxes: list[tuple[list[int], list[int], bool]] = []  # (lo, hi, separator) in order
-
-    def visit(lo: list[int], hi: list[int]):
-        sizes = [b - a for a, b in zip(lo, hi)]
-        axis = sizes.index(max(sizes))
-        if sizes[axis] < _ND_LEAF:
-            boxes.append((lo, hi, False))
-            return
-        cut = lo[axis] + (sizes[axis] - _ND_SEPARATOR) // 2
-
-        def at(bound: list[int], i: int) -> list[int]:
-            return bound[:axis] + [i] + bound[axis + 1:]
-
-        visit(lo, at(hi, cut))
-        visit(at(lo, cut + _ND_SEPARATOR), hi)
-        boxes.append((at(lo, cut), at(hi, cut + _ND_SEPARATOR), True))
-
-    visit([1] * n, [s - 1 for s in shape])
-    # every node of every box at once: its box, then its C-order rank in the box
-    lo = np.array([b[0] for b in boxes])
-    size = np.array([b[1] for b in boxes]) - lo
-    count = np.prod(size, axis=1)
-    box = np.repeat(np.arange(len(boxes)), count)
-    rank = np.arange(box.size) - np.repeat(np.cumsum(count) - count, count)
-    coords = [None] * n
-    for a in reversed(range(n)):
-        rank, r = np.divmod(rank, size[box, a])
-        coords[a] = lo[box, a] + r
-    parity = sum((c % 2) << a for a, c in enumerate(coords)) * np.array([b[2] for b in boxes])[box]
-    order = np.ravel_multi_index(coords, shape)[np.argsort((box << n) + parity, kind="stable")]
-    order.flags.writeable = False
-    return order
-
-
 def _stencil_1d(n: int, h: float) -> sp.csr_matrix:
     """Second-order first-derivative matrix on n nodes with spacing h.
 
@@ -188,20 +125,21 @@ class _GridCalculus:
         Entry (i, r) sums D_a[k, r] * (T[k, b, a] * D_b[I_i, k]) over the axes a
         and the nodes k = I_i +- e_b next to the row node I_i, in the order of
         (a, k).  Stage 1 fills ``m[b, side, a]`` over the interior box with the
-        inner products; ``terms`` and ``codes`` hold each term's index into
-        ``m`` and the index into ``table`` of D_a[k, r], entry by entry
-        (``term_ptr``) in the sorted CSC order of A_II, then A_IB.  ``rows``
-        and ``col_ptr`` give the blocks' structural pattern, ``central[b]`` the
-        central stencil values (-1/2h_b, 1/2h_b) of axis b.
+        inner products; stage 2 is the CSR matrix whose row j holds the terms
+        of the j-th stored entry, in the sorted CSC order of A_II, then A_IB:
+        each term's index into ``m`` and its coefficient D_a[k, r].
+        ``stage2`` is that matrix over the entries of A_II alone, then over
+        both blocks, the first a prefix view of the second's one coefficient
+        array.  ``rows`` and ``col_ptr`` give the blocks' structural pattern,
+        ``central[b]`` the central stencil values (-1/2h_b, 1/2h_b) of axis b.
         """
+        import scipy.sparse as sp
         shape, diff = self.shape, self.diff_matrices
         n, n_nodes = len(shape), int(np.prod(shape))
-        interior = _nested_dissection(shape).astype(np.int32)
+        inside = np.pad(np.ones([s - 2 for s in shape], dtype=bool), 1).ravel()
+        interior = np.flatnonzero(inside).astype(np.int32)
         col = np.empty(n_nodes, dtype=np.int32)  # column of each node: A_II's, then A_IB's
-        col[np.concatenate([interior, np.setdiff1d(np.arange(n_nodes), interior)])] = np.arange(n_nodes)
-        coords = np.unravel_index(interior, shape)
-        box = np.ravel_multi_index([c - 1 for c in coords], [s - 2 for s in shape]).astype(np.int32)
-        table = np.unique(np.concatenate([d.data for d in diff]))
+        col[np.concatenate([interior, np.flatnonzero(~inside)])] = np.arange(n_nodes)
         row = np.arange(interior.size, dtype=np.int32)
         # steps to the neighbours k = I_i +- e_b, ascending, so that terms come in (a, k) order
         steps = sorted((s * int(np.prod(shape[b + 1:])), b, (s + 1) // 2) for b in range(n) for s in (-1, 1))
@@ -210,22 +148,26 @@ class _GridCalculus:
             for step, b, side in steps:
                 stencil = diff[a][interior + step]  # row k of D_a for each row node
                 rows = np.repeat(row, np.diff(stencil.indptr))
-                parts.append((col[stencil.indices], rows, ((b * 2 + side) * n + a) * interior.size + box[rows],
-                              np.searchsorted(table, stencil.data).astype(np.int8)))
-        cols, rows, terms, codes = map(np.concatenate, zip(*parts))
+                # the interior box in C order: row i is box node i
+                parts.append((col[stencil.indices], rows, ((b * 2 + side) * n + a) * interior.size + rows,
+                              stencil.data))
+        cols, rows, terms, coefs = map(np.concatenate, zip(*parts))
         del parts
         order = np.lexsort((rows, cols))  # stable: each entry's terms keep the loop order
-        terms, codes = terms[order], codes[order]
+        terms, coefs = terms[order], coefs[order]
         cols, rows = cols[order], rows[order]
         del order
         first = np.flatnonzero(np.concatenate([[True], (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])]))
         cols, rows = cols[first], rows[first]
-        out = (terms, codes, table, np.append(first, terms.size).astype(np.int32), rows,
-               np.searchsorted(cols, np.arange(n_nodes + 1)).astype(np.int32),
-               np.array([d[int(interior[0])].data for d in diff]))
-        for arr in out:
+        term_ptr = np.append(first, terms.size).astype(np.int32)
+        col_ptr = np.searchsorted(cols, np.arange(n_nodes + 1)).astype(np.int32)
+        central = np.array([d[int(interior[0])].data for d in diff])
+        for arr in (terms, coefs, term_ptr, rows, col_ptr, central):
             arr.flags.writeable = False
-        return out
+        stage2 = tuple(sp.csr_matrix((coefs[:term_ptr[e]], terms[:term_ptr[e]], term_ptr[:e + 1]),
+                                     shape=(int(e), n * 2 * n * interior.size))
+                       for e in (col_ptr[interior.size], col_ptr[-1]))  # A_II's entries, then both blocks'
+        return stage2, rows, col_ptr, central
 
 
 @lru_cache(maxsize=_CALCULUS_CACHE_SIZE)
@@ -239,8 +181,7 @@ class Domain:
     Nodes are indexed in C order; node (i_0, ..., i_{n-1}) sits at
     origin_a + i_a * h_a with h_a = extent_a / (resolution_a - 1).  Interior
     and boundary index sets partition the nodes; each boundary node belongs
-    to at least one of the 2n flat faces.  The boundary index set is in C
-    order, the interior one in a fill-reducing nested-dissection order.
+    to at least one of the 2n flat faces.  Both index sets are in C order.
     """
 
     def __init__(self, extents, resolution, origin=None):
@@ -302,16 +243,15 @@ class Domain:
 
     @cached_property
     def interior_flat(self) -> np.ndarray:
-        """Flat (C-order) indices of the interior nodes, in nested-dissection order.
+        """Flat indices of the interior nodes, in C order.
 
         The rows and interior columns of the blocks that
         :func:`anisotropic_operator` returns, and every interior vector of
-        the solvers, come in this order, so a sparse LU
-        factors the block as given, with no column permutation of its own,
-        and keeps the fill of the separator tree; :func:`_nested_dissection`
-        builds it.  Grids with fewer than 10 nodes on every axis keep C order.
+        the solvers, come in this order.  The sparse LU of the solvers picks
+        its own fill-reducing order per block, and finds no lower fill from
+        a nested-dissection order than from this one.
         """
-        return _nested_dissection(self.shape)
+        return np.flatnonzero(self.interior_mask.ravel())
 
     @cached_property
     def boundary_flat(self) -> np.ndarray:
@@ -503,14 +443,17 @@ def anisotropic_operator(
     so a sparse LU takes ``A_II`` as given.  With ``boundary=False`` only
     ``A_II`` is assembled, bit for bit the same, and ``A_IB`` is None.
 
-    The data comes from the per-grid gather map of
-    :attr:`_GridCalculus.gather` and is bit for bit what the sparse products
+    Only stage 1, the products of the tensor values with the central
+    stencil, depends on ``tensor_values``.  Stage 2, the CSR matrix that
+    sums them into the blocks' data, is built once per grid with its
+    coefficients (:attr:`_GridCalculus.gather`); A_II alone takes a prefix
+    view of it.  The data is bit for bit what the sparse products
     D_a diag(T_ab) D_b sum, a non-symmetric T included; like them, the
     assembly drops exact-zero sums, so the zero off-diagonal entries of a
     diagonal T store nothing.
     """
     import scipy.sparse as sp
-    terms, codes, table, term_ptr, rows, col_ptr, central = domain._calculus.gather
+    stage2, rows, col_ptr, central = domain._calculus.gather
     shape, n, n_int = domain.shape, domain.n, domain.interior_flat.size
     m = np.empty((n, 2, n) + tuple(s - 2 for s in shape))
     for b, side in np.ndindex(n, 2):
@@ -519,11 +462,7 @@ def anisotropic_operator(
         np.multiply(np.moveaxis(tensor_values[box + (b,)], -1, 0), central[b, side], out=m[b, side])
     spans = ((0, n_int), (n_int, col_ptr.size - 1)) if boundary else ((0, n_int),)
     # each entry's terms sum on their own, so A_II alone takes the leading entries
-    n_entries = int(col_ptr[spans[-1][1]])
-    n_terms = int(term_ptr[n_entries])
-    stage2 = sp.csr_matrix((table.take(codes[:n_terms]), terms[:n_terms], term_ptr[:n_entries + 1]),
-                           shape=(n_entries, m.size))
-    data = stage2 @ m.ravel()
+    data = stage2[boundary] @ m.ravel()
     blocks = []
     for lo, hi in spans:
         start, stop = col_ptr[lo], col_ptr[hi]

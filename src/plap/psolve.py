@@ -17,24 +17,26 @@ norm over the interior nodes is below the requested tolerance.  The steps
 are inexact and share one sparse LU: GMRES, right-preconditioned by the LU
 of the isotropic operator (or, from a given start, by the caller's factor of
 a nearby operator, or else the first Jacobian's), solves each Jacobian to a
-relative residual of 1e-4.  Only when one restart cycle misses is the
-current Jacobian refactored, its factor replacing the old one, which is
-dropped first.  Interior unknowns come in the nested-dissection order of
-:attr:`~plap.grid.Domain.interior_flat`.  The isotropic operator and each
-Jacobian are assembled directly as their interior blocks in that order
-(:func:`~plap.grid.anisotropic_operator`), already in CSC.  The LU takes
-no column permutation of its own: on every grid, it orders a block only by
-its strongly connected components, block lower triangularly, keeping the
-grid order inside each.  The isotropic operator of an odd-resolution grid
-splits into 2^n parity lattices this way, and its fill drops by a quarter
-in 2-D and by half in 3-D; a Jacobian, with its full tensor, is one
-component and is factored as given.
+relative residual of 1e-4 in one restart cycle, one LU solve per Krylov
+step.  Only when the cycle misses is the current Jacobian refactored, its
+factor replacing the old one, which is dropped first.  Interior unknowns
+come in the C order of :attr:`~plap.grid.Domain.interior_flat`, and the
+isotropic operator and each Jacobian are assembled directly as their
+interior blocks in that order (:func:`~plap.grid.anisotropic_operator`),
+already in CSC.  The LU orders a block by its strongly connected
+components, block lower triangularly, and factors each depth level of that
+order with its own minimum-degree SuperLU.  The isotropic operator of an
+odd-resolution grid splits into 2^n parity lattices in n + 1 levels this
+way, with no fill in the blocks below the diagonal; a Jacobian, with its
+full tensor, is one level.  GMRES sums its inner products in a fixed
+order, never in the BLAS, so no digit depends on the BLAS thread count.
 Each Newton step is halved until the max norm of the residual drops.
 Everything is deterministic: fixed iteration order, no randomness.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -237,26 +239,38 @@ def min_interior_gradient(u: ScalarField) -> float:
 # -- solver ----------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors summed by numpy's own loop, never the
+    BLAS, so its digits do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def _block_triangular_order(mat):
-    """Symmetric permutation that makes ``mat`` block lower triangular, or None.
+    """Symmetric permutation that makes ``mat`` block lower triangular, and
+    the bounds of its levels.
 
     The diagonal blocks are the strongly connected components of the graph
-    of ``mat``, sorted topologically so that every entry between two
-    components lies below the block diagonal: a column's component comes
-    before its row's (the block-triangular preorder of Duff & Reid, ACM
-    TOMS 4, 1978, as in KLU).  Inside a component the rows keep their given
-    order.  A matrix with one component gets None.  The diagonal-tensor
-    blocks of the solvers, the isotropic operator and Picard step 0, split
-    into the 2^n parity lattices of the wide stencil on grids of odd
-    resolution; full-tensor blocks do not split.
+    of ``mat``; every entry between two components runs from a column
+    component to a row component of greater depth, the length of the
+    longest chain of components that leads to it (the block-triangular
+    preorder of Duff & Reid, ACM TOMS 4, 1978, as in KLU).  Returns
+    ``(perm, bounds)``: ``perm`` lists the rows by depth, in their given
+    order within a depth, and level l, rows ``bounds[l]:bounds[l + 1]`` of
+    ``P mat P^T``, holds the components of depth l, which never couple.  The
+    diagonal-tensor blocks of the solvers, the isotropic operator and Picard
+    step 0, split into the 2^n parity lattices of the wide stencil on grids
+    of odd resolution, in 3 levels in 2-D and 4 in 3-D; a full-tensor block
+    is one component and one level.
     """
     from scipy.sparse.csgraph import connected_components
 
     mat = mat.tocsc()
     # the transpose, a CSR view, has the same components and spares a copy
     count, labels = connected_components(mat.T, directed=True, connection="strong")
-    if count == 1:
-        return None
     row, col = labels[mat.indices], np.repeat(labels, np.diff(mat.indptr))
     cross = row != col
     src, dst = col[cross], row[cross]
@@ -267,8 +281,10 @@ def _block_triangular_order(mat):
         deeper = depth.copy()
         np.maximum.at(deeper, dst, depth[src] + 1)
         if np.array_equal(deeper, depth):
-            return np.argsort(depth[labels] * count + labels, kind="stable")
+            break
         depth = deeper
+    level = depth[labels]
+    return np.argsort(level, kind="stable"), np.concatenate([[0], np.cumsum(np.bincount(level))])
 
 
 class _ReusedLU:
@@ -277,25 +293,25 @@ class _ReusedLU:
     ``solve(mat, rhs, rtol, name)`` solves mat x = rhs for a CSC
     interior block ``mat``.  With no factor held it factors ``mat`` and
     solves directly; ``rhs`` may then be 2-D, one column per right-hand
-    side.  The factor is one SuperLU (natural column order, default partial
-    pivoting) of ``P mat P^T``, where ``P`` orders the strongly connected
-    components of ``mat`` block lower triangularly
-    (:func:`_block_triangular_order`) and keeps the nested-dissection order
-    of :attr:`~plap.grid.Domain.interior_flat` inside each; right-hand sides
-    are permuted in and solutions out.  A matrix with one component is
-    factored as given.
-    With a factor held, GMRES, right-preconditioned by it, runs one restart
-    cycle, and its result stands when the true residual satisfies
-    |mat x - rhs| <= rtol |rhs|; on a miss the old factor is dropped and
-    ``mat`` factored in its place.  A singular factorization raises
-    :class:`NonConvergence` carrying ``history``, which a solver sharing the
-    object points at its own residual list.  ``factor_fill`` sums the
-    entries SuperLU stores for L and U (``SuperLU.nnz``) over the
-    factorizations; reading ``L.nnz + U.nnz`` instead would make scipy build
-    CSC copies of both factors and keep them as long as the factor.
-    ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` are imported at the
-    first factorization, and ``splu`` is looked up on its module at every
-    call.
+    side.  A factorization orders ``mat`` block lower triangularly by the
+    levels of :func:`_block_triangular_order` and factors each level's
+    diagonal block with its own SuperLU, minimum degree on A^T + A
+    (``MMD_AT_PLUS_A``) with symmetric-mode diagonal pivoting; a solve runs
+    the levels in order, subtracting each level's coupling to the earlier
+    ones before its LU solve.  A matrix with one component is one level.
+    With a factor held, :meth:`_gmres` runs one restart cycle
+    right-preconditioned by it, and its result stands when the true
+    residual satisfies |mat x - rhs| <= rtol |rhs|; on a miss the old
+    factor is dropped and ``mat`` factored in its place.  A singular factor
+    of any level raises :class:`NonConvergence` carrying ``history``, which
+    a solver sharing the object points at its own residual list.
+    ``factorizations`` counts the factorizations, not the SuperLU calls, and
+    ``factor_fill`` sums the entries SuperLU stores for L and U
+    (``SuperLU.nnz``) over all of them; reading ``L.nnz + U.nnz`` instead
+    would make scipy build CSC copies of both factors and keep them as long
+    as the factor.  ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` are
+    imported at the first factorization, and ``splu`` is looked up on its
+    module at every call.
     """
 
     def __init__(self, history=()):
@@ -303,49 +319,91 @@ class _ReusedLU:
         self.factorizations = 0
         self.krylov_iterations = 0
         self.factor_fill = 0
-        self._lu = None
         self._perm = None
+        self._levels = None  # (lo, hi, coupling to rows :lo or None, SuperLU) per level
 
     def solve(self, mat, rhs, rtol: float, name: str):
-        if self._lu is not None:
-            x = self._preconditioned_gmres(mat, rhs, rtol)
-            if np.linalg.norm(mat @ x - rhs) <= rtol * np.linalg.norm(rhs):
+        if self._levels is not None:
+            x = self._gmres(mat, rhs, rtol)
+            if _norm(mat @ x - rhs) <= rtol * _norm(rhs):
                 return x
         import scipy.sparse.linalg as spla
 
-        self._lu = None  # never two factors at once
-        self._perm = _block_triangular_order(mat)
+        self._levels = None  # never two factors at once
+        self._perm, bounds = _block_triangular_order(mat)
+        permuted = mat[self._perm][:, self._perm]
+        levels = []
         try:
-            self._lu = spla.splu(
-                mat if self._perm is None else mat[self._perm][:, self._perm], permc_spec="NATURAL"
-            )
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                lu = spla.splu(permuted[lo:hi, lo:hi], permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True})
+                levels.append((lo, hi, permuted[lo:hi, :lo] if lo else None, lu))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NonConvergence(f"{name} is singular: {exc}", self.history) from exc
+        self._levels = levels
         self.factorizations += 1
-        self.factor_fill += self._lu.nnz
+        self.factor_fill += sum(lu.nnz for *_, lu in levels)
         return self._factor_solve(rhs)
 
     def _factor_solve(self, rhs):
-        if self._perm is None:
-            return self._lu.solve(rhs)
-        y = self._lu.solve(rhs[self._perm])
+        y = rhs[self._perm]
+        for lo, hi, coupling, lu in self._levels:
+            if coupling is not None:
+                y[lo:hi] -= coupling @ y[:lo]
+            y[lo:hi] = lu.solve(y[lo:hi])
         x = np.empty_like(y)
         x[self._perm] = y
         return x
 
-    def _preconditioned_gmres(self, mat, rhs, rtol: float):
-        import scipy.sparse.linalg as spla
+    def _gmres(self, mat, rhs, rtol: float):
+        """One cycle of GMRES from x = 0 on mat M^-1, M the held factor.
 
-        # right preconditioning, so GMRES minimizes the true residual
-        op = spla.LinearOperator(mat.shape, matvec=lambda y: mat @ self._factor_solve(y), dtype=float)
-        y, _info = spla.gmres(
-            op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_RESTART, maxiter=1,
-            callback=self._count_iteration, callback_type="pr_norm",
-        )
-        return self._factor_solve(y)
-
-    def _count_iteration(self, _residual):
-        self.krylov_iterations += 1
+        Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+        with modified Gram-Schmidt and Givens rotations, right-preconditioned
+        so that its residual estimate is that of mat x: one factor solve per
+        Krylov step, and one to form x.  It stops when the estimate drops to
+        rtol |rhs|, at an exact breakdown, or after 50 steps.
+        """
+        beta = _norm(rhs)
+        if beta == 0.0:
+            return np.zeros_like(rhs)
+        basis = np.empty((_KRYLOV_RESTART + 1, rhs.size))
+        hess = np.zeros((_KRYLOV_RESTART + 1, _KRYLOV_RESTART))
+        rotations = []
+        g = np.zeros(_KRYLOV_RESTART + 1)  # the rotated right-hand side beta e_1
+        g[0] = beta
+        basis[0] = rhs / beta
+        for j in range(_KRYLOV_RESTART):
+            w = mat @ self._factor_solve(basis[j])
+            h = hess[:, j]
+            before = _norm(w)
+            for i in range(j + 1):
+                h[i] = _dot(basis[i], w)
+                w -= h[i] * basis[i]
+            after = _norm(w)
+            breakdown = after <= np.finfo(float).eps * before
+            if not breakdown:
+                h[j + 1] = after
+                basis[j + 1] = w / after
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            r = math.copysign(math.hypot(h[j], h[j + 1]), h[j])
+            c, s = (h[j] / r, h[j + 1] / r) if r else (1.0, 0.0)
+            rotations.append((c, s))
+            h[j], h[j + 1] = r, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            self.krylov_iterations += 1
+            if abs(g[j + 1]) <= rtol * beta or breakdown:
+                break
+        # back substitution; a zero pivot can only be the last, at a breakdown
+        y = g[:j + 1]
+        if hess[j, j] == 0.0:
+            y[j] = 0.0
+        for i in range(j, -1, -1):
+            if y[i]:
+                y[i] /= hess[i, i]
+                y[:i] -= y[i] * hess[:i, i]
+        return self._factor_solve(np.einsum("i,ij->j", y, basis[:j + 1]))
 
 
 def solve_p_laplace(

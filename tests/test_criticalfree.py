@@ -136,9 +136,9 @@ def test_picard_steps_share_one_factor(monkeypatch):
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.05 * x)
     rep = fixed_point_u0(gam, 1.5, np.array([1.0, 0.0]))
     assert rep.iterations >= 3
-    assert len(fills) == 1
     assert rep.factorizations == 1
-    assert rep.factor_fill == fills[0]
+    # B of step 0 has a diagonal tensor: one factorization in 3 levels
+    assert rep.factor_fill == sum(fills) == 15_308 and len(fills) == 3
     assert rep.krylov_iterations > 0
 
 

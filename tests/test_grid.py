@@ -17,7 +17,6 @@ from plap.grid import (
     require_positive_weight,
     _CALCULUS_CACHE_SIZE,
     _grid_calculus,
-    _nested_dissection,
     _stencil_1d,
 )
 from plap.linearize import rescale_translation_invariant
@@ -70,60 +69,19 @@ def test_partition_and_spacing():
 
 @pytest.mark.parametrize("shape", [(3, 3), (9, 33), (129, 129), (5, 5, 17), (17, 17, 17)])
 def test_interior_order_is_a_deterministic_permutation(shape):
+    # C order, on every grid of the shape
     dom = build_domain((1.0,) * len(shape), shape)
     order = dom.interior_flat
-    assert np.array_equal(np.sort(order), np.flatnonzero(dom.interior_mask.ravel()))
-    # a fresh build, past the per-shape cache, gives the same order
-    assert np.array_equal(_nested_dissection.__wrapped__(shape), order)
-
-
-def test_interior_order_is_shared_per_shape():
-    # the order depends on the shape only, so grids of one shape share one
-    # read-only array
-    first = build_domain((1.0, 1.0), (33, 17)).interior_flat
-    second = build_domain((2.0, 0.5), (33, 17), origin=(-1.0, 3.0)).interior_flat
-    assert second is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0
-    assert build_domain((1.0, 1.0), (17, 33)).interior_flat is not first
+    assert np.array_equal(order, np.flatnonzero(dom.interior_mask.ravel()))
+    moved = build_domain((2.0,) * len(shape), shape, origin=(1.0,) * len(shape))
+    assert np.array_equal(moved.interior_flat, order)
 
 
 def test_small_grids_keep_c_order():
-    # fewer than 8 interior nodes on every axis: one leaf, C order
-    for shape in [(9, 9), (3, 9), (9, 9, 9)]:
+    # small grids and large ones alike
+    for shape in [(9, 9), (3, 9), (9, 9, 9), (10, 10), (3, 10), (9, 33), (9, 9, 10)]:
         dom = build_domain((1.0,) * len(shape), shape)
         assert np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
-    for shape in [(10, 10), (3, 10), (9, 33), (9, 9, 10)]:
-        dom = build_domain((1.0,) * len(shape), shape)
-        assert not np.array_equal(dom.interior_flat, np.flatnonzero(dom.interior_mask.ravel()))
-
-
-@pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
-def test_top_separator_separates_full_stencil(shape):
-    # a full symmetric tensor couples nodes two apart along an axis and
-    # diagonal neighbours; the two halves still meet only through the
-    # separator, the last two node planes of the order
-    dom = build_domain((1.0,) * len(shape), shape)
-    n = dom.n
-    tensor = np.eye(n) + 0.3 * (np.ones((n, n)) - np.eye(n))
-    block = anisotropic_operator(dom, np.broadcast_to(tensor, dom.shape + (n, n)))[0].tocoo()
-    order = dom.interior_flat
-    m = order.size
-    plane = m // (shape[0] - 2)
-    left = (shape[0] - 2 - 2) // 2 * plane
-    sep = m - 2 * plane
-    first = block.row < left
-    second = (block.row >= left) & (block.row < sep)
-    assert not np.any(first & (block.col >= left) & (block.col < sep))
-    assert not np.any(second & (block.col < left))
-    # and the separator is the top plane pair of the first axis, its nodes
-    # grouped by index parity, C order within a group
-    idx = np.unravel_index(order[sep:], shape)
-    assert set(idx[0].tolist()) == {1 + (shape[0] - 4) // 2, 2 + (shape[0] - 4) // 2}
-    parity = sum((i % 2) << a for a, i in enumerate(idx))
-    assert np.array_equal(order[sep:], order[sep:][np.lexsort((order[sep:], parity))])
-    assert len(set(parity.tolist())) == 2**n
 
 
 def _tensor(kind, dom):
@@ -229,8 +187,8 @@ def test_rescaled_domain_has_its_own_calculus():
 def test_cached_calculus_arrays_are_read_only():
     dom = build_domain((1.0, 1.0, 1.0), (5, 6, 7))
     anisotropic_operator(dom, np.broadcast_to(np.eye(3), dom.shape + (3, 3)))
-    arrays = [arr for m in dom.diff_matrices for arr in (m.data, m.indices, m.indptr)]
-    arrays += list(dom._calculus.gather)
+    stage2, *arrays = dom._calculus.gather
+    arrays += [arr for m in dom.diff_matrices + stage2 for arr in (m.data, m.indices, m.indptr)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = arr[0]

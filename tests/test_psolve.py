@@ -312,14 +312,10 @@ def test_zero_gradient_in_newton_loop_is_named():
 
 
 def _count_factorizations(monkeypatch) -> list:
+    # one block-triangular order per factorization, whatever its levels
     calls = []
-    splu = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
+    order = psolve._block_triangular_order
+    monkeypatch.setattr(psolve, "_block_triangular_order", lambda mat: calls.append(1) or order(mat))
     return calls
 
 
@@ -386,13 +382,38 @@ def test_reused_lu_solves_many_and_near(square17):
     assert np.linalg.norm(far @ x - rhs[:, 1]) <= 1e-12 * np.linalg.norm(rhs[:, 1])
 
 
-def test_lu_factors_in_the_grid_order(monkeypatch):
-    specs = []
+def test_gmres_spends_one_factor_solve_per_step(square17, monkeypatch):
+    eye = np.eye(2)
+    mat0, mat1 = (anisotropic_operator(square17, (1.0 + s * square17.coords[0])[..., None, None] * eye)[0]
+                  for s in (0.0, 0.3))
+    rhs = np.random.default_rng(1).standard_normal(mat0.shape[0])
+    lu = psolve._ReusedLU()
+    lu.solve(mat0, rhs, 1e-10, "test operator")
+    calls = []
+    factor_solve = psolve._ReusedLU._factor_solve
+    monkeypatch.setattr(psolve._ReusedLU, "_factor_solve",
+                        lambda self, r: calls.append(1) or factor_solve(self, r))
+    x = lu.solve(mat1, rhs, 1e-10, "test operator")
+    assert lu.factorizations == 1 and lu.krylov_iterations > 1
+    assert len(calls) == lu.krylov_iterations + 1
+    assert np.linalg.norm(mat1 @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    # scipy's GMRES on the same right-preconditioned operator takes as many steps
+    steps = []
+    op = spla.LinearOperator(mat1.shape, matvec=lambda y: mat1 @ factor_solve(lu, y), dtype=float)
+    spla.gmres(op, rhs, rtol=1e-10, atol=0.0, restart=50, maxiter=1,
+               callback=steps.append, callback_type="pr_norm")
+    assert len(steps) == lu.krylov_iterations
+
+
+def test_each_level_takes_a_minimum_degree_lu(monkeypatch):
+    calls = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: specs.append(k.get("permc_spec")) or splu(*a, **k))
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or splu(*a, **k))
     gam, f = _wavy_problem(17)
-    solve_p_laplace(gam, 3.0, f)
-    assert specs == ["NATURAL"]
+    sol = solve_p_laplace(gam, 3.0, f)
+    # the isotropic start, one factorization in 3 levels, preconditions every Newton step
+    assert sol.factorizations == 1
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}] * 3
 
 
 def _isotropic_tensor(shape):
@@ -403,8 +424,10 @@ def _isotropic_tensor(shape):
 
 @pytest.mark.parametrize("shape, most", [((129, 129), 850_000), ((17, 17, 17), 400_000)])
 def test_isotropic_lu_fill(shape, most, monkeypatch):
-    # L.nnz + U.nnz: C order with COLAMD 1.46M at 129^2 and 0.98M at 17^3;
-    # nested dissection without the component order 1.00M and 0.68M
+    # L.nnz + U.nnz of one LU of the whole block: C order with COLAMD 1.46M
+    # at 129^2 and 0.98M at 17^3; nested dissection without the component
+    # order 1.00M and 0.68M.  SuperLU.nnz of one LU per level, minimum
+    # degree on each: 498,220 and 138,386
     factors = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(splu(*a, **k)) or factors[-1])
@@ -412,9 +435,9 @@ def test_isotropic_lu_fill(shape, most, monkeypatch):
     a_ii, _ = anisotropic_operator(dom, tensor)
     lu = psolve._ReusedLU()
     lu.solve(a_ii, np.ones(a_ii.shape[0]), 1e-12, "isotropic operator")
-    assert len(factors) == lu.factorizations == 1
-    assert lu.factor_fill == factors[0].nnz
-    assert factors[0].L.nnz + factors[0].U.nnz <= most
+    assert lu.factorizations == 1 and len(factors) == dom.n + 1
+    assert lu.factor_fill == sum(f.nnz for f in factors) == {2: 498_220, 3: 138_386}[dom.n]
+    assert sum(f.L.nnz + f.U.nnz for f in factors) <= most
 
 
 @pytest.mark.parametrize("shape", [(129, 129), (17, 17, 17), (9, 33)])
@@ -426,20 +449,25 @@ def test_diagonal_tensor_block_is_block_lower_triangular(shape):
     a_ii, _ = anisotropic_operator(dom, tensor)
     count, labels = connected_components(a_ii, directed=True, connection="strong")
     assert count == 2**dom.n
-    perm = psolve._block_triangular_order(a_ii)
+    perm, bounds = psolve._block_triangular_order(a_ii)
     assert np.array_equal(np.sort(perm), np.arange(a_ii.shape[0]))
-    # each component is one run of the order, its rows in their given order
+    # 3 levels in 2-D, 4 in 3-D, each holding whole components, its rows in
+    # their given order
+    assert len(bounds) == dom.n + 2 and bounds[0] == 0 and bounds[-1] == a_ii.shape[0]
+    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert np.all(np.diff(perm[lo:hi]) > 0)
     runs = labels[perm]
-    assert np.count_nonzero(np.diff(runs)) == count - 1
-    for c in range(count):
-        assert np.all(np.diff(perm[runs == c]) > 0)
-    # strictly block lower triangular: nothing above the block diagonal,
-    # something below it
-    block = np.r_[0, np.cumsum(np.diff(runs) != 0)]
+    assert all(np.unique(level[runs == c]).size == 1 for c in range(count))
+    # strictly block lower triangular by levels: nothing above the block
+    # diagonal, something below it, and no coupling inside a level between
+    # two components
     coo = a_ii[perm][:, perm].tocoo()
-    row_block, col_block = block[coo.row], block[coo.col]
-    assert np.all(row_block >= col_block)
-    assert np.any(row_block > col_block)
+    row_level, col_level = level[coo.row], level[coo.col]
+    assert np.all(row_level >= col_level)
+    assert np.any(row_level > col_level)
+    same = row_level == col_level
+    assert np.array_equal(runs[coo.row[same]], runs[coo.col[same]])
 
 
 @pytest.mark.parametrize("shape", [(129, 129), (17, 17, 17), (9, 33)])
@@ -468,17 +496,18 @@ def _full_tensor_jacobian(shape):
     ("full", (33, 33)), ("full", (9, 9, 17)), ("isotropic", (64, 64)),
 ])
 def test_one_component_takes_the_plain_path(kind, shape):
-    # one strong component: no permutation, the factor and its solves are
-    # bitwise those of SuperLU on the block as given
+    # one strong component: one level in the given order, and the factor and
+    # its solves are bitwise those of SuperLU on the block as given
     if kind == "full":
         a_ii = _full_tensor_jacobian(shape)
     else:
         dom, tensor = _isotropic_tensor(shape)
         a_ii = anisotropic_operator(dom, tensor)[0]
     assert connected_components(a_ii, directed=True, connection="strong")[0] == 1
-    assert psolve._block_triangular_order(a_ii) is None
+    perm, bounds = psolve._block_triangular_order(a_ii)
+    assert np.array_equal(perm, np.arange(a_ii.shape[0])) and bounds.tolist() == [0, a_ii.shape[0]]
     rhs = np.random.default_rng(5).standard_normal((a_ii.shape[0], 2))
-    ref = spla.splu(a_ii, permc_spec="NATURAL")
+    ref = spla.splu(a_ii, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     lu = psolve._ReusedLU()
     assert np.array_equal(lu.solve(a_ii, rhs, 1e-12, "operator"), ref.solve(rhs))
     assert np.array_equal(psolve._ReusedLU().solve(a_ii, rhs[:, 0], 1e-12, "operator"), ref.solve(rhs[:, 0]))
