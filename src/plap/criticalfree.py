@@ -85,7 +85,6 @@ class FixedPointReport:
     R: ScalarField
     zeta: np.ndarray
     iterations: int
-    converged: bool
     sup_grad_history: list[float] = field(default_factory=list)
     sup_grad_R: float = float("nan")
     min_grad_u0: float = float("nan")
@@ -149,8 +148,6 @@ def fixed_point_u0(
 
     v = np.zeros(dom.shape)
     history: list[float] = []
-    converged = False
-    iterations = 0
     lu = psolve._ReusedLU(history)  # the LU of step 0 preconditions the later steps
     for k in range(cfg.max_iter):
         grad_v = gradient(ScalarField(dom, v))
@@ -160,13 +157,12 @@ def fixed_point_u0(
             raise BallEscape(k, sup_grad)
         b = assemble_B(gamma, p, grad_v, zeta=zeta)
         u_next = linearize.solve_linear(b, phi=None, source=rhs, lu=lu)
-        iterations = k + 1
         diff = float(np.max(np.abs(u_next.values - v)))
         v = u_next.values
         if diff < cfg.tol:
-            converged = True
+            iterations = k + 1
             break
-    if not converged:
+    else:
         raise psolve.NonConvergence(
             f"Picard iteration did not settle in {cfg.max_iter} steps", history
         )
@@ -185,7 +181,6 @@ def fixed_point_u0(
         R=r,
         zeta=zeta,
         iterations=iterations,
-        converged=True,
         sup_grad_history=history,
         sup_grad_R=sup_grad_r,
         min_grad_u0=psolve.min_interior_gradient(u0),

@@ -53,6 +53,7 @@ __all__ = [
     "face_values_max_abs",
     "face_values_combine",
     "require_positive_weight",
+    "InvalidWeight",
 ]
 
 
@@ -379,15 +380,19 @@ class TensorField:
             raise ValueError("tensor field shape mismatch")
 
 
+class InvalidWeight(ValueError):
+    """A weight that is not finite and strictly positive at every node."""
+
+
 def require_positive_weight(gamma: ScalarField | np.ndarray):
     """A weight field, or an array of its values at any points, must be finite
-    and strictly positive at every node."""
+    and strictly positive at every node; raises :class:`InvalidWeight`."""
     values = gamma.values if isinstance(gamma, ScalarField) else gamma
     if not np.all(np.isfinite(values)):
-        raise ValueError("weight must be finite at every node")
+        raise InvalidWeight("weight must be finite at every node")
     mn = float(np.min(values))
     if not mn > 0.0:
-        raise ValueError(f"weight must be strictly positive, min value {mn:g}")
+        raise InvalidWeight(f"weight must be strictly positive, min value {mn:g}")
 
 
 # -- calculus -------------------------------------------------------------------

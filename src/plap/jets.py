@@ -14,18 +14,18 @@ multi-indices would.  :func:`jet_matvec` forms all the products of a matrix
 and a vector of jets in one gather and one ``np.bincount``, each product
 into bins of its own, so each product is bitwise the one of :func:`jet_mul`.
 
-A caller that reads only some coefficients can pass a window (K, T) to
-:func:`jet_mul`, :func:`jet_div` and :func:`jet_pow`: the coefficients alpha
-with |alpha| <= order, alpha_0 <= K and alpha_1 + ... + alpha_{nvars-1} <= T
-(the normal index and the tangential degree when x1 is the normal
-variable).  The window is downward closed, so every term of a coefficient
-inside it reads only coefficients inside it.  A windowed operation keeps
-the triples of its table whose target lies in it, in their order, so each
-kept coefficient sums the same terms in the same order as the full
-operation and is bitwise equal to it; the coefficients outside the window
-come out zero.  Integer powers square through windowed products.  The
-filtered tables are built on first use and kept in a bounded cache per
-(nvars, order, window).
+A caller that extends jets slice by slice passes ``slices=(lo, hi, known)``
+to :func:`jet_mul`, :func:`jet_div` and :func:`jet_pow`: the coefficients
+alpha whose normal index alpha_0 (x1 the normal variable) lies in lo..hi
+are computed, those below lo are copied from the jet ``known`` (left zero
+when it is None), and those above hi are zero.  A coefficient reads only
+coefficients whose normal index is at most its own, so the operands need
+their slices up to hi, and a quotient or a power reads its own slices below
+lo from ``known``, which must hold them final.  A ranged operation keeps
+the triples of its table whose target lies in the range, in their order,
+so each computed coefficient sums the same terms in the same order as the
+full operation and is bitwise equal to it.  The range tables are built on
+first use and cached per (nvars, order, lo, hi).
 
 A jet's coefficient array may carry leading batch axes, one jet per batch
 entry (a scenario), so that one call runs many independent jets in lockstep
@@ -36,14 +36,14 @@ gathers its table's terms from every entry at once and sums them with the
 bins (a product's targets, a quotient's positions) offset per entry, so
 each entry gets bins of its own and sums the same terms in the same order
 as it would alone: every entry's result equals its unbatched result bit
-for bit.  The offset bins are kept in a least-recently-used cache of at
-most ``_BATCH_TABLE_BYTES``.  Scalars that differ per entry (an exponent, a
-scale) are arrays of the batch shape; the per-entry constants that numpy's
-vectorized ``**`` and ``math`` functions would round differently (the
-constant term of a power, of exp, log, sin, cos) are computed per entry
-with Python floats, and a power splits its batch by exponent path
-(integer squaring or the real recurrence).  The slicing helpers index the
-axes after the batch axes.
+for bit.  Only the offset targets of a quotient or power are cached per
+batch size; the offsets that grow with the triples are added per call.
+Scalars that differ per entry (an exponent, a scale) are arrays of the
+batch shape; the per-entry constants that numpy's vectorized ``**`` and
+``math`` functions would round differently (the constant term of a power,
+of exp, log, sin, cos) are computed per entry with Python floats, and a
+power splits its batch by exponent path (integer squaring or the real
+recurrence).  The slicing helpers index the axes after the batch axes.
 
 Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
 are graded recurrences on the same levels as division.  Applying the Euler
@@ -83,9 +83,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,21 +160,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _window_mask(nvars: int, order: int, window: tuple[int, int] | None) -> np.ndarray:
-    """Flat hypercube mask of the coefficients an operation computes: total
-    degree at most ``order`` and, with a window (K, T), normal index alpha_0
-    at most K and tangential degree |alpha| - alpha_0 at most T."""
-    exponents, deg, _ = _multi_indices(nvars, order)
-    keep = deg <= order
-    if window is not None:
-        k, t = window
-        keep &= (exponents[:, 0] <= k) & (deg - exponents[:, 0] <= t)
-    return keep
-
-
 @lru_cache(maxsize=256)
 def _product_table(
-    nvars: int, order: int, window: tuple[int, int] | None = None
+    nvars: int, order: int, span: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat hypercube indices (ia, ib, tgt) of every pair of multi-indices
     a, b with |a| + |b| <= order, and tgt the index of a + b.
@@ -184,12 +171,13 @@ def _product_table(
     so each target receives its terms in the order of a graded loop over a.
     There are C(order + 2 nvars, 2 nvars) of them.  No component of a + b
     exceeds ``order``, so flat indices add like the multi-indices.  With a
-    window, only the triples whose target lies in it are kept, in the same
-    order.
+    span (lo, hi) of normal indices, only the triples whose target has its
+    normal index in lo..hi are kept, in the same order.
     """
-    if window is not None:
+    if span is not None:
         ia, ib, tgt = _product_table(nvars, order)
-        keep = _window_mask(nvars, order, window)[tgt]
+        normal = tgt // (order + 1) ** (nvars - 1)
+        keep = (span[0] <= normal) & (normal <= span[1])
         return _read_only(ia[keep], ib[keep], tgt[keep])
     _, deg, graded = _multi_indices(nvars, order)
     dg = deg[graded]
@@ -197,55 +185,24 @@ def _product_table(
     return _read_only(graded[ia], graded[ib], graded[ia] + graded[ib])
 
 
+def _take_known(out: np.ndarray, nvars: int, order: int, slices) -> np.ndarray:
+    """``out``, the coefficients of a batch of jets, with the normal slices
+    below lo taken from ``known`` and those above hi zeroed, in place, for
+    ``slices`` = (lo, hi, known) (see the module docstring)."""
+    if slices is not None:
+        lo, hi, known = slices
+        stride = (order + 1) ** (nvars - 1)
+        cells = out.reshape(-1, (order + 1) * stride)
+        cells[:, (hi + 1) * stride :] = 0.0
+        if known is not None:
+            cells[:, : lo * stride] = known.coeffs.reshape(-1, cells.shape[1])[:, : lo * stride]
+    return out
+
+
 def _offset(index: np.ndarray, stride: int, rows: int) -> np.ndarray:
-    """``index`` once per batch entry, entry r's copy shifted by r * stride."""
-    return (index + stride * np.arange(rows)[:, None]).ravel()
-
-
-# the most bytes of batch tables kept between calls
-_BATCH_TABLE_BYTES = 16 << 20
-
-
-def _batch_cache(build):
-    """Cache the batch tables ``build`` makes, least recently used first out
-    once all of them hold more than ``_BATCH_TABLE_BYTES`` (the newest
-    always stays).  A batch table grows with the number of entries, and a
-    deep recovery reads the tables of each window during one order only, so
-    an unbounded cache would keep them all (the order-16 sample would hold
-    some 45 MB more); the bound holds one order's tables at order 16."""
-
-    @wraps(build)
-    def cached(*args):
-        key = (build, *args)
-        entry = _batch_tables.get(key)
-        if entry is None:
-            table = build(*args)
-            _batch_tables[key] = table, _nbytes(table)
-            while len(_batch_tables) > 1 and sum(n for _, n in _batch_tables.values()) > _BATCH_TABLE_BYTES:
-                _batch_tables.popitem(last=False)
-            return table
-        _batch_tables.move_to_end(key)
-        return entry[0]
-
-    return cached
-
-
-# (table, bytes) of every _batch_cache function's tables, least recently used first
-_batch_tables: OrderedDict = OrderedDict()
-
-
-def _nbytes(table) -> int:
-    """The bytes of the arrays in a table: an array, or tuples of them."""
-    if isinstance(table, np.ndarray):
-        return table.nbytes
-    return sum(_nbytes(t) for t in table) if isinstance(table, tuple) else 0
-
-
-@_batch_cache
-def _product_bins(nvars: int, order: int, window: tuple[int, int] | None, rows: int) -> np.ndarray:
-    """The targets of :func:`_product_table` as the bins of a batch of
-    ``rows`` jets held one after another: offset per entry."""
-    return _read_only(_offset(_product_table(nvars, order, window)[2], (order + 1) ** nvars, rows))[0]
+    """``index`` once per batch entry, entry r's copy shifted by r * stride:
+    the bins of a batch of ``rows`` jets held one after another."""
+    return index if rows == 1 else (index + stride * np.arange(rows)[:, None]).ravel()
 
 
 def _gather(flat: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
@@ -272,57 +229,56 @@ def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=256)
-def _division_levels(nvars: int, order: int, window: tuple[int, int] | None = None):
+def _division_levels(nvars: int, order: int, span: tuple[int, int] | None = None):
     """The part of :func:`_product_table` that graded division and the
     graded recurrences read: the triples (a, b, a + b) with |b| > 0, grouped
     by the total degree d = |a + b| into levels.
 
     Returns (levels, ib, nb, nd).  Over all the triples, level by level,
     ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as floats, so
-    a recurrence forms its per-triple weights in one pass.  ``levels[d]`` is
-    (targets, bins, ia, pos, row, sl): the flat indices of the degree-d
-    coefficients (twice: within a jet, and as the bins of a batch, see
-    :func:`_batch_levels`), over the level's triples (the slice ``sl`` of
-    the arrays above) the flat index of a and the position of a + b among
-    the targets, and the batch entry of each target (0).  With a window,
-    only its targets and the triples into them are kept, and pos numbers
-    the kept targets.
+    a recurrence forms its per-triple weights in one pass.  ``levels`` holds
+    (d, targets, ia, pos, sl) for each degree d >= 1 with targets: the flat
+    indices of the degree-d coefficients, and over the level's triples (the
+    slice ``sl`` of the arrays above) the flat index of a and the position
+    of a + b among the targets.  With a span, only the targets of the table
+    of that span and the triples into them are kept.
 
-    A level's triples run over b in lexicographic order, so each target
-    sums its terms in the order of a loop over b.
+    The triples are the table's in one stable sort by (d, b), so each
+    target sums its terms in the order of a loop over b.
     """
-    ia, ib, tgt = _product_table(nvars, order)
-    deg = _multi_indices(nvars, order)[1]
-    inside = _window_mask(nvars, order, window)
+    ia, ib, tgt = _product_table(nvars, order, span)
+    _, deg, graded = _multi_indices(nvars, order)
+    lo, hi = span or (0, order)
+    normal = graded // (order + 1) ** (nvars - 1)
+    targets = _read_only(graded[(deg[graded] > 0) & (lo <= normal) & (normal <= hi)])[0]
+    sel = np.flatnonzero(deg[ib] > 0)
+    sel = sel[np.argsort(deg[tgt[sel]] * deg.size + ib[sel], kind="stable")]
+    degrees = np.arange(order + 2)
+    first = np.searchsorted(deg[targets], degrees)  # where each degree starts among the targets
+    bounds = np.searchsorted(deg[tgt[sel]], degrees)  # and among the triples
     pos = np.zeros(deg.size, dtype=np.intp)
-    level_targets, sels = [], []
-    for d in range(order + 1):
-        targets = np.flatnonzero((deg == d) & inside)
-        pos[targets] = np.arange(targets.size)
-        sel = np.flatnonzero((deg[tgt] == d) & (deg[ib] > 0) & inside[tgt])
-        level_targets.append(targets)
-        sels.append(sel[np.argsort(ib[sel], kind="stable")])
-    sel = np.concatenate(sels)
+    pos[targets] = np.arange(targets.size) - first[deg[targets]]
     ia_all, pos_all = _read_only(ia[sel], pos[tgt[sel]])
-    bounds = np.cumsum([0] + [s.size for s in sels])
     levels = tuple(
-        (targets, targets, ia_all[lo:hi], pos_all[lo:hi], 0, slice(lo, hi))
-        for targets, lo, hi in zip(_read_only(*level_targets), bounds[:-1], bounds[1:])
+        (d, targets[t0:t1], ia_all[s0:s1], pos_all[s0:s1], slice(s0, s1))
+        for d, t0, t1, s0, s1 in zip(range(1, order + 1), first[1:], first[2:], bounds[1:], bounds[2:])
+        if t0 < t1
     )
     return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(float), deg[tgt[sel]].astype(float)))
 
 
-@_batch_cache
-def _batch_levels(nvars: int, order: int, window: tuple[int, int] | None, rows: int):
-    """The levels d >= 1 of :func:`_division_levels` for a batch of ``rows``
-    jets held one after another: each level's bins and positions offset per
-    entry, and the entry of each bin."""
+@lru_cache(maxsize=256)
+def _batch_levels(nvars: int, order: int, span: tuple[int, int] | None, rows: int):
+    """The levels of :func:`_division_levels` for a batch of ``rows`` jets
+    held one after another: (d, targets, bins, ia, pos, row, sl) with the
+    targets also offset per entry as ``bins``, and ``row`` the entry of each
+    bin.  The positions are offset per call (:func:`_offset`), since they
+    grow with the triples and the bins only with the targets."""
     size = (order + 1) ** nvars
-    entries = np.arange(rows)
     return tuple(
-        (targets, *_read_only(_offset(targets, size, rows)), ia,
-         *_read_only(_offset(pos, targets.size, rows), np.repeat(entries, targets.size)), sl)
-        for targets, _, ia, pos, _, sl in _division_levels(nvars, order, window)[0][1:]
+        (d, targets, _read_only(_offset(targets, size, rows))[0], ia, pos,
+         0 if rows == 1 else _read_only(np.repeat(np.arange(rows), targets.size))[0], sl)
+        for d, targets, ia, pos, sl in _division_levels(nvars, order, span)[0]
     )
 
 
@@ -467,8 +423,9 @@ def jet_variable(nvars: int, order: int, axis: int, base: float = 0.0) -> Jet:
     return Jet(nvars, order, c)
 
 
-def jet_mul(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
-    """Truncated Cauchy product, on the coefficients of ``window`` if given."""
+def jet_mul(a: Jet, b: Jet, slices=None) -> Jet:
+    """Truncated Cauchy product, on the normal slices of ``slices`` if given
+    (see the module docstring)."""
     _check_compatible(a, b)
     n, order = a.nvars, a.order
     ac, bc = a.coeffs, b.coeffs
@@ -476,15 +433,16 @@ def jet_mul(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
         ac, bc = _broadcast(a, b)
     size = (order + 1) ** n
     rows = ac.size // size
-    ia, ib, tgt = _product_table(n, order, window)
+    span = slices and slices[:2]  # the tables' key (lo, hi)
+    ia, ib, tgt = _product_table(n, order, span)
     af, bf = ac.ravel(), bc.ravel()
     if rows == 1:
         terms = af[ia] * bf[ib]
     else:
         terms = _gather(af, rows, ia) * _gather(bf, rows, ib)
-        tgt = _product_bins(n, order, window, rows)
+        tgt = _offset(tgt, size, rows)
     out = np.bincount(tgt, weights=terms, minlength=ac.size)
-    return Jet(n, order, out.reshape(ac.shape))
+    return Jet(n, order, _take_known(out, n, order, slices).reshape(ac.shape))
 
 
 def jet_matvec(rows, vec) -> list[Jet]:
@@ -524,13 +482,14 @@ def jet_matvec(rows, vec) -> list[Jet]:
     return out
 
 
-def jet_div(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
+def jet_div(a: Jet, b: Jet, slices=None) -> Jet:
     """Graded long division; the denominator needs a nonzero constant term.
 
     Solves out * b = a one total degree at a time: each degree-d coefficient
     is (a_gamma - sum_{0 != beta <= gamma} b_beta out_{gamma - beta}) / b0,
-    subtracted term by term with beta in lexicographic order.  With a
-    window, only its coefficients are solved for.
+    subtracted term by term with beta in lexicographic order.  With
+    ``slices``, only the coefficients of its normal slices are solved for,
+    reading the known quotient's lower slices.
     """
     _check_compatible(a, b)
     n, order = a.nvars, a.order
@@ -543,36 +502,37 @@ def jet_div(a: Jet, b: Jet, window: tuple[int, int] | None = None) -> Jet:
     if 0.0 in b0.tolist():
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
     rows = b0.size
-    levels, ib, _, _ = _division_levels(n, order, window)
+    span = slices and slices[:2]  # the tables' key (lo, hi)
+    ib = _division_levels(n, order, span)[1]
     neg_b = -_gather(bf, rows, ib).reshape(rows, -1)  # out * (-b) is -(out * b) bit for bit
     out = np.zeros(af.size)
     out[::size] = af[::size] / b0  # degree 0 has no terms to subtract
+    _take_known(out, n, order, slices)
     b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
-    for targets, bins, ia, pos, row, sl in levels[1:] if rows == 1 else _batch_levels(n, order, window, rows):
+    for _, targets, bins, ia, pos, row, sl in _batch_levels(n, order, span, rows):
         acc = _gather(af, rows, targets)
-        np.add.at(acc, pos, _gather(out, rows, ia) * (neg_b[0, sl] if rows == 1 else neg_b[:, sl].ravel()))
+        np.add.at(acc, _offset(pos, targets.size, rows), _gather(out, rows, ia) * neg_b[:, sl].ravel())
         out[bins] = acc / b0[row]
     return Jet(n, order, out.reshape(ac.shape))
 
 
-def _graded_levels(g: Jet, weight, window: tuple[int, int] | None = None):
-    """Per total degree d >= 1: d, the flat indices of the degree-d
-    coefficients of ``g``'s batch entries held one after another, and over
-    the pairs (alpha - beta, beta) with |alpha| = d and beta != 0, entry
-    after entry: the terms' flat index of alpha - beta (gathered per entry
-    with :func:`_gather`), the position of alpha among the targets, the batch
-    entry of each target, and the weight of each pair, where
-    ``weight(nb, nd, gb)`` forms the weights of all the levels at once from
-    |beta|, d and g_beta (one row per entry).  A recurrence sums its terms
-    per target with ``np.bincount(pos, w * _gather(c, rows, ia), len(targets))``,
-    in the order of a loop over beta."""
-    size = (g.order + 1) ** g.nvars
-    rows = g.coeffs.size // size
-    levels, ib, nb, nd = _division_levels(g.nvars, g.order, window)
-    levels = levels[1:] if rows == 1 else _batch_levels(g.nvars, g.order, window, rows)
+def _graded_levels(g: Jet, weight, span: tuple[int, int] | None = None):
+    """Per total degree d >= 1 with coefficients in ``span``: d, the flat
+    indices of the degree-d coefficients of ``g``'s batch entries held one
+    after another, and over the pairs (alpha - beta, beta) with |alpha| = d
+    and beta != 0, entry after entry: the terms' flat index of alpha - beta
+    (gathered per entry with :func:`_gather`), the position of alpha among
+    the targets, the batch entry of each target, and the weight of each
+    pair, where ``weight(nb, nd, gb)`` forms the weights of all the levels
+    at once from |beta|, d and g_beta (one row per entry).  A recurrence
+    sums its terms per target with
+    ``np.bincount(pos, w * _gather(c, rows, ia), len(targets))``, in the
+    order of a loop over beta."""
+    rows = g.coeffs.size // (g.order + 1) ** g.nvars
+    _, ib, nb, nd = _division_levels(g.nvars, g.order, span)
     w = weight(nb, nd, _gather(g.coeffs.ravel(), rows, ib).reshape(rows, -1))
-    for d, (_, bins, ia, pos, row, sl) in enumerate(levels, start=1):
-        yield d, bins, ia, pos, row, w[0, sl] if rows == 1 else w[:, sl].ravel()
+    for d, targets, bins, ia, pos, row, sl in _batch_levels(g.nvars, g.order, span, rows):
+        yield d, bins, ia, _offset(pos, targets.size, rows), row, w[:, sl].ravel()
 
 
 def _integer_exponent(e: float) -> int | None:
@@ -580,8 +540,8 @@ def _integer_exponent(e: float) -> int | None:
     return int(round(e)) if abs(e) < 1e6 and abs(e - round(e)) < 1e-12 else None
 
 
-def jet_pow(base: Jet, exponent, window: tuple[int, int] | None = None) -> Jet:
-    """base**exponent, on the coefficients of ``window`` if given.
+def jet_pow(base: Jet, exponent, slices=None) -> Jet:
+    """base**exponent, on the normal slices of ``slices`` if given.
 
     Integer exponents use exact repeated squaring and allow any nonzero
     constant term (any at all when the exponent is a nonnegative integer);
@@ -589,53 +549,64 @@ def jet_pow(base: Jet, exponent, window: tuple[int, int] | None = None) -> Jet:
     solves b E c = e c E b, which per total degree d reads
     c_alpha = sum_{0 != beta <= alpha} ((e + 1) |beta| - d) b_beta c_{alpha - beta} / (d b0).
     An array exponent gives each batch entry its own: the entries that share
-    a path (one integer, or the real recurrence) run as one batch.
+    a path (one integer, or the real recurrence) run as one batch.  With
+    ``slices`` = (lo, hi, known), every product of the squaring but the last,
+    and the reciprocal of a negative power, runs on the slices 0..hi, since
+    the next product reads their lower slices; an exponent 0 gives the
+    constant 1.
     """
     if isinstance(exponent, np.ndarray):
-        return _pow_per_entry(base, exponent, window)
+        return _pow_per_entry(base, exponent, slices)
     n, order = base.nvars, base.order
     e = float(exponent)
     k = _integer_exponent(e)
     if k is None:
-        return _real_pow(base, e, window)
+        return _real_pow(base, e, slices)
     if k == 0:
         return jet_const(n, order, 1.0)
-    if k == 1:  # a copy, zero outside the window as a product leaves it
-        keep = _window_mask(n, order, window).reshape((order + 1,) * n)
-        return Jet(n, order, np.where(keep, base.coeffs, 0.0))
+    if k == 1:  # a copy, zero above the slices as a product leaves it
+        return Jet(n, order, _take_known(np.array(base.coeffs), n, order, slices))
+    chain = None if slices is None else (0, slices[1], None)
     if k > 0:  # k >= 2: the first factor is taken as it is, at least one product follows
         acc, pw = None, base
         while True:
             if k & 1:
-                acc = pw if acc is None else jet_mul(acc, pw, window)
+                acc = pw if acc is None else jet_mul(acc, pw, slices if k == 1 else chain)
             k >>= 1
             if not k:
                 return acc
-            pw = jet_mul(pw, pw, window)
+            pw = jet_mul(pw, pw, slices if k == 1 and acc is None else chain)
     if 0.0 in np.ravel(base.value).tolist():
         raise JetDomainError("negative integer power of a jet with zero constant term")
-    inv = jet_div(jet_const(n, order, 1.0), base, window)
-    return jet_pow(inv, -k, window)
+    inv = jet_div(jet_const(n, order, 1.0), base, chain)
+    return jet_pow(inv, -k, slices)
 
 
-def _pow_per_entry(base: Jet, exponent: np.ndarray, window) -> Jet:
+def _pow_per_entry(base: Jet, exponent: np.ndarray, slices) -> Jet:
     """:func:`jet_pow` with one exponent per batch entry."""
+    n, order = base.nvars, base.order
     batch = np.broadcast_shapes(base.batch, exponent.shape)
-    shape = (base.order + 1,) * base.nvars
-    base = Jet(base.nvars, base.order, np.broadcast_to(base.coeffs, batch + shape).reshape((-1,) + shape))
+    shape = (order + 1,) * n
+
+    def entries_of(jet: Jet) -> np.ndarray:  # one jet per entry, entry after entry
+        return np.broadcast_to(jet.coeffs, batch + shape).reshape((-1,) + shape)
+
+    coeffs = entries_of(base)
+    known = None if slices is None or slices[2] is None else entries_of(slices[2])
     es = np.broadcast_to(exponent, batch).ravel()
     groups: dict[int | None, list[int]] = {}
     for i, e in enumerate(es.tolist()):
         groups.setdefault(_integer_exponent(e), []).append(i)
-    out = np.empty(base.coeffs.shape)
+    out = np.empty(coeffs.shape)
     for k, entries in groups.items():
-        part = base if len(groups) == 1 else Jet(base.nvars, base.order, base.coeffs[entries])
-        part = _real_pow(part, es[entries], window) if k is None else jet_pow(part, k, window)
+        part = Jet(n, order, coeffs[entries])
+        part_slices = slices and (*slices[:2], None if known is None else Jet(n, order, known[entries]))
+        part = _real_pow(part, es[entries], part_slices) if k is None else jet_pow(part, k, part_slices)
         out[entries] = part.coeffs
-    return Jet(base.nvars, base.order, out.reshape(batch + shape))
+    return Jet(n, order, out.reshape(batch + shape))
 
 
-def _real_pow(base: Jet, e, window) -> Jet:
+def _real_pow(base: Jet, e, slices) -> Jet:
     """The real power of :func:`jet_pow`; ``e`` is a float, or a 1-D array
     of one exponent per entry of ``base``'s batch."""
     size = (base.order + 1) ** base.nvars
@@ -648,9 +619,10 @@ def _real_pow(base: Jet, e, window) -> Jet:
         if b <= 0.0:
             raise JetDomainError(f"real power {x:g} needs a positive constant term, got {b:g}")
         out[i * size] = b**x
+    _take_known(out, base.nvars, base.order, slices)
     b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
     e = np.reshape(e, (-1, 1)) if isinstance(e, np.ndarray) else e
-    weights = _graded_levels(base, lambda nb, nd, bb: ((e + 1.0) * nb - nd) * bb, window)
+    weights = _graded_levels(base, lambda nb, nd, bb: ((e + 1.0) * nb - nd) * bb, slices and slices[:2])
     for d, targets, ia, pos, row, w in weights:
         out[targets] = np.bincount(pos, w * _gather(out, rows, ia), targets.size) / (d * b0[row])
     return Jet(base.nvars, base.order, out.reshape(base.coeffs.shape))

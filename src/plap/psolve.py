@@ -100,7 +100,8 @@ class NonConvergence(Exception):
 
 
 class ProfileNotResolved(Exception):
-    """The quadrature of the pseudo-1D profile did not settle within its node cap."""
+    """The pseudo-1D profile's integrand is not finite at a quadrature point,
+    or its quadrature did not settle within its node cap."""
 
 
 class DegenerateGradientWarning(UserWarning):
@@ -196,11 +197,10 @@ def pseudo1d_profile(gamma, p: float, xs, c: float = 1.0) -> np.ndarray:
     rule, so the nodes per cell double; gamma is evaluated at once over all
     cells, and G is the running sum of the cell integrals.  The cuts stop
     when two successive rules differ by at most 1e-14 max|G| summed over
-    the cells; the finer one is kept.  Raises ``ValueError`` as
-    :func:`~plap.grid.require_positive_weight` does when gamma is not finite
-    and positive at some quadrature point, ``ValueError`` when the integrand
-    is not finite there, and :class:`ProfileNotResolved` when 1024 nodes
-    per cell do not settle.
+    the cells; the finer one is kept.  Raises
+    :class:`~plap.grid.InvalidWeight` when gamma is not finite and positive
+    at some quadrature point, and :class:`ProfileNotResolved` when the
+    integrand is not finite there or 1024 nodes per cell do not settle.
     """
     xs = np.asarray(xs, dtype=float)
     width = np.diff(xs)[:, None, None]
@@ -216,7 +216,7 @@ def pseudo1d_profile(gamma, p: float, xs, c: float = 1.0) -> np.ndarray:
             slope = (c / gam) ** expo
         if not np.all(np.isfinite(slope)):
             bad = float(t[~np.isfinite(slope)][0])
-            raise ValueError(f"pseudo-1D slope (c/gamma)^(1/(p-1)) is not finite at x1 = {bad:g}")
+            raise ProfileNotResolved(f"pseudo-1D slope (c/gamma)^(1/(p-1)) is not finite at x1 = {bad:g}")
         cells = np.sum(half * slope * weights, axis=(1, 2))
         profile = np.concatenate([[0.0], np.cumsum(cells)])
         change = np.inf if prev is None else float(np.sum(np.abs(cells - prev)))

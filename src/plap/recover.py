@@ -62,17 +62,17 @@ The recovery keeps one record of that system: its jets, their inverse and
 the 2-norm condition number of its constant terms (the one SVD), taken
 before any order runs and reported once for each order.  The known part of
 each row is one forward jet evaluation per order at the state, where the
-unknowns are still zero: the jet flux pieces, 1/|grad u0|^2 among them, are
-built once, and only the three rows read are formed (the flux divergence and
-the entries A_00 and tau . A tau).  Order m reads those rows at normal index
-m - 1 and m and tangential degree at most n - m + 1 only, so every product,
-quotient and power of its evaluation runs on the jet window (m, n - m + 1)
-of :mod:`plap.jets`, and the divergence is formed on its slice m - 1 alone;
-this gives the rows bit for bit while computing only the coefficients read.
-Solving over the ring fills the mixed (tangential x normal) derivatives
-without finite differencing.  The tests check the columns against probing
-the forward rows at (X, Y) = (0, 0), (1, 0) and (0, 1), and the inverse
-against the identity.
+unknowns are still zero: only the three rows read are formed (the flux
+divergence and the entries A_00 and tau . A tau).  Order m reads those rows
+at normal index m - 1 and m only, and normal slice k of every flux piece
+depends on the state's slices up to k alone, so the state keeps each
+piece's jet and order m extends it by its slices m - 1 and m (relaxed
+series evaluation, van der Hoeven, J. Symbolic Comput. 34, 2002): each
+slice is finalised once, at the order after it is formed, and the rows come
+out bit for bit those of whole jets.  Solving over the ring fills the mixed
+(tangential x normal) derivatives without finite differencing.  The tests
+check the columns against probing the forward rows at (X, Y) = (0, 0),
+(1, 0) and (0, 1), and the inverse against the identity.
 
 The 3x3 determinant is evaluated two ways: a fixed cofactor expansion of the
 assembled matrix (authoritative) and a verbatim closed-form expression kept
@@ -250,43 +250,55 @@ def oracle_tilted_profile(sc: Scenario) -> tuple[Jet, Jet]:
     return gamma_jet, u0_jet
 
 
-def _flux_pieces(
-    gamma_jet: Jet, u0_jet: Jet, p: float, window: tuple[int, int] | None = None
-) -> tuple[list[Jet], Jet, Jet, Jet]:
+def _whole(name: str, op, *args) -> Jet:
+    """Run a jet operation on whole jets (see :func:`_extend`)."""
+    return op(*args)
+
+
+def _extend(jets: dict[str, Jet], lo: int, hi: int):
+    """A runner of jet operations on the normal slices lo..hi (see
+    :mod:`plap.jets`): each keeps its result in ``jets`` under its name and
+    reads its slices below lo from the result kept there before."""
+
+    def run(name: str, op, *args) -> Jet:
+        jets[name] = op(*args, slices=(lo, hi, jets.get(name)))
+        return jets[name]
+
+    return run
+
+
+def _flux_pieces(gamma_jet: Jet, u0_jet: Jet, p: float, run=_whole) -> tuple[list[Jet], Jet, Jet, Jet]:
     """Jets of grad u0, g0 * g0 with g0 = d u0/dx1, 1/w2 with
-    w2 = |grad u0|^2, and gk = gamma |grad u0|^(p-2), on the coefficients
-    of ``window`` (see :mod:`plap.jets`) if given."""
+    w2 = |grad u0|^2, and gk = gamma |grad u0|^(p-2), every product,
+    quotient and power run by ``run``."""
     grads = [jet_partial(u0_jet, a) for a in range(3)]
-    g00 = jet_mul(grads[0], grads[0], window)
-    w2 = g00 + jet_mul(grads[1], grads[1], window) + jet_mul(grads[2], grads[2], window)
+    g00 = run("g0 g0", jet_mul, grads[0], grads[0])
+    w2 = g00 + run("g1 g1", jet_mul, grads[1], grads[1]) + run("g2 g2", jet_mul, grads[2], grads[2])
     if any(v <= 0.0 for v in _floats(w2.value)):
         raise NormalGradientZero("grad u0 vanishes at z")
-    gk = jet_mul(gamma_jet, jet_pow(w2, (p - 2.0) / 2.0, window), window)
-    inv_w2 = jet_div(jet_const(w2.nvars, w2.order, 1.0), w2, window)
+    gk = run("gk", jet_mul, gamma_jet, run("w2^((p-2)/2)", jet_pow, w2, (p - 2.0) / 2.0))
+    inv_w2 = run("1/w2", jet_div, jet_const(w2.nvars, w2.order, 1.0), w2)
     return grads, g00, inv_w2, gk
 
 
-def _entry(
-    guv: Jet, inv_w2: Jet, gk: Jet, p: float, same: bool, window: tuple[int, int] | None = None
-) -> Jet:
+def _entry(guv: Jet, inv_w2: Jet, gk: Jet, p: float, same: bool, run=_whole, name: str = "") -> Jet:
     """Jet of u . A v = gk (u . v + (p-2) (u . g)(v . g) / w2) for unit
     directions u, v that are equal (``same``) or orthogonal; ``guv`` is the
-    product (u . g)(v . g) of the slopes, and ``inv_w2`` is 1/w2."""
-    term = (p - 2.0) * jet_mul(guv, inv_w2, window)
+    product (u . g)(v . g) of the slopes, and ``inv_w2`` is 1/w2.  ``run``
+    runs the two products, under ``name``."""
+    term = (p - 2.0) * run(name + " / w2", jet_mul, guv, inv_w2)
     if same:
         term = term + 1.0
-    return jet_mul(gk, term, window)
+    return run(name, jet_mul, gk, term)
 
 
-def _divergence_slice(
-    grads: list[Jet], gk: Jet, k: int, window: tuple[int, int] | None = None
-) -> Jet:
+def _divergence_slice(grads: list[Jet], gk: Jet, k: int, run) -> Jet:
     """Normal slice k of div(gk grad u0), as ``extract_normal_slice`` of the
     divergence jet would give it, formed on that slice alone: d_a F_a
-    multiplies each coefficient of F_a = gk g_a by its index along axis a
-    plus one, and the three terms are added in axis order, as
-    :func:`plap.jets.jet_partial` and jet addition do."""
-    f = [jet_mul(gk, g, window).coeffs for g in grads]
+    multiplies each coefficient of F_a = gk g_a (run by ``run``) by its
+    index along axis a plus one, and the three terms are added in axis
+    order, as :func:`plap.jets.jet_partial` and jet addition do."""
+    f = [run(f"gk g{a}", jet_mul, gk, g).coeffs for a, g in enumerate(grads)]
     nt = gk.order - 1 - k
     t = np.arange(1, nt + 2)
     div = (
@@ -500,6 +512,8 @@ class RecoveryState:
     cond: float               # 2-norm condition number of the constant terms of ``columns``
     conds: list[float] = field(default_factory=list)  # ``cond`` (the batch's largest) once per order run
     gauge_by_degree: list[list[float]] = field(default_factory=list)  # max |Z| per tangential degree
+    # the forward rows' products, quotient and power by name, normal slices below ``filled_order`` final
+    intermediates: dict[str, Jet] = field(default_factory=dict)
 
     @property
     def gauge_residuals(self) -> list[float]:
@@ -531,6 +545,7 @@ class RecoveryState:
             cond=cond,
             conds=[cond] * len(self.conds),
             gauge_by_degree=[by_degree[k] for by_degree in self.gauge_by_degree],
+            intermediates={name: jet.take(k) for name, jet in self.intermediates.items()},
         )
 
 
@@ -572,20 +587,23 @@ def _step_functional(state: RecoveryState, m: int):
     unknowns d1^m gamma and d1^(m+1) u0 are still zero: the known part of
     each row.
 
-    The rows read the flux pieces at normal index m - 1 and m only, and at
-    tangential degree at most n - m + 1 (the divergence differentiates once
-    tangentially), so every product, quotient and power runs on the window
-    (m, n - m + 1), and only the read slice of the divergence is formed."""
+    The rows read the flux pieces at normal index m - 1 and m only, and
+    slice k of every piece reads the state's slices up to k alone.  So every
+    product, quotient and power extends its jet in ``state.intermediates``
+    by the slices m - 1 and m: slice m - 1 is finalised with the order-(m - 1)
+    unknowns in place, slice m formed with the order-m unknowns zero, and the
+    slices below are the earlier orders' (see :mod:`plap.jets`).  Only the
+    read slice of the divergence is formed."""
     if np.any(state.gamma.coeffs[..., m, :, :]) or np.any(state.u0.coeffs[..., m + 1, :, :]):
         raise RecoveryError(f"the order-{m} unknowns are already set in the state")
     p = state.p
-    window = (m, state.order - m + 1)
+    run = _extend(state.intermediates, m - 1, m)
     tau1, tau2 = _scalar(state.tangent[..., 1]), _scalar(state.tangent[..., 2])
-    grads, g00, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p, window)
-    f1 = _divergence_slice(grads, gk, m - 1, window)
-    f2 = extract_normal_slice(_entry(g00, inv_w2, gk, p, True, window), m)
+    grads, g00, inv_w2, gk = _flux_pieces(state.gamma, state.u0, p, run)
+    f1 = _divergence_slice(grads, gk, m - 1, run)
+    f2 = extract_normal_slice(_entry(g00, inv_w2, gk, p, True, run, "A00"), m)
     gt = tau1 * grads[1] + tau2 * grads[2]
-    f3 = extract_normal_slice(_entry(jet_mul(gt, gt, window), inv_w2, gk, p, True, window), m)
+    f3 = extract_normal_slice(_entry(run("gt gt", jet_mul, gt, gt), inv_w2, gk, p, True, run, "Att"), m)
     return f1, f2, f3
 
 

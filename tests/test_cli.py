@@ -226,6 +226,7 @@ def test_nonpositive_weight_serialized_as_error(tmp_path):
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 3
     report = _report(out)
+    assert report["error"]["type"] == "InvalidWeight"
     assert "strictly positive" in report["error"]["message"]
 
 
@@ -243,7 +244,7 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
     out = str(tmp_path / "out")
     assert main(["forward", "--config", cfg, "--out", out]) == 3
     report = _report(out)
-    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["type"] == "InvalidWeight"
     assert message in report["error"]["message"]
 
 
@@ -251,7 +252,9 @@ def test_bad_weight_rejected_before_pseudo1d_profile(tmp_path, gamma, message):
     "gamma, p, error, message",
     [
         # positive at the five nodes, negative between them
-        ("0.5 + cos(8*3.14159265358979*x1)", "3", "ValueError", "strictly positive"),
+        ("0.5 + cos(8*3.14159265358979*x1)", "3", "InvalidWeight", "strictly positive"),
+        # positive, but so small that the slope overflows
+        ("1e-300*(1 + x1)", "1.2", "ProfileNotResolved", "not finite"),
         ("1e-12 + x1^2", "1.2", "ProfileNotResolved", "nodes per cell"),
     ],
 )
@@ -599,13 +602,13 @@ def _report_files(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("order", [8, 16])
 def test_recover_sample_cold_and_warm_runs_identical(tmp_path, order):
-    # the first run builds the jet tables (windowed and batch ones
+    # the first run builds the jet tables (the slice-range and batch ones
     # included) from empty caches, the second reads them
     sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
     cfg = _write(tmp_path, "r.cfg", sample.replace("\norder = 8\n", f"\norder = {order}\n"))
     jets._product_table.cache_clear()
     jets._division_levels.cache_clear()
-    jets._batch_tables.clear()
+    jets._batch_levels.cache_clear()
     runs = []
     for run in ("cold", "warm"):
         assert main(["recover", "--config", cfg, "--out", str(tmp_path / run)]) == 0

@@ -231,35 +231,43 @@ def test_coefficients_above_degree_stay_zero(nvars, order):
 
 
 @st.composite
-def _windowed_case(draw):
-    """A jet pair of random shape (nvars 1-3, order <= 10), with exact and
-    negative zeros, the divisor's constant term in [1, 2], and a random
-    window (K, T)."""
+def _slice_range_case(draw):
+    """A jet pair of random shape (nvars 1-3, order <= 10), one jet or a
+    batch of two, with exact and negative zeros, the divisor's constant
+    term in [1, 2], and a random range lo..hi of normal slices."""
     nvars, order = draw(st.integers(1, 3)), draw(st.integers(0, 10))
-    window = (draw(st.integers(0, order + 1)), draw(st.integers(0, order + 1)))
+    hi = draw(st.integers(0, order))
+    lo = draw(st.integers(0, hi))
+    batch = draw(st.sampled_from([(), (2,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (order + 1,) * nvars
+    shape = batch + (order + 1,) * nvars
     a = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
     b = _masked_jet(rng.uniform(-1.0, 1.0, shape), nvars, order)
     a.coeffs[rng.uniform(size=shape) < 0.2] = -0.0
     b.coeffs[rng.uniform(size=shape) < 0.2] = 0.0
-    b.coeffs[(0,) * nvars] = rng.uniform(1.0, 2.0)
-    return a, b, window
+    b.coeffs[(Ellipsis,) + (0,) * nvars] = rng.uniform(1.0, 2.0, batch)
+    return a, b, lo, hi
 
 
-@given(_windowed_case())
+@given(_slice_range_case())
 @settings(max_examples=80, deadline=None)
 def test_windowed_operations_match_full_inside_and_vanish_outside(case):
-    a, b, (k, t) = case
-    idx = np.indices(a.coeffs.shape)
-    deg = idx.sum(axis=0)
-    inside = (deg <= a.order) & (idx[0] <= k) & (deg - idx[0] <= t)
-    pairs = [(jet_mul(a, b), jet_mul(a, b, (k, t))), (jet_div(a, b), jet_div(a, b, (k, t)))]
-    pairs += [(jet_pow(b, e), jet_pow(b, e, (k, t))) for e in (1, 2, 3, -2, 0.5, -0.35)]
-    for full, windowed in pairs:
-        assert _same_bits(windowed.coeffs[inside], full.coeffs[inside])
-        assert not np.any(windowed.coeffs[~inside])
-    assert jet_pow(b, 1) is not b and jet_pow(b, 1, (k, t)) is not b
+    # the window is the normal slices lo..hi: inside it a ranged operation
+    # equals the full one, below it copies the known jet, which holds the
+    # full result there and garbage from lo on, and above it is zero
+    a, b, lo, hi = case
+    normal = np.indices((a.order + 1,) * a.nvars)[0]
+    below, inside, above = normal < lo, (lo <= normal) & (normal <= hi), normal > hi
+    exponents = [1, 2, 3, 4, -2, 0.5, -0.35] + ([np.array([3.0, 0.5])] if b.batch else [])
+    cases = [(jet_mul, a, b), (jet_div, a, b)] + [(jet_pow, b, e) for e in exponents]
+    for op, x, y in cases:
+        full = op(x, y)
+        known = Jet(a.nvars, a.order, np.where(below, full.coeffs, np.pi))
+        ranged = op(x, y, slices=(lo, hi, known))
+        assert _same_bits(ranged.coeffs[..., ~above], full.coeffs[..., ~above])
+        assert not np.any(ranged.coeffs[..., above])
+        assert _same_bits(op(x, y, slices=(0, hi, None)).coeffs[..., inside], full.coeffs[..., inside])
+    assert jet_pow(b, 1) is not b and jet_pow(b, 1, slices=(lo, hi, None)) is not b
 
 
 @pytest.mark.parametrize("nvars, order", [(1, 0), (1, 5), (2, 0), (2, 4), (2, 7), (3, 3)])

@@ -136,7 +136,7 @@ def test_pseudo1d_profile_checks_the_weight_between_nodes():
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="strictly positive"):
         psolve.pseudo1d_profile("0.5 + cos(8*3.14159265358979*x1)", 3.0, xs)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(psolve.ProfileNotResolved, match="not finite"):
         psolve.pseudo1d_profile("1+x1", 3.0, xs, c=-1.0)
     assert not np.any(psolve.pseudo1d_profile("1+x1", 3.0, xs, c=0.0))
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -440,14 +441,14 @@ def _count_jet_calls(monkeypatch, calls):
     read; ``recover`` holds its own references to both functions."""
     mul, div = jets.jet_mul, jets.jet_div
 
-    def counted_mul(a, b, window=None):
+    def counted_mul(a, b, slices=None):
         calls["mul"] += 1
-        calls["triples"] += jets._product_table(a.nvars, a.order, window)[0].size
-        return mul(a, b, window)
+        calls["triples"] += jets._product_table(a.nvars, a.order, slices and slices[:2])[0].size
+        return mul(a, b, slices)
 
-    def counted_div(a, b, window=None):
+    def counted_div(a, b, slices=None):
         calls["div"] += 1
-        return div(a, b, window)
+        return div(a, b, slices)
 
     for module in (jets, recover):
         monkeypatch.setattr(module, "jet_mul", counted_mul)
@@ -467,13 +468,14 @@ def test_recovery_jet_call_counts(monkeypatch, p, mul_calls, div_calls):
 
 def test_recovery_reads_windowed_product_tables(monkeypatch):
     # the jet_mul triples one order-8 recovery reads; its 72 forward-row
-    # products read 98,988 of them, where full order-8 tables (3003 triples
-    # each) would make the total 238,491
+    # products read 63,696 of them (12 per order, each on the normal slices
+    # m - 1 and m), where full order-8 tables (3003 triples each) would make
+    # the total 238,491
     bj = _criterion_08_measurements(1.3, "exp(0.2*x1)")
     calls = collections.Counter()
     _count_jet_calls(monkeypatch, calls)
     run_recovery(bj)
-    assert calls["triples"] == 121_263
+    assert calls["triples"] == 85_971
 
 
 def _assert_same_bits(got, want):
@@ -481,30 +483,34 @@ def _assert_same_bits(got, want):
     assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
 
 
-def _assert_windowed_rows_equal_full_rows(monkeypatch, state, m):
-    """``_step_functional`` at order m equals, bit for bit, the same rows
-    with the window dropped; its divergence row also equals the slice of
-    the whole divergence jet, summed over the axes in jet arithmetic."""
-    windowed = recover._step_functional(state, m)
+def _assert_slice_range_rows_equal_full_rows(monkeypatch, state, m):
+    """``_step_functional`` at order m, which extends the state's
+    intermediates by the window of normal slices m - 1 and m, equals, bit
+    for bit, the same rows from whole jets; its divergence row also equals
+    the slice of the whole divergence jet, summed over the axes in jet
+    arithmetic."""
+    ranged = recover._step_functional(state, m)
     with monkeypatch.context() as patch:
         for name in ("jet_mul", "jet_div", "jet_pow"):
             fn = getattr(jets, name)
-            patch.setattr(recover, name, lambda a, b, window=None, fn=fn: fn(a, b))
-        full = recover._step_functional(state, m)
-    for got, want in zip(windowed, full):
+            patch.setattr(recover, name, lambda a, b, slices=None, fn=fn: fn(a, b))
+        full = recover._step_functional(dataclasses.replace(state, intermediates={}), m)
+    for got, want in zip(ranged, full):
         _assert_same_bits(got, want)
     grads, _, _, gk = recover._flux_pieces(state.gamma, state.u0, state.p)
     div = jet_partial(gk * grads[0], 0) + jet_partial(gk * grads[1], 1) + jet_partial(gk * grads[2], 2)
-    _assert_same_bits(windowed[0], extract_normal_slice(div, m - 1))
+    _assert_same_bits(ranged[0], extract_normal_slice(div, m - 1))
 
 
 @pytest.mark.parametrize("order", [8, 12, 16])
-@pytest.mark.parametrize("p, profile", _CRITERION_08)
+@pytest.mark.parametrize("p, profile", _CRITERION_08 + [(8.0, "exp(0.2*x1)"), (10.0, "1 + 0.1*x1")])
 def test_windowed_rows_equal_full_rows_bitwise(monkeypatch, p, profile, order):
+    # p = 8 and 10 take the integer powers 3 and 4, whose chain products
+    # run on the slices 0..m
     bj = _criterion_08_measurements(p, profile, order=order)
     state = run_recovery(bj, max_order=0)
     for m in range(1, order - 1):
-        _assert_windowed_rows_equal_full_rows(monkeypatch, state, m)
+        _assert_slice_range_rows_equal_full_rows(monkeypatch, state, m)
         recover.recover_order_m(state, bj, m)
 
 
@@ -517,10 +523,10 @@ def test_windowed_rows_equal_full_rows_bitwise_off_the_tilted_family(monkeypatch
         (0.0, 0.0, 0.0),
         order + 1,
     )
-    for p in (1.3, 2.5, 6.0):
+    for p in (1.3, 2.5, 6.0, 8.0):
         state = run_recovery(synthesize_measurements(gj, uj, p), max_order=0)
         for m in range(1, order - 1):
-            _assert_windowed_rows_equal_full_rows(monkeypatch, state, m)
+            _assert_slice_range_rows_equal_full_rows(monkeypatch, state, m)
             state.gamma = set_normal_slice(state.gamma, m, extract_normal_slice(gj, m))
             state.u0 = set_normal_slice(state.u0, m + 1, extract_normal_slice(uj, m + 1))
             state.filled_order = m
