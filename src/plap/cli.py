@@ -21,7 +21,9 @@ floats are serialized with 17 significant digits so they round-trip),
 ``tables/*.csv``, and ``run_meta.json`` (timestamps and versions live here,
 outside the deterministic report).  Exit code 0 iff every verdict passes,
 1 on failed verdicts, 2 on config errors, 3 on solver errors (which are
-serialized into the report).
+serialized into the report).  Besides the checks at load, each subcommand
+refuses, as a config error that names the key, a value of a key it reads
+that it cannot take, so a key it ignores never refuses its config.
 
 ``recover`` runs all entries of ``p_list`` as one lockstep batch (see
 :mod:`plap.recover`); ``--jobs k`` splits the list into k contiguous
@@ -58,6 +60,12 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text"
 SUBCOMMANDS = ("forward", "dn", "linearize", "fixedpoint", "recover", "checks", "rescale")
 # run_checks tests the projector identities on the first this many sampled p
 _IDENTITY_SAMPLES = 50
+# run_rescale passes when every face's flux deviation is below this
+_RESCALE_TOL = 1e-8
+# the most triples a recovery's full 3-variable product table, C(order + 6, 6)
+# of them, may hold: order 24, the deepest order measured (1.4 s, 186 MB),
+# needs 593,775, and order 25 would need 736,281
+_MAX_PRODUCT_TRIPLES = 600_000
 
 class ConfigError(Exception):
     pass
@@ -79,14 +87,10 @@ class ExperimentConfig:
     # solver
     tol: float = 1e-8
     eps_reg: float = 1e-8
-    max_iter: int = 60
     # linearize
     phi: str = "x2^2 - x2"
     # 10^-1 down to 10^-3 in half decades
     eps_schedule: tuple[float, ...] = (0.1, 0.03162277660168379, 0.01, 0.0031622776601683794, 0.001)
-    # fixedpoint
-    fp_tol: float = 1e-10
-    fp_max_iter: int = 60
     # recover
     profile: str = "1 + 0.1*x1"
     rc: float = 1.0
@@ -100,8 +104,6 @@ class ExperimentConfig:
     n_samples: int = 1000
     # dn
     dn_matrix: bool = False
-    # rescale
-    rescale_tol: float = 1e-8
     # output
     out_dir: str = ""
     # run
@@ -137,11 +139,8 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("problem", "c"): ("c", float),
     ("solver", "tol"): ("tol", float),
     ("solver", "eps_reg"): ("eps_reg", float),
-    ("solver", "max_iter"): ("max_iter", int),
     ("linearize", "phi"): ("phi", str),
     ("linearize", "eps_schedule"): ("eps_schedule", _floats),
-    ("fixedpoint", "fp_tol"): ("fp_tol", float),
-    ("fixedpoint", "fp_max_iter"): ("fp_max_iter", int),
     ("recover", "profile"): ("profile", str),
     ("recover", "rc"): ("rc", float),
     ("recover", "rzeta"): ("rzeta", _floats),
@@ -152,7 +151,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("recover", "p_list"): ("p_list", _floats),
     ("checks", "n_samples"): ("n_samples", int),
     ("dn", "dn_matrix"): ("dn_matrix", _bool),
-    ("rescale", "rescale_tol"): ("rescale_tol", float),
     ("output", "dir"): ("out_dir", str),
     ("run", "seed"): ("seed", int),
     ("run", "command"): ("command", str),
@@ -348,20 +346,35 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 def _build_domain(cfg: ExperimentConfig):
     from .grid import build_domain
 
+    if len(cfg.resolution) not in (2, 3):
+        raise ConfigError(f"domain.resolution must give 2 or 3 axes, got {len(cfg.resolution)}")
+    if min(cfg.resolution) < 3:
+        raise ConfigError(f"domain.resolution must be at least 3 per axis, got {cfg.resolution}")
     return build_domain(cfg.extents, cfg.resolution, origin=cfg.origin)
 
 
-def _expr_field(dom, text: str) -> ScalarField:
-    """An expression of the node coordinates as a field on ``dom``."""
+def _expr_field(dom, text: str, key: str) -> ScalarField:
+    """The expression ``text`` of config key ``key`` as a field on ``dom``."""
     from .grid import ScalarField
 
+    used = jets.free_variables(text)
+    if used and max(used) >= dom.n:
+        raise ConfigError(f"{key} uses x{max(used) + 1}, but the domain has {dom.n} axes")
     return ScalarField(dom, jets.eval_numpy(text, dom.coords) * np.ones(dom.shape))
+
+
+def _unit_zeta(cfg: ExperimentConfig, dom) -> np.ndarray:
+    """``problem.zeta`` scaled to unit length, one entry per axis of ``dom``."""
+    zeta = np.asarray(cfg.zeta, dtype=float)
+    if zeta.shape != (dom.n,):
+        raise ConfigError(f"problem.zeta must match the domain dimension {dom.n}, got {cfg.zeta}")
+    return zeta / np.linalg.norm(zeta)
 
 
 def _gamma_field(cfg: ExperimentConfig, dom) -> ScalarField:
     from .grid import require_positive_weight
 
-    gamma = _expr_field(dom, cfg.gamma)
+    gamma = _expr_field(dom, cfg.gamma, "problem.gamma")
     require_positive_weight(gamma)
     return gamma
 
@@ -380,13 +393,10 @@ def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | N
     from .grid import ScalarField
 
     if cfg.data.startswith("expr:"):
-        data = _expr_field(dom, cfg.data[len("expr:"):])
+        data = _expr_field(dom, cfg.data[len("expr:"):], "problem.data")
         return data, data.values
     if cfg.data == "linear":
-        zeta = np.asarray(cfg.zeta, dtype=float)
-        if zeta.shape != (dom.n,):
-            raise ConfigError("problem.zeta must match the domain dimension")
-        zeta = zeta / np.linalg.norm(zeta)
+        zeta = _unit_zeta(cfg, dom)
         vals = sum(zeta[a] * dom.coords[a] for a in range(dom.n))
         return ScalarField(dom, vals), vals
     axis_vals = _pseudo1d_profile(cfg, dom)
@@ -399,9 +409,11 @@ def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | N
 def _solver_cfg(cfg: ExperimentConfig) -> psolve.PSolveConfig:
     from . import psolve
 
-    return psolve.PSolveConfig(
-        p=cfg.p, eps_reg=cfg.eps_reg, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    if not cfg.tol > 0.0:
+        raise ConfigError(f"solver.tol must be positive, got {cfg.tol}")
+    if cfg.eps_reg < 0.0:
+        raise ConfigError(f"solver.eps_reg must be nonnegative, got {cfg.eps_reg}")
+    return psolve.PSolveConfig(eps_reg=cfg.eps_reg, tol=cfg.tol)
 
 
 def _flux_tables(dom, flux: dict) -> tuple[list[str], list[list]]:
@@ -483,13 +495,13 @@ def run_dn(cfg: ExperimentConfig):
 
 
 def run_linearize(cfg: ExperimentConfig):
-    from . import linearize, psolve
+    from . import linearize
 
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
     phi0, _ = _data_field(cfg, dom)
-    phi = _expr_field(dom, cfg.phi)
-    scfg = psolve.PSolveConfig(p=cfg.p, eps_reg=cfg.eps_reg, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
+    phi = _expr_field(dom, cfg.phi, "linearize.phi")
+    scfg = replace(_solver_cfg(cfg), tol=min(cfg.tol, 1e-10))
     report = linearize.verify_linearization(
         gamma, cfg.p, phi0, phi, eps_schedule=cfg.eps_schedule, cfg=scfg
     )
@@ -517,10 +529,7 @@ def run_fixedpoint(cfg: ExperimentConfig):
 
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
-    zeta = np.asarray(cfg.zeta, dtype=float)
-    zeta = zeta / np.linalg.norm(zeta)
-    fcfg = criticalfree.FixedPointConfig(tol=cfg.fp_tol, max_iter=cfg.fp_max_iter)
-    rep = criticalfree.fixed_point_u0(gamma, cfg.p, zeta, fcfg)
+    rep = criticalfree.fixed_point_u0(gamma, cfg.p, _unit_zeta(cfg, dom))
     results = {
         "iterations": rep.iterations,
         "factorizations": rep.factorizations,
@@ -646,9 +655,42 @@ def _recover_outcome(cfg: ExperimentConfig, p_val: float, gamma_jet, u0_jet, sta
     return scenario_results, gamma_rows, u_rows, recon_rows, gauge_rows
 
 
+def _validate_recover(cfg: ExperimentConfig):
+    """Refuse the ``[recover]`` values a recovery cannot take, before any jet
+    work and before ``--jobs`` starts a worker."""
+    if cfg.order < 3:
+        raise ConfigError(f"recover.order must be at least 3, got {cfg.order}")
+    triples = math.comb(cfg.order + 6, 6)
+    if triples > _MAX_PRODUCT_TRIPLES:
+        raise ConfigError(
+            f"recover.order = {cfg.order} needs a product table of {triples:,} triples, "
+            f"above the limit of {_MAX_PRODUCT_TRIPLES:,}"
+        )
+    zeta = np.asarray(cfg.rzeta)
+    if not (zeta.shape == (3,) and abs(np.linalg.norm(zeta) - 1.0) <= 1e-12
+            and abs(zeta[0]) >= 1e-10 and math.hypot(zeta[1], zeta[2]) >= 1e-10):
+        raise ConfigError(
+            f"recover.rzeta must be a unit 3-vector with nonzero normal (first) entry "
+            f"and tangential part, got {cfg.rzeta}"
+        )
+    if len(cfg.z) != 3:
+        raise ConfigError(f"recover.z must be a 3-vector, got {cfg.z}")
+    if not cfg.rc > 0.0:
+        raise ConfigError(f"recover.rc must be positive, got {cfg.rc}")
+    if not cfg.depths or min(cfg.depths) <= 0.0:
+        raise ConfigError(f"recover.depths must be positive, got {cfg.depths}")
+    if not jets.free_variables(cfg.profile) <= {0}:
+        raise ConfigError("recover.profile must be an expression of x1 alone")
+    s0 = float(zeta @ np.asarray(cfg.z))
+    value = jets.eval_point(cfg.profile, (s0,))
+    if not value > 0.0:
+        raise ConfigError(f"recover.profile must be positive at rzeta . z = {s0:g}, got {value:g}")
+
+
 def run_recover(cfg: ExperimentConfig, jobs: int = 1):
     from . import recover
 
+    _validate_recover(cfg)
     p_values = list(cfg.p_list) if cfg.p_list else [cfg.p]
     workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
@@ -770,14 +812,19 @@ def run_rescale(cfg: ExperimentConfig):
 
     dom = _build_domain(cfg)
     gamma = _gamma_field(cfg, dom)
-    zeta = np.asarray(cfg.zeta, dtype=float)
-    rescaled = linearize.rescale_translation_invariant(gamma, zeta, cfg.p, tol=cfg.tol)
+    zeta = _unit_zeta(cfg, dom)
+    if np.count_nonzero(zeta) != 1:
+        raise ConfigError(f"rescale needs problem.zeta along one axis, got {cfg.zeta}")
+    try:
+        rescaled = linearize.rescale_translation_invariant(gamma, zeta, cfg.p, tol=cfg.tol)
+    except ValueError as exc:  # the one check left: gamma varies along zeta
+        raise ConfigError(f"problem.gamma: {exc}") from exc
     axis = rescaled.axis
 
     # anisotropic side: A = gamma (I + (p-2) zeta zeta^T) via the exact base solution
     u0_vals = sum(zeta[a] * dom.coords[a] for a in range(dom.n))
     a_tensor = linearize.assemble_A(gamma, cfg.p, ScalarField(dom, u0_vals))
-    phi = _expr_field(dom, cfg.phi)
+    phi = _expr_field(dom, cfg.phi, "linearize.phi")
     flux_aniso = linearize.dn_linear(a_tensor, phi)
 
     # isotropic side on the stretched box: same node values for weight and data
@@ -800,7 +847,7 @@ def run_rescale(cfg: ExperimentConfig):
         "max_deviation": max_dev,
     }
     tables = {}
-    passed = max_dev < cfg.rescale_tol
+    passed = max_dev < _RESCALE_TOL
     return results, tables, passed
 
 
@@ -847,7 +894,6 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
             f"run.command = {cfg.command!r} does not match the CLI subcommand {command!r}"
         )
     cfg = replace(cfg, command=command)
-    os.makedirs(out_dir, exist_ok=True)
     report = {"command": command, "config": config_to_text(cfg)}
     exit_code = 0
     tables: dict = {}
@@ -864,6 +910,8 @@ def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["pass"] = False
         exit_code = 3
+    # made only now, so a value a runner refuses as a config error leaves no output
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
         fh.write(to_json(report))
     if tables:

@@ -44,7 +44,6 @@ from .grid import (
 
 __all__ = [
     "BallEscape",
-    "FixedPointConfig",
     "FixedPointReport",
     "ExtremalData",
     "assemble_B",
@@ -60,6 +59,11 @@ __all__ = [
 BALL_RADIUS = 0.5
 RESIDUAL_TOL = 1e-6
 
+# Picard stops when successive iterates differ by less than this in the max
+# norm, and gives up after this many steps
+_PICARD_TOL = 1e-10
+_MAX_PICARD_STEPS = 60
+
 
 class BallEscape(Exception):
     """An iterate left the sup-norm gradient ball of radius 1/2."""
@@ -71,12 +75,6 @@ class BallEscape(Exception):
             f"iterate {iteration} has sup |grad V| = {sup_grad:.4f} >= {BALL_RADIUS}; "
             "the smallness condition on the weight is violated"
         )
-
-
-@dataclass
-class FixedPointConfig:
-    tol: float = 1e-10
-    max_iter: int = 60
 
 
 @dataclass
@@ -119,21 +117,15 @@ def assemble_B(
     return TensorField(dom, gamma.values[..., None, None] * integral)
 
 
-def fixed_point_u0(
-    gamma: ScalarField,
-    p: float,
-    zeta,
-    cfg: FixedPointConfig | None = None,
-) -> FixedPointReport:
+def fixed_point_u0(gamma: ScalarField, p: float, zeta) -> FixedPointReport:
     """Picard iteration for the remainder R of the ansatz u0 = zeta . x + R.
 
     Iterates V^0 = 0, V^{k+1} = solution of div(B(grad V^k) grad V) =
     -zeta . grad gamma with zero trace, until the sup-norm iterate difference
-    drops below ``cfg.tol``.  The returned report carries the certificates
+    drops below 1e-10, and raises :class:`~plap.psolve.NonConvergence` if 60
+    steps do not get there.  The returned report carries the certificates
     (gradient bounds and the nonlinear residual of u0).
     """
-    if cfg is None:
-        cfg = FixedPointConfig()
     require_positive_weight(gamma)
     dom = gamma.domain
     zeta = np.asarray(zeta, dtype=float)
@@ -149,7 +141,7 @@ def fixed_point_u0(
     v = np.zeros(dom.shape)
     history: list[float] = []
     lu = psolve._ReusedLU(history)  # the LU of step 0 preconditions the later steps
-    for k in range(cfg.max_iter):
+    for k in range(_MAX_PICARD_STEPS):
         grad_v = gradient(ScalarField(dom, v))
         sup_grad = float(np.max(np.sqrt(np.sum(grad_v.values**2, axis=-1))))
         history.append(sup_grad)
@@ -159,12 +151,12 @@ def fixed_point_u0(
         u_next = linearize.solve_linear(b, phi=None, source=rhs, lu=lu)
         diff = float(np.max(np.abs(u_next.values - v)))
         v = u_next.values
-        if diff < cfg.tol:
+        if diff < _PICARD_TOL:
             iterations = k + 1
             break
     else:
         raise psolve.NonConvergence(
-            f"Picard iteration did not settle in {cfg.max_iter} steps", history
+            f"Picard iteration did not settle in {_MAX_PICARD_STEPS} steps", history
         )
 
     r = ScalarField(dom, v)

@@ -282,8 +282,7 @@ def verify_linearization(
     of the whole call, base solve included.
     """
     eps_schedule = [float(e) for e in eps_schedule]
-    if cfg is None:
-        cfg = psolve.PSolveConfig(p=p, tol=1e-10)
+    cfg = cfg or psolve.PSolveConfig(tol=1e-10)
     sol = psolve.solve_p_laplace(gamma, p, phi0, cfg)
     A = assemble_A(gamma, p, sol.u)
     lu = psolve._ReusedLU()

@@ -145,8 +145,7 @@ def energy_pairing_check(
 ) -> PairingResult:
     """Compare the interior integral of gamma |grad u|^p against the boundary
     pairing of f with the DN flux of f (the weak form of the equation)."""
-    if cfg is None:
-        cfg = psolve.PSolveConfig(p=p)
+    cfg = cfg or psolve.PSolveConfig()
     sol = psolve.solve_p_laplace(gamma, p, f, cfg)
     flux = psolve.boundary_flux(gamma, p, sol.u, cfg.eps_reg)
     interior = p * psolve.p_energy(gamma, p, sol.u, 0.0)

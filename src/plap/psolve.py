@@ -74,7 +74,9 @@ __all__ = [
 ]
 
 
-# Newton backtracking: halve the step, at most this many trial steps
+# Newton: at most this many steps; backtracking halves a step, at most
+# this many trial steps
+_MAX_NEWTON_STEPS = 60
 _STEP_SHRINK = 0.5
 _MAX_LINESEARCH = 40
 
@@ -111,14 +113,10 @@ class DegenerateGradientWarning(UserWarning):
 
 @dataclass
 class PSolveConfig:
-    p: float
     eps_reg: float = 1e-8
     tol: float = 1e-8
-    max_iter: int = 60
 
     def __post_init__(self):
-        if not (self.p > 1.0 and self.p != 2.0):
-            raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.eps_reg < 0.0:
@@ -324,7 +322,7 @@ class _ReusedLU:
 
     def solve(self, mat, rhs, rtol: float, name: str):
         if self._levels is not None:
-            x = self._gmres(mat, rhs, rtol)
+            x = self._gmres(mat, rhs, rtol, name)
             if _norm(mat @ x - rhs) <= rtol * _norm(rhs):
                 return x
         import scipy.sparse.linalg as spla
@@ -355,16 +353,26 @@ class _ReusedLU:
         x[self._perm] = y
         return x
 
-    def _gmres(self, mat, rhs, rtol: float):
+    def _finite_norm(self, v, name: str) -> float:
+        norm = _norm(v)
+        if not math.isfinite(norm):
+            raise NonConvergence(
+                f"{name}: a GMRES vector's 2-norm is {norm}, its squares beyond float64", self.history
+            )
+        return norm
+
+    def _gmres(self, mat, rhs, rtol: float, name: str):
         """One cycle of GMRES from x = 0 on mat M^-1, M the held factor.
 
         Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
         with modified Gram-Schmidt and Givens rotations, right-preconditioned
         so that its residual estimate is that of mat x: one factor solve per
         Krylov step, and one to form x.  It stops when the estimate drops to
-        rtol |rhs|, at an exact breakdown, or after 50 steps.
+        rtol |rhs|, at an exact breakdown, or after 50 steps.  A right-hand
+        side or Krylov vector whose 2-norm is not finite (its squares
+        overflow) raises :class:`NonConvergence`.
         """
-        beta = _norm(rhs)
+        beta = self._finite_norm(rhs, name)
         if beta == 0.0:
             return np.zeros_like(rhs)
         basis = np.empty((_KRYLOV_RESTART + 1, rhs.size))
@@ -376,7 +384,7 @@ class _ReusedLU:
         for j in range(_KRYLOV_RESTART):
             w = mat @ self._factor_solve(basis[j])
             h = hess[:, j]
-            before = _norm(w)
+            before = self._finite_norm(w, name)
             for i in range(j + 1):
                 h[i] = _dot(basis[i], w)
                 w -= h[i] * basis[i]
@@ -427,16 +435,17 @@ def solve_p_laplace(
     divergence residual is below ``cfg.tol`` at all interior nodes, and whose
     counts are this solve's own.
 
-    Raises :class:`NonConvergence` when the iteration budget runs out, the
-    residual is not finite, a Newton Jacobian is singular or, with
-    eps_reg = 0, the gradient is exactly zero where the flux (p < 2) or its
-    derivative is needed; warns
-    with :class:`DegenerateGradientWarning` when min |grad u| < eps_reg.
+    Raises :class:`ValueError` unless p lies in (1, 2) or (2, inf), and
+    :class:`NonConvergence` when 60 Newton steps do not reach ``cfg.tol``,
+    the residual or a GMRES vector norm is not finite (the flux exceeds
+    float64), a Newton Jacobian is singular or, with eps_reg = 0, the
+    gradient is exactly zero where the flux (p < 2) or its derivative is
+    needed; warns with :class:`DegenerateGradientWarning` when
+    min |grad u| < eps_reg.
     """
-    if cfg is None:
-        cfg = PSolveConfig(p=p)
-    elif cfg.p != p:
-        raise ValueError(f"cfg.p = {cfg.p} does not match p = {p}")
+    if not (p > 1.0 and p != 2.0):
+        raise ValueError(f"p must lie in (1,2) or (2,inf), got {p}")
+    cfg = cfg or PSolveConfig()
     require_positive_weight(gamma)
     if not np.all(np.isfinite(f.values[f.domain.boundary_mask])):
         raise ValueError("boundary data must be finite")
@@ -491,7 +500,10 @@ def solve_p_laplace(
             )
 
     def interior_residual(values) -> np.ndarray:
-        return residual(gamma, p, as_field(values), eps).values.ravel()[int_idx]
+        # a flux beyond float64 gives a non-finite residual: at the start the
+        # loop refuses it, and a trial step that meets one is shrunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            return residual(gamma, p, as_field(values), eps).values.ravel()[int_idx]
 
     iterations = 0
     if p < 2.0:
@@ -501,8 +513,12 @@ def solve_p_laplace(
     history.append(res_norm)
     while not res_norm <= cfg.tol:  # NaN compares false: it enters and is rejected
         if not np.isfinite(res_norm):
-            raise NonConvergence(f"residual is {res_norm} after {iterations} iterations", history)
-        if iterations >= cfg.max_iter:
+            raise NonConvergence(
+                f"residual is {res_norm} after {iterations} iterations: the flux "
+                "gamma |grad u|^(p-2) grad u or its divergence is not finite in float64",
+                history,
+            )
+        if iterations >= _MAX_NEWTON_STEPS:
             raise NonConvergence(
                 f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
                 history,
@@ -579,8 +595,7 @@ def dn_apply(
 
     ``start`` and ``lu`` are passed on to :func:`solve_p_laplace`.
     """
-    if cfg is None:
-        cfg = PSolveConfig(p=p)
+    cfg = cfg or PSolveConfig()
     sol = solve_p_laplace(gamma, p, f, cfg, start, lu)
     return boundary_flux(gamma, p, sol.u, cfg.eps_reg)
 

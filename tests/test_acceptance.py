@@ -148,7 +148,7 @@ def test_criterion_05_linearization_quotients():
             gam = ScalarField(dom, cli.jets.eval_numpy(gamma_text, coords) * np.ones(dom.shape))
             phi0 = ScalarField(dom, cli.jets.eval_numpy(phi0_text, coords) * np.ones(dom.shape))
             phi = ScalarField(dom, cli.jets.eval_numpy(phi_text, coords) * np.ones(dom.shape))
-            cfg = psolve.PSolveConfig(p=p, tol=1e-11)
+            cfg = psolve.PSolveConfig(tol=1e-11)
             if res == 33:
                 rep = linearize.verify_linearization(
                     gam, p, phi0, phi, cli.ExperimentConfig().eps_schedule, cfg=cfg

@@ -723,6 +723,99 @@ def test_every_float_key_rejects_non_finite_values(section, key):
             parse_config_text(f"[{section}]\n{key} = {bad}\n")
 
 
+_GRID = "[domain]\nresolution = 9 9\n"
+_GRID_3D = "[domain]\nextents = 1 1 1\nresolution = 5 5 5\norigin = 0 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("recover", "[recover]\norder = 2\n", "recover.order"),
+        ("recover", "[recover]\ndepths = 0\n", "recover.depths"),
+        ("recover", "[recover]\nz = 0 0\n", "recover.z"),
+        ("recover", "[recover]\nrzeta = 0.6 0.64\n", "recover.rzeta"),
+        ("recover", "[recover]\nrzeta = 1 0 0\n", "recover.rzeta"),
+        ("recover", "[recover]\nrzeta = 0 0.6 0.8\n", "recover.rzeta"),
+        ("recover", "[recover]\nrc = -1\n", "recover.rc"),
+        ("recover", "[recover]\nprofile = 0-1+0*x1\n", "recover.profile"),
+        ("recover", "[recover]\nprofile = 1 + x2\n", "recover.profile"),
+        ("forward", "[domain]\nresolution = 2 2\n", "domain.resolution"),
+        (
+            "forward",
+            "[domain]\nextents = 1 1 1 1\nresolution = 3 3 3 3\norigin = 0 0 0 0\n",
+            "domain.resolution",
+        ),
+        ("forward", _GRID + "[problem]\ngamma = 1 + x3\n", "problem.gamma"),
+        ("forward", _GRID + "[problem]\ndata = expr:x3\n", "problem.data"),
+        ("forward", _GRID + "[solver]\ntol = 0\n", "solver.tol"),
+        ("linearize", _GRID + "[solver]\neps_reg = -1\n", "solver.eps_reg"),
+        ("linearize", _GRID + "[linearize]\nphi = x3\n", "linearize.phi"),
+        ("fixedpoint", _GRID_3D, "problem.zeta"),
+        ("rescale", _GRID_3D, "problem.zeta"),
+        ("rescale", _GRID + "[problem]\nzeta = 0.6 0.8\n", "problem.zeta"),
+        ("rescale", _GRID + "[problem]\ngamma = 1 + x1\nzeta = 1 0\n", "problem.gamma"),
+    ],
+    ids=[
+        "order_2", "depth_0", "z_2d", "rzeta_2d", "rzeta_normal_only", "rzeta_tangential_only",
+        "rc_negative", "profile_negative", "profile_x2", "resolution_2", "four_axes",
+        "gamma_x3", "data_x3", "tol_zero", "eps_reg_negative", "phi_x3", "fixedpoint_3d",
+        "rescale_3d", "rescale_tilted_zeta", "rescale_gamma_varies",
+    ],
+)
+def test_value_a_run_cannot_take_is_config_error(tmp_path, capsys, command, text, key):
+    # each of these once ended in a ValueError traceback and exit 1, the
+    # code of a failed verdict; the subcommand that reads the key refuses it
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_recover_order_is_bounded_by_its_product_table(tmp_path, capsys):
+    # the full 3-variable product table has C(order + 6, 6) triples: order 24
+    # (593,775) is accepted, and the refusal costs no jet work at any order
+    cli._validate_recover(parse_config_text("[recover]\norder = 24\n"))
+    for order, triples in [(25, "736,281"), (60, "90,858,768")]:
+        cfg = _write(tmp_path, "deep.cfg", f"[recover]\norder = {order}\n")
+        assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"recover.order = {order} needs a product table of {triples} triples" in err
+        assert "above the limit of 600,000" in err
+
+
+@pytest.mark.parametrize(
+    "section, key", [("solver", "max_iter"), ("fixedpoint", "fp_tol"), ("fixedpoint", "fp_max_iter"),
+                     ("rescale", "rescale_tol")],
+)
+def test_removed_solver_settings_are_refused(tmp_path, capsys, section, key):
+    # the Newton and Picard budgets, the Picard tolerance and the rescale
+    # verdict's bound are module constants; the report no longer echoes them
+    cfg = _write(tmp_path, "old.cfg", f"[{section}]\n{key} = 60\n")
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    expected = f"unknown key {section}.{key}" if section == "solver" else f"unknown section [{section}]"
+    assert expected in capsys.readouterr().err
+    assert f"{key} = " not in config_to_text(ExperimentConfig())
+
+
+def test_overflowing_flux_is_solver_error(tmp_path):
+    # at p = 1e6 and |grad u| = 2 the flux overflows; at p = 400 and
+    # |grad u| = 3 it is finite, near 1e190, but its squares are not
+    cases = [("1e6", "2*x1", "residual is nan after 0 iterations: the flux"),
+             ("400", "3*x1", "Newton Jacobian: a GMRES vector's 2-norm is inf")]
+    for p, data, message in cases:
+        cfg = _write(tmp_path, "big.cfg", f"{_GRID}[problem]\np = {p}\ndata = expr:{data}\n")
+        out = str(tmp_path / f"o{p}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["forward", "--config", cfg, "--out", out]) == 3
+        error = _report(out)["error"]
+        assert error["type"] == "NonConvergence" and error["message"].startswith(message)
+    # |grad u| = 1 keeps the flux at 1 for any p
+    cfg = _write(tmp_path, "one.cfg", f"{_GRID}[problem]\np = 1e6\n")
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+
+
 @pytest.mark.parametrize("n_samples", [0, 10])
 def test_too_few_check_samples_is_config_error(tmp_path, capsys, n_samples):
     # the identity checks read the first 50 sampled p values

@@ -5,7 +5,6 @@ from plap.grid import ScalarField, VectorField, build_domain
 from plap import criticalfree, linearize, psolve
 from plap.criticalfree import (
     BallEscape,
-    FixedPointConfig,
     assemble_B,
     boundary_cycle,
     extremal_boundary_data_2d,
@@ -190,10 +189,11 @@ def test_ball_escape_on_steep_weight(square):
     assert err.value.sup_grad >= 0.5
 
 
-def test_nonconvergence_budget(square):
+def test_nonconvergence_budget(square, monkeypatch):
     gam = ScalarField.from_function(square, lambda x, y: 1.0 + 0.05 * x)
-    with pytest.raises(psolve.NonConvergence):
-        fixed_point_u0(gam, 3.0, np.array([1.0, 0.0]), FixedPointConfig(max_iter=1))
+    monkeypatch.setattr(criticalfree, "_MAX_PICARD_STEPS", 1)
+    with pytest.raises(psolve.NonConvergence, match="did not settle in 1 steps"):
+        fixed_point_u0(gam, 3.0, np.array([1.0, 0.0]))
 
 
 def test_monotone_smallness_trend():

@@ -193,7 +193,7 @@ def test_assemble_a_of_sample_config_matches_chain():
     cfg = cli.load_config(Path(__file__).resolve().parents[1] / "scripts" / "configs" / "linearize.cfg")
     dom = cli._build_domain(cfg)
     gamma, (phi0, _) = cli._gamma_field(cfg, dom), cli._data_field(cfg, dom)
-    scfg = psolve.PSolveConfig(p=cfg.p, eps_reg=cfg.eps_reg, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
+    scfg = psolve.PSolveConfig(eps_reg=cfg.eps_reg, tol=min(cfg.tol, 1e-10))
     a = assemble_A(gamma, cfg.p, psolve.solve_p_laplace(gamma, cfg.p, phi0, scfg).u)
     cross = a.values[..., 0, 1]
     assert 0 < np.count_nonzero(cross == 0.0) < cross.size
@@ -289,7 +289,7 @@ def test_base_solution_solves_its_own_linearization():
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.2 * y**2)
     phi0 = ScalarField.from_function(dom, lambda x, y: np.cos(0.3) * x + np.sin(0.3) * y)
     p = 2.5
-    u0 = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11)).u
+    u0 = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(tol=1e-11)).u
     udot = solve_linear(assemble_A(gam, p, u0), ScalarField(dom, np.array(u0.values)))
     assert np.max(np.abs(udot.values - u0.values)) < 1e-6
 
@@ -312,7 +312,7 @@ def test_dn_linear_pseudo1d_family_flux_prediction():
 
     p = 3.0
     dom, gam, f = pseudo1d_fields(lambda t: 1.0 + t, p, 33)
-    sol = psolve.solve_p_laplace(gam, p, f, psolve.PSolveConfig(p=p, tol=1e-11))
+    sol = psolve.solve_p_laplace(gam, p, f, psolve.PSolveConfig(tol=1e-11))
     a = assemble_A(gam, p, sol.u)
     flux = dn_linear(a, ScalarField(dom, np.array(sol.u.values)))
     h2 = dom.h[0] ** 2
@@ -328,9 +328,9 @@ def test_dn_linear_at_base_data_is_p_minus_one_times_nonlinear():
     gam = ScalarField.from_function(dom, lambda x, y: 1.0 + 0.2 * y)
     phi0 = ScalarField.from_function(dom, lambda x, y: x + 0.1 * y)
     p = 3.0
-    sol = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
+    sol = psolve.solve_p_laplace(gam, p, phi0, psolve.PSolveConfig(tol=1e-11))
     lin = dn_linear(assemble_A(gam, p, sol.u), phi0)
-    nonlin = psolve.dn_apply(gam, p, phi0, psolve.PSolveConfig(p=p, tol=1e-11))
+    nonlin = psolve.dn_apply(gam, p, phi0, psolve.PSolveConfig(tol=1e-11))
     dev = face_values_max_abs(face_values_combine(lambda a, b: a - (p - 1.0) * b, lin, nonlin))
     assert dev < 1e-8
 
@@ -349,7 +349,7 @@ def test_quotient_nearly_linear_problem(square):
     phi0 = ScalarField.from_function(square, lambda x, y: x)
     phi = ScalarField.from_function(square, lambda x, y: y**2 - y)
     p = 2.001
-    cfg = psolve.PSolveConfig(p=p, tol=1e-12)
+    cfg = psolve.PSolveConfig(tol=1e-12)
     q = verify_linearization(gam, p, phi0, phi, eps_schedule=[1e-1, 1e-3], cfg=cfg).quotients
     assert face_values_max_abs(face_values_combine(lambda a, b: a - b, q[1e-1], q[1e-3])) < 2e-4
 
@@ -370,7 +370,7 @@ def _sample_problem():
     gam = ScalarField.constant(dom, 1.0)
     phi0 = ScalarField.from_function(dom, lambda x, y: x)
     phi = ScalarField.from_function(dom, lambda x, y: y**2 - y)
-    return gam, phi0, phi, psolve.PSolveConfig(p=3.0, tol=1e-10)
+    return gam, phi0, phi, psolve.PSolveConfig(tol=1e-10)
 
 
 def test_verify_linearization_factors_twice(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -36,12 +37,13 @@ def square17():
 
 
 def test_config_validation():
+    # p is the solve's own argument (test_rejects_p_outside_range), and the
+    # Newton budget a module constant, so the config holds two settings
+    assert [f.name for f in dataclasses.fields(PSolveConfig)] == ["eps_reg", "tol"]
     with pytest.raises(ValueError):
-        PSolveConfig(p=2.0)
+        PSolveConfig(tol=0.0)
     with pytest.raises(ValueError):
-        PSolveConfig(p=0.5)
-    with pytest.raises(ValueError):
-        PSolveConfig(p=3.0, tol=0.0)
+        PSolveConfig(eps_reg=-1.0)
 
 
 def test_flux_derivative_is_jacobian_of_regularized_flux():
@@ -191,6 +193,32 @@ def test_dn_scaled_weight(square17):
         assert np.max(np.abs(flux[face.key] - 2.0 * float(nu @ zeta))) < 1e-7
 
 
+def test_dn_metamorphic_relations():
+    # Lambda(f) is the DN map of a weight with no symmetry.  Swapping x1 and
+    # x2 in weight and data swaps the faces, and the p-Laplacian is
+    # homogeneous of degree p - 1: Lambda(2 f) = 2^(p-1) Lambda(f).  Both
+    # hold bit for bit on this problem, so both are checked exactly
+    dom = build_domain((1.0, 1.0), (33, 33))
+    p = 3.0
+
+    def weight(x, y):
+        return 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y) + 0.2 * x
+
+    def data(x, y):
+        return 3.0 * x + y**2 + 0.1 * x * y
+
+    def dn(w, f):
+        return dn_apply(ScalarField.from_function(dom, w), p, ScalarField.from_function(dom, f))
+
+    flux = dn(weight, data)
+    swapped = dn(lambda x, y: weight(y, x), lambda x, y: data(y, x))
+    doubled = dn(weight, lambda x, y: 2.0 * data(x, y))
+    assert 13.0 < max(float(np.max(np.abs(v))) for v in flux.values()) < 15.0
+    for axis, side in flux:
+        assert np.array_equal(swapped[(1 - axis, side)], flux[(axis, side)])
+        assert np.array_equal(doubled[(axis, side)], 2.0 ** (p - 1.0) * flux[(axis, side)])
+
+
 def test_dn_pseudo1d_flux_is_constant():
     p = 3.0
     dom, gam, f = pseudo1d_fields(lambda t: 1.0 + t, p, 33)
@@ -218,7 +246,7 @@ def test_residual_affine_exact_zero(square17):
 def test_residual_of_converged_solve_below_tol(square17):
     gam = ScalarField.from_function(square17, lambda x, y: 1.0 + 0.3 * x)
     f = ScalarField.from_function(square17, lambda x, y: x + 0.1 * y)
-    cfg = PSolveConfig(p=3.0, tol=1e-9)
+    cfg = PSolveConfig(tol=1e-9)
     sol = solve_p_laplace(gam, 3.0, f, cfg)
     r = residual(gam, 3.0, sol.u, cfg.eps_reg)
     assert np.max(np.abs(r.values[square17.interior_mask])) <= 1e-9
@@ -287,12 +315,12 @@ def test_energy_boundary_pairing():
     assert abs(lhs - rhs) / abs(rhs) < 5e-3
 
 
-def test_nonconvergence_reports_history(square17):
+def test_nonconvergence_reports_history(square17, monkeypatch):
     gam = ScalarField.from_function(square17, lambda x, y: 1.0 + 0.4 * x)
     f = ScalarField.from_function(square17, lambda x, y: x + 0.2 * y)
-    cfg = PSolveConfig(p=3.0, max_iter=0)
+    monkeypatch.setattr(psolve, "_MAX_NEWTON_STEPS", 0)
     with pytest.raises(NonConvergence) as err:
-        solve_p_laplace(gam, 3.0, f, cfg)
+        solve_p_laplace(gam, 3.0, f)
     assert len(err.value.history) >= 1
 
 
@@ -305,7 +333,7 @@ def test_zero_gradient_in_newton_loop_is_named():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergence) as err:
-            solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, eps_reg=0.0), start=f)
+            solve_p_laplace(gam, 3.0, f, PSolveConfig(eps_reg=0.0), start=f)
     assert "gradient is exactly zero at 9 of the nodes" in str(err.value)
     assert "the flux derivative is undefined" in str(err.value)
     assert len(err.value.history) == 1
@@ -337,10 +365,10 @@ def test_newton_reuses_one_factor(monkeypatch):
 
 def test_start_skips_isotropic_solve(monkeypatch):
     gam, f = _wavy_problem(33)
-    cold = solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, tol=1e-11))
+    cold = solve_p_laplace(gam, 3.0, f, PSolveConfig(tol=1e-11))
     start = ScalarField(f.domain, cold.u.values + 1e-3 * np.sin(np.pi * f.domain.coords[0]))
     calls = _count_factorizations(monkeypatch)
-    warm = solve_p_laplace(gam, 3.0, f, PSolveConfig(p=3.0, tol=1e-11), start=start)
+    warm = solve_p_laplace(gam, 3.0, f, PSolveConfig(tol=1e-11), start=start)
     assert len(calls) == warm.factorizations == 1
     assert warm.residual_norm <= 1e-11
     assert np.max(np.abs(warm.u.values - cold.u.values)) < 1e-10
@@ -541,11 +569,12 @@ def test_degenerate_gradient_warning(square17):
     assert sol.degenerate_gradient
 
 
-def test_rejects_mismatched_p(square17):
+def test_rejects_p_outside_range(square17):
     gam = ScalarField.constant(square17, 1.0)
     f = ScalarField.from_function(square17, lambda x, y: x)
-    with pytest.raises(ValueError):
-        solve_p_laplace(gam, 3.0, f, PSolveConfig(p=2.5))
+    for p in (2.0, 1.0, 0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"p must lie in \(1,2\) or \(2,inf\)"):
+            solve_p_laplace(gam, p, f)
 
 
 def test_rejects_nonpositive_weight(square17):
