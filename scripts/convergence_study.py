@@ -19,7 +19,7 @@ def pseudo1d(p, res, c=1.0):
     g_axis = psolve.pseudo1d_profile("1 + x1", p, dom.axes[0], c)
     f = ScalarField(dom, np.broadcast_to(g_axis[:, None], dom.shape).copy())
     sol = psolve.solve_p_laplace(gam, p, f)
-    flux = psolve.boundary_flux(gam, p, sol.u, 1e-8)
+    flux = psolve.boundary_flux(gam, p, sol.u)
     u_err = float(np.max(np.abs(sol.u.values - f.values)))
     flux_err = float(np.max(np.abs(flux[(0, 1)] - c)))
     return u_err, flux_err, sol.iterations

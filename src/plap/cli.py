@@ -14,16 +14,17 @@ Config files are flat ``key = value`` pairs under ``[section]`` headers with
 ``#`` comments; unknown sections or keys are rejected with their path, and
 duplicate keys are rejected with a line number.  Expressions use the grammar
 of :mod:`plap.jets`.  Every key has a default, so the minimal valid config is
-an empty file.
+an empty file.  Loading checks the form of a config only: known keys,
+values that parse, finite numbers.
 
 Reports: ``report.json`` (fully deterministic for a fixed config and seed;
 floats are serialized with 17 significant digits so they round-trip),
 ``tables/*.csv``, and ``run_meta.json`` (timestamps and versions live here,
 outside the deterministic report).  Exit code 0 iff every verdict passes,
 1 on failed verdicts, 2 on config errors, 3 on solver errors (which are
-serialized into the report).  Besides the checks at load, each subcommand
-refuses, as a config error that names the key, a value of a key it reads
-that it cannot take, so a key it ignores never refuses its config.
+serialized into the report).  Each range check belongs to the subcommand
+that reads the key: it refuses, as a config error that names the key, a
+value it cannot take, so a key it ignores never refuses its config.
 
 ``recover`` runs all entries of ``p_list`` as one lockstep batch (see
 :mod:`plap.recover`); ``--jobs k`` splits the list into k contiguous
@@ -39,7 +40,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +53,6 @@ from . import jets
 if TYPE_CHECKING:
     import argparse
 
-    from . import psolve
     from .grid import ScalarField
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "run", "main"]
@@ -73,7 +73,6 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    command: str = ""
     # domain
     extents: tuple[float, ...] = (1.0, 1.0)
     resolution: tuple[int, ...] = (33, 33)
@@ -86,7 +85,6 @@ class ExperimentConfig:
     c: float = 1.0
     # solver
     tol: float = 1e-8
-    eps_reg: float = 1e-8
     # linearize
     phi: str = "x2^2 - x2"
     # 10^-1 down to 10^-3 in half decades
@@ -138,7 +136,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("problem", "zeta"): ("zeta", _floats),
     ("problem", "c"): ("c", float),
     ("solver", "tol"): ("tol", float),
-    ("solver", "eps_reg"): ("eps_reg", float),
     ("linearize", "phi"): ("phi", str),
     ("linearize", "eps_schedule"): ("eps_schedule", _floats),
     ("recover", "profile"): ("profile", str),
@@ -153,7 +150,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("dn", "dn_matrix"): ("dn_matrix", _bool),
     ("output", "dir"): ("out_dir", str),
     ("run", "seed"): ("seed", int),
-    ("run", "command"): ("command", str),
 }
 
 _FIELD_TO_SECTION = {f: (s, k) for (s, k), (f, _) in _SCHEMA.items()}
@@ -200,23 +196,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig):
-    # every number of a float key first, so no later check compares a nan
+    """The checks at load: every number finite, every expression parsed.  A
+    range check belongs to the runner that reads the key, so a key a
+    subcommand ignores never refuses its config."""
     for (section, key), (field_name, parser) in _SCHEMA.items():
         if parser is float or parser is _floats:
             value = getattr(cfg, field_name)
             if not all(map(math.isfinite, value if parser is _floats else (value,))):
                 raise ConfigError(f"{section}.{key} must be finite, got {value}")
-    if len(cfg.extents) != len(cfg.resolution):
-        raise ConfigError("domain.extents and domain.resolution must have equal length")
-    if len(cfg.origin) != len(cfg.extents):
-        raise ConfigError("domain.origin must match domain.extents in length")
-    if any(e <= 0 for e in cfg.extents):
-        raise ConfigError("domain.extents must be positive")
-    for p_val, name in [(cfg.p, "problem.p")] + [(q, "recover.p_list") for q in cfg.p_list]:
-        if not (p_val > 1.0) or p_val == 2.0:
-            raise ConfigError(f"{name}: p must avoid 2 and exceed 1, got {p_val}")
-    if not any(cfg.zeta):
-        raise ConfigError(f"problem.zeta must be nonzero, got {cfg.zeta}")
     for expr_key in ("gamma", "phi", "profile"):
         text = getattr(cfg, expr_key)
         try:
@@ -230,18 +217,6 @@ def _validate_config(cfg: ExperimentConfig):
             jets.parse_expr(cfg.data[len("expr:"):])
         except jets.ParseError as exc:
             raise ConfigError(f"problem.data: {exc}") from exc
-    if cfg.mode != "A":
-        raise ConfigError(f"recover.mode must be 'A', got {cfg.mode!r} (mode B was removed)")
-    if cfg.command and cfg.command not in SUBCOMMANDS:
-        raise ConfigError(f"run.command must be one of {SUBCOMMANDS}")
-    if cfg.n_samples < _IDENTITY_SAMPLES:
-        raise ConfigError(
-            f"checks.n_samples must be at least {_IDENTITY_SAMPLES}, got {cfg.n_samples}"
-        )
-    if len(list(cfg.eps_schedule)) < 2 or any(
-        b >= a for a, b in zip(cfg.eps_schedule, cfg.eps_schedule[1:])
-    ):
-        raise ConfigError("linearize.eps_schedule must be strictly decreasing")
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -252,7 +227,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
             continue
         section, key = _FIELD_TO_SECTION[f.name]
         value = getattr(cfg, f.name)
-        if f.name in ("command", "out_dir") and not value:
+        if f.name == "out_dir" and not value:
             continue
         if isinstance(value, tuple):
             text = " ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
@@ -343,9 +318,28 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 # -- field construction helpers -----------------------------------------------------
 
 
+def _check_p(p_val: float, key: str):
+    if not (p_val > 1.0) or p_val == 2.0:
+        raise ConfigError(f"{key}: p must avoid 2 and exceed 1, got {p_val}")
+
+
+def _pde_problem(cfg: ExperimentConfig):
+    """The grid and weight field of a PDE subcommand, whose ``problem.p`` it
+    checks first."""
+    _check_p(cfg.p, "problem.p")
+    dom = _build_domain(cfg)
+    return dom, _gamma_field(cfg, dom)
+
+
 def _build_domain(cfg: ExperimentConfig):
     from .grid import build_domain
 
+    if len(cfg.extents) != len(cfg.resolution):
+        raise ConfigError("domain.extents and domain.resolution must have equal length")
+    if len(cfg.origin) != len(cfg.extents):
+        raise ConfigError("domain.origin must match domain.extents in length")
+    if any(e <= 0 for e in cfg.extents):
+        raise ConfigError("domain.extents must be positive")
     if len(cfg.resolution) not in (2, 3):
         raise ConfigError(f"domain.resolution must give 2 or 3 axes, got {len(cfg.resolution)}")
     if min(cfg.resolution) < 3:
@@ -368,6 +362,8 @@ def _unit_zeta(cfg: ExperimentConfig, dom) -> np.ndarray:
     zeta = np.asarray(cfg.zeta, dtype=float)
     if zeta.shape != (dom.n,):
         raise ConfigError(f"problem.zeta must match the domain dimension {dom.n}, got {cfg.zeta}")
+    if not zeta.any():
+        raise ConfigError(f"problem.zeta must be nonzero, got {cfg.zeta}")
     return zeta / np.linalg.norm(zeta)
 
 
@@ -406,14 +402,10 @@ def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | N
     return ScalarField(dom, vals), vals
 
 
-def _solver_cfg(cfg: ExperimentConfig) -> psolve.PSolveConfig:
-    from . import psolve
-
+def _solver_tol(cfg: ExperimentConfig) -> float:
     if not cfg.tol > 0.0:
         raise ConfigError(f"solver.tol must be positive, got {cfg.tol}")
-    if cfg.eps_reg < 0.0:
-        raise ConfigError(f"solver.eps_reg must be nonnegative, got {cfg.eps_reg}")
-    return psolve.PSolveConfig(eps_reg=cfg.eps_reg, tol=cfg.tol)
+    return cfg.tol
 
 
 def _flux_tables(dom, flux: dict) -> tuple[list[str], list[list]]:
@@ -435,11 +427,10 @@ def run_forward(cfg: ExperimentConfig):
     from . import psolve
     from .grid import integrate_boundary
 
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
+    dom, gamma = _pde_problem(cfg)
     f, extension = _data_field(cfg, dom)
-    sol = psolve.solve_p_laplace(gamma, cfg.p, f, _solver_cfg(cfg))
-    flux = psolve.boundary_flux(gamma, cfg.p, sol.u, cfg.eps_reg)
+    sol = psolve.solve_p_laplace(gamma, cfg.p, f, _solver_tol(cfg))
+    flux = psolve.boundary_flux(gamma, cfg.p, sol.u)
     results = {
         "iterations": sol.iterations,
         "factorizations": sol.factorizations,
@@ -464,12 +455,10 @@ def run_dn(cfg: ExperimentConfig):
     from . import psolve
     from .grid import integrate_boundary
 
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
+    dom, gamma = _pde_problem(cfg)
     f, _ = _data_field(cfg, dom)
-    scfg = _solver_cfg(cfg)
-    sol = psolve.solve_p_laplace(gamma, cfg.p, f, scfg)
-    flux = psolve.boundary_flux(gamma, cfg.p, sol.u, cfg.eps_reg)
+    sol = psolve.solve_p_laplace(gamma, cfg.p, f, _solver_tol(cfg))
+    flux = psolve.boundary_flux(gamma, cfg.p, sol.u)
     results = {
         "residual_norm": sol.residual_norm,
         "factorizations": sol.factorizations,
@@ -497,13 +486,14 @@ def run_dn(cfg: ExperimentConfig):
 def run_linearize(cfg: ExperimentConfig):
     from . import linearize
 
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
+    schedule = cfg.eps_schedule
+    if len(schedule) < 2 or any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError(f"linearize.eps_schedule must be strictly decreasing, got {schedule}")
+    dom, gamma = _pde_problem(cfg)
     phi0, _ = _data_field(cfg, dom)
     phi = _expr_field(dom, cfg.phi, "linearize.phi")
-    scfg = replace(_solver_cfg(cfg), tol=min(cfg.tol, 1e-10))
     report = linearize.verify_linearization(
-        gamma, cfg.p, phi0, phi, eps_schedule=cfg.eps_schedule, cfg=scfg
+        gamma, cfg.p, phi0, phi, eps_schedule=cfg.eps_schedule, tol=min(_solver_tol(cfg), 1e-10)
     )
     results = {
         "eps_schedule": list(report.eps_schedule),
@@ -527,8 +517,7 @@ def run_linearize(cfg: ExperimentConfig):
 def run_fixedpoint(cfg: ExperimentConfig):
     from . import criticalfree
 
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
+    dom, gamma = _pde_problem(cfg)
     rep = criticalfree.fixed_point_u0(gamma, cfg.p, _unit_zeta(cfg, dom))
     results = {
         "iterations": rep.iterations,
@@ -658,6 +647,10 @@ def _recover_outcome(cfg: ExperimentConfig, p_val: float, gamma_jet, u0_jet, sta
 def _validate_recover(cfg: ExperimentConfig):
     """Refuse the ``[recover]`` values a recovery cannot take, before any jet
     work and before ``--jobs`` starts a worker."""
+    if cfg.mode != "A":
+        raise ConfigError(f"recover.mode must be 'A', got {cfg.mode!r} (mode B was removed)")
+    for p_val, key in [(q, "recover.p_list") for q in cfg.p_list] or [(cfg.p, "problem.p")]:
+        _check_p(p_val, key)
     if cfg.order < 3:
         raise ConfigError(f"recover.order must be at least 3, got {cfg.order}")
     triples = math.comb(cfg.order + 6, 6)
@@ -731,8 +724,13 @@ def run_recover(cfg: ExperimentConfig, jobs: int = 1):
 def run_checks(cfg: ExperimentConfig):
     from . import planecheck
 
-    rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
+    if n < _IDENTITY_SAMPLES:
+        raise ConfigError(f"checks.n_samples must be at least {_IDENTITY_SAMPLES}, got {n}")
+    dom, gamma = _pde_problem(cfg)
+    f, _ = _data_field(cfg, dom)
+    tol = _solver_tol(cfg)
+    rng = np.random.default_rng(cfg.seed)
 
     # determinant identity on random unit vectors and p
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -777,10 +775,7 @@ def run_checks(cfg: ExperimentConfig):
     )
 
     # energy pairing on a small forward solve
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
-    f, _ = _data_field(cfg, dom)
-    pairing = planecheck.energy_pairing_check(gamma, cfg.p, f, _solver_cfg(cfg))
+    pairing = planecheck.energy_pairing_check(gamma, cfg.p, f, tol)
 
     results = {
         "det_identity_max_dev": det_dev,
@@ -810,13 +805,12 @@ def run_rescale(cfg: ExperimentConfig):
     from . import linearize
     from .grid import ScalarField, TensorField
 
-    dom = _build_domain(cfg)
-    gamma = _gamma_field(cfg, dom)
+    dom, gamma = _pde_problem(cfg)
     zeta = _unit_zeta(cfg, dom)
     if np.count_nonzero(zeta) != 1:
         raise ConfigError(f"rescale needs problem.zeta along one axis, got {cfg.zeta}")
     try:
-        rescaled = linearize.rescale_translation_invariant(gamma, zeta, cfg.p, tol=cfg.tol)
+        rescaled = linearize.rescale_translation_invariant(gamma, zeta, cfg.p)
     except ValueError as exc:  # the one check left: gamma varies along zeta
         raise ConfigError(f"problem.gamma: {exc}") from exc
     axis = rescaled.axis
@@ -856,7 +850,7 @@ _SOLVER_ERRORS = {
     "grid": ("InvalidWeight",),
     "psolve": ("NonConvergence", "ProfileNotResolved"),
     "criticalfree": ("BallEscape",),
-    "linearize": ("DegenerateGradient", "DegenerateInput", "SegmentDegenerate"),
+    "linearize": ("DegenerateGradient", "SegmentDegenerate"),
     "recover": ("RecoveryError",),
 }
 
@@ -889,11 +883,6 @@ _RUNNERS = {
 
 def run(command: str, cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     """Execute a subcommand and write report.json / tables / run_meta.json."""
-    if cfg.command and cfg.command != command:
-        raise ConfigError(
-            f"run.command = {cfg.command!r} does not match the CLI subcommand {command!r}"
-        )
-    cfg = replace(cfg, command=command)
     report = {"command": command, "config": config_to_text(cfg)}
     exit_code = 0
     tables: dict = {}

@@ -37,12 +37,10 @@ from .grid import (
 )
 
 __all__ = [
-    "DegenerateInput",
     "DegenerateGradient",
     "SegmentDegenerate",
     "LinearizationReport",
     "RescaledProblem",
-    "J",
     "segment_integral_dJ",
     "assemble_A",
     "solve_linear",
@@ -54,31 +52,12 @@ __all__ = [
 ]
 
 
-class DegenerateInput(Exception):
-    """The flux map or its derivative was evaluated at (or too near) zero."""
-
-
 class DegenerateGradient(Exception):
     """The base gradient vanishes somewhere, so the tensor A is undefined."""
 
 
 class SegmentDegenerate(Exception):
     """An integration segment passes through (or too near) the origin."""
-
-
-def J(xi, p: float) -> np.ndarray:
-    """The flux map |xi|^(p-2) xi.
-
-    At xi = 0 this is 0 for p > 2 and undefined for p < 2 (raises
-    :class:`DegenerateInput`).
-    """
-    xi = np.asarray(xi, dtype=float)
-    norm = float(np.linalg.norm(xi))
-    if norm == 0.0:
-        if p < 2.0:
-            raise DegenerateInput("J undefined at xi = 0 for p < 2")
-        return np.zeros_like(xi)
-    return norm ** (p - 2.0) * xi
 
 
 # Gauss-Legendre rule of segment_integral_dJ: its error target and the most
@@ -268,7 +247,7 @@ def verify_linearization(
     phi0: ScalarField,
     phi: ScalarField,
     eps_schedule,
-    cfg: psolve.PSolveConfig | None = None,
+    tol: float = 1e-10,
 ) -> LinearizationReport:
     """Measure how difference quotients of the nonlinear DN map approach the
     linear one, over a decreasing epsilon schedule.
@@ -277,25 +256,25 @@ def verify_linearization(
     strictly decreasing up to its minimum (the discretization/solver floor);
     a failing verdict still returns the full history.  The reference linear
     solve factors A once; that LU preconditions the Newton steps of every
-    quotient solve, which start from the first-order guess u0 + eps v.  The
-    report counts the factorizations, their fill and the Krylov iterations
-    of the whole call, base solve included.
+    quotient solve, which start from the first-order guess u0 + eps v.  Every
+    nonlinear solve runs to the residual tolerance ``tol``.  The report
+    counts the factorizations, their fill and the Krylov iterations of the
+    whole call, base solve included.
     """
     eps_schedule = [float(e) for e in eps_schedule]
-    cfg = cfg or psolve.PSolveConfig(tol=1e-10)
-    sol = psolve.solve_p_laplace(gamma, p, phi0, cfg)
+    sol = psolve.solve_p_laplace(gamma, p, phi0, tol)
     A = assemble_A(gamma, p, sol.u)
     lu = psolve._ReusedLU()
     v = solve_linear(A, phi, tol=1e-10, lu=lu)
     reference = linear_boundary_flux(A, v)
-    base = psolve.boundary_flux(gamma, p, sol.u, cfg.eps_reg)
+    base = psolve.boundary_flux(gamma, p, sol.u)
     dom = phi0.domain
     deviations = []
     quotients = {}
     for eps in eps_schedule:
         bumped = ScalarField(dom, phi0.values + eps * phi.values)
         start = ScalarField(dom, sol.u.values + eps * v.values)
-        shifted = psolve.dn_apply(gamma, p, bumped, cfg, start, lu)
+        shifted = psolve.dn_apply(gamma, p, bumped, tol, start, lu)
         quotient = face_values_combine(lambda s, b: (s - b) / eps, shifted, base)
         quotients[eps] = quotient
         deviations.append(

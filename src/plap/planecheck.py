@@ -141,13 +141,13 @@ class PairingResult:
 
 
 def energy_pairing_check(
-    gamma: ScalarField, p: float, f: ScalarField, cfg: psolve.PSolveConfig | None = None
+    gamma: ScalarField, p: float, f: ScalarField, tol: float = 1e-8
 ) -> PairingResult:
     """Compare the interior integral of gamma |grad u|^p against the boundary
-    pairing of f with the DN flux of f (the weak form of the equation)."""
-    cfg = cfg or psolve.PSolveConfig()
-    sol = psolve.solve_p_laplace(gamma, p, f, cfg)
-    flux = psolve.boundary_flux(gamma, p, sol.u, cfg.eps_reg)
+    pairing of f with the DN flux of f (the weak form of the equation), the
+    forward solve run to the residual tolerance ``tol``."""
+    sol = psolve.solve_p_laplace(gamma, p, f, tol)
+    flux = psolve.boundary_flux(gamma, p, sol.u)
     interior = p * psolve.p_energy(gamma, p, sol.u, 0.0)
     boundary = psolve.boundary_pairing(f, flux)
     return PairingResult(interior_energy=interior, boundary_pairing=boundary)

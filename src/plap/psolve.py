@@ -3,12 +3,12 @@
 The discrete problem: find the node field u matching the boundary data that
 zeroes the pointwise finite-difference divergence of the regularized flux
 
-    F(u) = gamma * (|grad u|^2 + eps_reg^2)^((p-2)/2) * grad u
+    F(u) = gamma * (|grad u|^2 + eps^2)^((p-2)/2) * grad u
 
-at every interior node.  The smoothing parameter eps_reg keeps Newton
-well-posed where the equation degenerates (grad u -> 0); with the default
-1e-8 and data whose gradients stay O(1) the bias is far below solver
-tolerance.
+at every interior node.  The smoothing constant eps = 1e-8 keeps Newton
+well-posed where the equation degenerates (grad u -> 0); for data whose
+gradients stay O(1), as at the solutions without critical points that the
+paper linearizes at, the bias is far below solver tolerance.
 
 Solution strategy: start from the solution of the isotropic linear problem
 div(gamma grad u) = 0 with the same boundary data (or from a given interior
@@ -57,7 +57,6 @@ from .grid import (
 )
 
 __all__ = [
-    "PSolveConfig",
     "ForwardSolution",
     "NonConvergence",
     "DegenerateGradientWarning",
@@ -73,6 +72,9 @@ __all__ = [
     "pseudo1d_profile",
 ]
 
+
+# the regularization eps of the flux that the forward solve zeroes
+_EPS_REG = 1e-8
 
 # Newton: at most this many steps; backtracking halves a step, at most
 # this many trial steps
@@ -107,20 +109,8 @@ class ProfileNotResolved(Exception):
 
 
 class DegenerateGradientWarning(UserWarning):
-    """The solution gradient dipped below eps_reg somewhere; downstream
-    linearization at this solution is unsafe."""
-
-
-@dataclass
-class PSolveConfig:
-    eps_reg: float = 1e-8
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.eps_reg < 0.0:
-            raise ValueError("eps_reg must be nonnegative")
+    """The solution gradient dipped below the regularization 1e-8 somewhere;
+    downstream linearization at this solution is unsafe."""
 
 
 @dataclass
@@ -418,7 +408,7 @@ def solve_p_laplace(
     gamma: ScalarField,
     p: float,
     f: ScalarField,
-    cfg: PSolveConfig | None = None,
+    tol: float = 1e-8,
     start: ScalarField | None = None,
     lu: _ReusedLU | None = None,
 ) -> ForwardSolution:
@@ -432,20 +422,20 @@ def solve_p_laplace(
     preconditions the Newton steps; it is refactored on a miss and keeps
     whatever factor the solve ends with.  Returns a :class:`ForwardSolution`
     whose ``u`` matches ``f`` on the boundary exactly, whose pointwise
-    divergence residual is below ``cfg.tol`` at all interior nodes, and whose
-    counts are this solve's own.
+    divergence residual is below ``tol`` at all interior nodes, and whose
+    counts are this solve's own.  The flux is regularized by eps = 1e-8
+    (see the module docstring).
 
-    Raises :class:`ValueError` unless p lies in (1, 2) or (2, inf), and
-    :class:`NonConvergence` when 60 Newton steps do not reach ``cfg.tol``,
-    the residual or a GMRES vector norm is not finite (the flux exceeds
-    float64), a Newton Jacobian is singular or, with eps_reg = 0, the
-    gradient is exactly zero where the flux (p < 2) or its derivative is
-    needed; warns with :class:`DegenerateGradientWarning` when
-    min |grad u| < eps_reg.
+    Raises :class:`ValueError` unless p lies in (1, 2) or (2, inf) and
+    ``tol`` is positive, and :class:`NonConvergence` when 60 Newton steps do
+    not reach ``tol``, the residual or a GMRES vector norm is not finite
+    (the flux exceeds float64) or a Newton Jacobian is singular; warns with
+    :class:`DegenerateGradientWarning` when min |grad u| < eps.
     """
     if not (p > 1.0 and p != 2.0):
         raise ValueError(f"p must lie in (1,2) or (2,inf), got {p}")
-    cfg = cfg or PSolveConfig()
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     require_positive_weight(gamma)
     if not np.all(np.isfinite(f.values[f.domain.boundary_mask])):
         raise ValueError("boundary data must be finite")
@@ -454,7 +444,6 @@ def solve_p_laplace(
     for other in (f, start):
         if other is not None and not (other.domain is dom or other.domain == dom):
             raise ValueError("weight, boundary data and start live on different domains")
-    eps = cfg.eps_reg
     int_idx = dom.interior_flat
 
     history: list[float] = []
@@ -474,44 +463,20 @@ def solve_p_laplace(
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
 
-    # with eps_reg = 0 the flux derivative (any p) and the flux itself
-    # (p < 2 only) are undefined at a zero gradient; these are the nodes the
-    # interior equations read
-    read = None
-    if eps == 0.0:
-        read = np.unique(np.concatenate([m[int_idx].indices for m in dom.diff_matrices]))
-
     def as_field(values) -> ScalarField:
         return ScalarField(dom, values.reshape(dom.shape))
-
-    def zero_gradients(values) -> int:
-        if read is None:
-            return 0
-        g = gradient(as_field(values)).values
-        return int(np.count_nonzero(np.sum(g**2, axis=-1).ravel()[read] == 0.0))
-
-    def require_nonzero_gradient(values, undefined: str):
-        n_zero = zero_gradients(values)
-        if n_zero:
-            raise NonConvergence(
-                f"gradient is exactly zero at {n_zero} of the nodes the interior equations read; "
-                f"the {undefined} undefined there with eps_reg = 0",
-                history,
-            )
 
     def interior_residual(values) -> np.ndarray:
         # a flux beyond float64 gives a non-finite residual: at the start the
         # loop refuses it, and a trial step that meets one is shrunk
         with np.errstate(over="ignore", invalid="ignore"):
-            return residual(gamma, p, as_field(values), eps).values.ravel()[int_idx]
+            return residual(gamma, p, as_field(values), _EPS_REG).values.ravel()[int_idx]
 
     iterations = 0
-    if p < 2.0:
-        require_nonzero_gradient(u_flat, "flux and its derivative are")
     res = interior_residual(u_flat)
     res_norm = float(np.max(np.abs(res)))
     history.append(res_norm)
-    while not res_norm <= cfg.tol:  # NaN compares false: it enters and is rejected
+    while not res_norm <= tol:  # NaN compares false: it enters and is rejected
         if not np.isfinite(res_norm):
             raise NonConvergence(
                 f"residual is {res_norm} after {iterations} iterations: the flux "
@@ -520,24 +485,22 @@ def solve_p_laplace(
             )
         if iterations >= _MAX_NEWTON_STEPS:
             raise NonConvergence(
-                f"residual {res_norm:.3e} above tol {cfg.tol:.1e} after {iterations} iterations",
+                f"residual {res_norm:.3e} above tol {tol:.1e} after {iterations} iterations",
                 history,
             )
-        require_nonzero_gradient(u_flat, "flux derivative is")
         g = gradient(as_field(u_flat)).values
-        blocks = gamma.values[..., None, None] * flux_derivative(g, p, eps)
+        blocks = gamma.values[..., None, None] * flux_derivative(g, p, _EPS_REG)
         jac, _ = anisotropic_operator(dom, blocks, boundary=False)
         step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian")
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)
             trial[int_idx] += t * step
-            if p >= 2.0 or not zero_gradients(trial):
-                res_t = interior_residual(trial)
-                norm_t = float(np.max(np.abs(res_t)))
-                if norm_t < res_norm:
-                    u_flat, res, res_norm = trial, res_t, norm_t
-                    break
+            res_t = interior_residual(trial)
+            norm_t = float(np.max(np.abs(res_t)))
+            if norm_t < res_norm:
+                u_flat, res, res_norm = trial, res_t, norm_t
+                break
             t *= _STEP_SHRINK
         else:
             raise NonConvergence(
@@ -548,10 +511,10 @@ def solve_p_laplace(
 
     u = as_field(u_flat)
     min_grad = min_interior_gradient(u)
-    degenerate = min_grad < eps
+    degenerate = min_grad < _EPS_REG
     if degenerate:
         warnings.warn(
-            f"minimum interior |grad u| = {min_grad:.3e} is below eps_reg = {eps:.1e}; "
+            f"minimum interior |grad u| = {min_grad:.3e} is below eps = {_EPS_REG:.1e}; "
             "linearization at this solution is unsafe",
             DegenerateGradientWarning,
             stacklevel=2,
@@ -561,7 +524,7 @@ def solve_p_laplace(
         iterations=iterations,
         residual_norm=res_norm,
         min_gradient=min_grad,
-        energy=p_energy(gamma, p, u, eps),
+        energy=p_energy(gamma, p, u, _EPS_REG),
         residual_history=history,
         degenerate_gradient=degenerate,
         factorizations=lu.factorizations - factorizations,
@@ -573,31 +536,30 @@ def solve_p_laplace(
 # -- Dirichlet-to-Neumann --------------------------------------------------------
 
 
-def boundary_flux(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> dict:
-    """Per-face normal component of the flux of :func:`residual`,
-    gamma * (|grad u|^2 + eps^2)^((p-2)/2) * du/dnu.
+def boundary_flux(gamma: ScalarField, p: float, u: ScalarField) -> dict:
+    """Per-face normal component of the flux the forward solve zeroes,
+    gamma * (|grad u|^2 + eps^2)^((p-2)/2) * du/dnu with eps = 1e-8.
 
     The normal derivative comes from the one-sided boundary rows of the
     gradient stencils, so the extraction is second order.
     """
-    return normal_component(_flux(gamma, p, u, eps_reg))
+    return normal_component(_flux(gamma, p, u, _EPS_REG))
 
 
 def dn_apply(
     gamma: ScalarField,
     p: float,
     f: ScalarField,
-    cfg: PSolveConfig | None = None,
+    tol: float = 1e-8,
     start: ScalarField | None = None,
     lu: _ReusedLU | None = None,
 ) -> dict:
     """Nonlinear Dirichlet-to-Neumann map: boundary data -> boundary flux.
 
-    ``start`` and ``lu`` are passed on to :func:`solve_p_laplace`.
+    ``tol``, ``start`` and ``lu`` are passed on to :func:`solve_p_laplace`.
     """
-    cfg = cfg or PSolveConfig()
-    sol = solve_p_laplace(gamma, p, f, cfg, start, lu)
-    return boundary_flux(gamma, p, sol.u, cfg.eps_reg)
+    sol = solve_p_laplace(gamma, p, f, tol, start, lu)
+    return boundary_flux(gamma, p, sol.u)
 
 
 def boundary_pairing(f: ScalarField, flux: dict) -> float:

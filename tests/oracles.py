@@ -2,9 +2,9 @@
 
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
-for Jacobians, convergence-order measurement, the closed form of the flux
-derivative dJ, the defect of the integral Taylor identity of the flux map,
-a tensor symmetry defect, loop versions of the jet
+for Jacobians, convergence-order measurement, the flux map J and the
+closed form of its derivative dJ, the defect of the integral Taylor
+identity of the flux map, a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
 divergence, the closed-form order-0 split in two dimensions, the coefficient
 columns of a recovery order by probing its forward rows, and the
@@ -30,7 +30,7 @@ from scipy.integrate import quad
 
 from plap.grid import ScalarField, build_domain
 from plap.jets import Jet, extract_normal_slice, jet_const, jet_partial, jet_pow, set_normal_slice
-from plap.linearize import J, segment_integral_dJ
+from plap.linearize import segment_integral_dJ
 from plap.recover import NormalGradientZero, RecoveryError, TangentialDegenerate
 
 
@@ -70,6 +70,18 @@ def convergence_orders(errors) -> list[float]:
     """Empirical orders from errors at successively halved spacings."""
     errors = list(errors)
     return [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
+
+
+def J(xi, p: float) -> np.ndarray:
+    """Reference flux map |xi|^(p-2) xi: 0 at xi = 0 for p > 2, undefined
+    there for p < 2 (raises ValueError)."""
+    xi = np.asarray(xi, dtype=float)
+    norm = float(np.linalg.norm(xi))
+    if norm == 0.0:
+        if p < 2.0:
+            raise ValueError("J undefined at xi = 0 for p < 2")
+        return np.zeros_like(xi)
+    return norm ** (p - 2.0) * xi
 
 
 def dJ(xi, p: float) -> np.ndarray:

@@ -148,13 +148,12 @@ def test_criterion_05_linearization_quotients():
             gam = ScalarField(dom, cli.jets.eval_numpy(gamma_text, coords) * np.ones(dom.shape))
             phi0 = ScalarField(dom, cli.jets.eval_numpy(phi0_text, coords) * np.ones(dom.shape))
             phi = ScalarField(dom, cli.jets.eval_numpy(phi_text, coords) * np.ones(dom.shape))
-            cfg = psolve.PSolveConfig(tol=1e-11)
             if res == 33:
                 rep = linearize.verify_linearization(
-                    gam, p, phi0, phi, cli.ExperimentConfig().eps_schedule, cfg=cfg
+                    gam, p, phi0, phi, cli.ExperimentConfig().eps_schedule, tol=1e-11
                 )
             else:
-                sol = psolve.solve_p_laplace(gam, p, phi0, cfg)
+                sol = psolve.solve_p_laplace(gam, p, phi0, 1e-11)
                 fine_flux = linearize.dn_linear(linearize.assemble_A(gam, p, sol.u), phi)
         disc_err = face_values_max_abs(
             face_values_combine(lambda a, b: a - b, rep.reference, _restrict_faces(fine_flux))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -12,7 +11,6 @@ from plap.grid import ScalarField, anisotropic_operator, build_domain, integrate
 from plap.psolve import (
     DegenerateGradientWarning,
     NonConvergence,
-    PSolveConfig,
     boundary_flux,
     boundary_pairing,
     dn_apply,
@@ -36,14 +34,14 @@ def square17():
     return build_domain((1.0, 1.0), (17, 17))
 
 
-def test_config_validation():
-    # p is the solve's own argument (test_rejects_p_outside_range), and the
-    # Newton budget a module constant, so the config holds two settings
-    assert [f.name for f in dataclasses.fields(PSolveConfig)] == ["eps_reg", "tol"]
-    with pytest.raises(ValueError):
-        PSolveConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PSolveConfig(eps_reg=-1.0)
+def test_config_validation(square17):
+    # p is checked by test_rejects_p_outside_range, and the Newton budget
+    # and the regularization are module constants, so tol is the one setting
+    gam = ScalarField.constant(square17, 1.0)
+    f = ScalarField.from_function(square17, lambda x, y: x)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_p_laplace(gam, 3.0, f, tol)
 
 
 def test_flux_derivative_is_jacobian_of_regularized_flux():
@@ -223,7 +221,7 @@ def test_dn_pseudo1d_flux_is_constant():
     p = 3.0
     dom, gam, f = pseudo1d_fields(lambda t: 1.0 + t, p, 33)
     sol = solve_p_laplace(gam, p, f)
-    flux = boundary_flux(gam, p, sol.u, 1e-8)
+    flux = boundary_flux(gam, p, sol.u)
     h2 = dom.h[0] ** 2
     assert np.max(np.abs(flux[(0, 1)] - 1.0)) < 50 * h2
     assert np.max(np.abs(flux[(0, -1)] + 1.0)) < 50 * h2
@@ -246,9 +244,8 @@ def test_residual_affine_exact_zero(square17):
 def test_residual_of_converged_solve_below_tol(square17):
     gam = ScalarField.from_function(square17, lambda x, y: 1.0 + 0.3 * x)
     f = ScalarField.from_function(square17, lambda x, y: x + 0.1 * y)
-    cfg = PSolveConfig(tol=1e-9)
-    sol = solve_p_laplace(gam, 3.0, f, cfg)
-    r = residual(gam, 3.0, sol.u, cfg.eps_reg)
+    sol = solve_p_laplace(gam, 3.0, f, 1e-9)
+    r = residual(gam, 3.0, sol.u, 1e-8)
     assert np.max(np.abs(r.values[square17.interior_mask])) <= 1e-9
 
 
@@ -297,7 +294,7 @@ def test_flux_balance_refines_at_second_order():
         gam = ScalarField.from_function(dom, lambda x, y: 1.0 + x)
         f = ScalarField.from_function(dom, lambda x, y: x + 0.3 * y)
         sol = solve_p_laplace(gam, 3.0, f)
-        flux = boundary_flux(gam, 3.0, sol.u, 1e-8)
+        flux = boundary_flux(gam, 3.0, sol.u)
         balances.append(abs(integrate_boundary(dom, flux)))
     assert balances[0] < 0.05
     assert balances[1] < 0.35 * balances[0]
@@ -309,7 +306,7 @@ def test_energy_boundary_pairing():
     f = ScalarField.from_function(dom, lambda x, y: x + 0.2 * (y**2 - y))
     p = 2.5
     sol = solve_p_laplace(gam, p, f)
-    flux = boundary_flux(gam, p, sol.u, 1e-8)
+    flux = boundary_flux(gam, p, sol.u)
     lhs = boundary_pairing(f, flux)
     rhs = p * p_energy(gam, p, sol.u, 0.0)
     assert abs(lhs - rhs) / abs(rhs) < 5e-3
@@ -322,21 +319,6 @@ def test_nonconvergence_reports_history(square17, monkeypatch):
     with pytest.raises(NonConvergence) as err:
         solve_p_laplace(gam, 3.0, f)
     assert len(err.value.history) >= 1
-
-
-def test_zero_gradient_in_newton_loop_is_named():
-    # p > 2: the flux is 0 at a zero gradient, so the first residual is
-    # defined; the Jacobian is not, on the midline x1 = 0.5 of this start
-    dom = build_domain((1.0, 1.0), (9, 9))
-    gam = ScalarField.constant(dom, 1.0)
-    f = ScalarField.from_function(dom, lambda x, y: (x - 0.5) ** 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonConvergence) as err:
-            solve_p_laplace(gam, 3.0, f, PSolveConfig(eps_reg=0.0), start=f)
-    assert "gradient is exactly zero at 9 of the nodes" in str(err.value)
-    assert "the flux derivative is undefined" in str(err.value)
-    assert len(err.value.history) == 1
 
 
 def _count_factorizations(monkeypatch) -> list:
@@ -365,10 +347,10 @@ def test_newton_reuses_one_factor(monkeypatch):
 
 def test_start_skips_isotropic_solve(monkeypatch):
     gam, f = _wavy_problem(33)
-    cold = solve_p_laplace(gam, 3.0, f, PSolveConfig(tol=1e-11))
+    cold = solve_p_laplace(gam, 3.0, f, 1e-11)
     start = ScalarField(f.domain, cold.u.values + 1e-3 * np.sin(np.pi * f.domain.coords[0]))
     calls = _count_factorizations(monkeypatch)
-    warm = solve_p_laplace(gam, 3.0, f, PSolveConfig(tol=1e-11), start=start)
+    warm = solve_p_laplace(gam, 3.0, f, 1e-11, start=start)
     assert len(calls) == warm.factorizations == 1
     assert warm.residual_norm <= 1e-11
     assert np.max(np.abs(warm.u.values - cold.u.values)) < 1e-10
