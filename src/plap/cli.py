@@ -63,8 +63,9 @@ _IDENTITY_SAMPLES = 50
 # run_rescale passes when every face's flux deviation is below this
 _RESCALE_TOL = 1e-8
 # the most triples a recovery's full 3-variable product table, C(order + 6, 6)
-# of them, may hold: order 24, the deepest order measured (1.4 s, 186 MB),
-# needs 593,775, and order 25 would need 736,281
+# of them, may hold: order 24, the deepest order measured (the sample config
+# in 1.8 s and 149 MB in a fresh process on a 2-core box), needs 593,775, and
+# order 25 would need 736,281
 _MAX_PRODUCT_TRIPLES = 600_000
 
 class ConfigError(Exception):
@@ -102,8 +103,6 @@ class ExperimentConfig:
     n_samples: int = 1000
     # dn
     dn_matrix: bool = False
-    # output
-    out_dir: str = ""
     # run
     seed: int = 0
 
@@ -148,7 +147,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("recover", "p_list"): ("p_list", _floats),
     ("checks", "n_samples"): ("n_samples", int),
     ("dn", "dn_matrix"): ("dn_matrix", _bool),
-    ("output", "dir"): ("out_dir", str),
     ("run", "seed"): ("seed", int),
 }
 
@@ -227,8 +225,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
             continue
         section, key = _FIELD_TO_SECTION[f.name]
         value = getattr(cfg, f.name)
-        if f.name == "out_dir" and not value:
-            continue
         if isinstance(value, tuple):
             text = " ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):
@@ -357,6 +353,16 @@ def _expr_field(dom, text: str, key: str) -> ScalarField:
     return ScalarField(dom, jets.eval_numpy(text, dom.coords) * np.ones(dom.shape))
 
 
+def _boundary_field(dom, text: str, key: str) -> ScalarField:
+    """The Dirichlet data ``text`` of config key ``key`` as a field on
+    ``dom``, refused unless finite at every boundary node, where a solve
+    imposes it."""
+    field = _expr_field(dom, text, key)
+    if not np.all(np.isfinite(field.values[dom.boundary_mask])):
+        raise ConfigError(f"{key} = {text} is not finite at every boundary node")
+    return field
+
+
 def _unit_zeta(cfg: ExperimentConfig, dom) -> np.ndarray:
     """``problem.zeta`` scaled to unit length, one entry per axis of ``dom``."""
     zeta = np.asarray(cfg.zeta, dtype=float)
@@ -389,7 +395,7 @@ def _data_field(cfg: ExperimentConfig, dom) -> tuple[ScalarField, np.ndarray | N
     from .grid import ScalarField
 
     if cfg.data.startswith("expr:"):
-        data = _expr_field(dom, cfg.data[len("expr:"):], "problem.data")
+        data = _boundary_field(dom, cfg.data[len("expr:"):], "problem.data")
         return data, data.values
     if cfg.data == "linear":
         zeta = _unit_zeta(cfg, dom)
@@ -491,7 +497,7 @@ def run_linearize(cfg: ExperimentConfig):
         raise ConfigError(f"linearize.eps_schedule must be strictly decreasing, got {schedule}")
     dom, gamma = _pde_problem(cfg)
     phi0, _ = _data_field(cfg, dom)
-    phi = _expr_field(dom, cfg.phi, "linearize.phi")
+    phi = _boundary_field(dom, cfg.phi, "linearize.phi")
     report = linearize.verify_linearization(
         gamma, cfg.p, phi0, phi, eps_schedule=cfg.eps_schedule, tol=min(_solver_tol(cfg), 1e-10)
     )
@@ -818,7 +824,7 @@ def run_rescale(cfg: ExperimentConfig):
     # anisotropic side: A = gamma (I + (p-2) zeta zeta^T) via the exact base solution
     u0_vals = sum(zeta[a] * dom.coords[a] for a in range(dom.n))
     a_tensor = linearize.assemble_A(gamma, cfg.p, ScalarField(dom, u0_vals))
-    phi = _expr_field(dom, cfg.phi, "linearize.phi")
+    phi = _boundary_field(dom, cfg.phi, "linearize.phi")
     flux_aniso = linearize.dn_linear(a_tensor, phi)
 
     # isotropic side on the stretched box: same node values for weight and data
@@ -944,7 +950,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or cfg.out_dir or f"plap_out_{args.command}"
+    out_dir = args.out or f"plap_out_{args.command}"
     try:
         return run(args.command, cfg, out_dir, jobs=args.jobs)
     except ConfigError as exc:

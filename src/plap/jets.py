@@ -21,11 +21,11 @@ are computed, those below lo are copied from the jet ``known`` (left zero
 when it is None), and those above hi are zero.  A coefficient reads only
 coefficients whose normal index is at most its own, so the operands need
 their slices up to hi, and a quotient or a power reads its own slices below
-lo from ``known``, which must hold them final.  A ranged operation keeps
-the triples of its table whose target lies in the range, in their order,
-so each computed coefficient sums the same terms in the same order as the
-full operation and is bitwise equal to it.  The range tables are built on
-first use and cached per (nvars, order, lo, hi).
+lo from ``known``, which must hold them final.  The table groups its
+triples by the normal index of their target, so a ranged operation reads a
+view of it, and each computed coefficient sums the same terms in the same
+order as the full operation: it is bitwise equal to it.  The levels of a
+quotient or power are cached per (nvars, order, lo, hi).
 
 A jet's coefficient array may carry leading batch axes, one jet per batch
 entry (a scenario), so that one call runs many independent jets in lockstep
@@ -45,18 +45,19 @@ of exp, log, sin, cos) are computed per entry with Python floats, and a
 power splits its batch by exponent path (integer squaring or the real
 recurrence).  The slicing helpers index the axes after the batch axes.
 
+Division is graded long division and needs a nonzero constant term.
 Powers with real exponents and the unary functions sin, cos, exp, log, sqrt
-are graded recurrences on the same levels as division.  Applying the Euler
-operator E = sum_i x_i d/dx_i, which multiplies a degree-d coefficient by d,
-to c = f(g) gives a linear relation between E c and E g (b E c = e c E b for
-c = b^e, E c = c E g for exp, g E c = E g for log, and the coupled pair
-E sin g = cos g E g, E cos g = -sin g E g), which fixes each degree-d
-coefficient of c from those of lower degree (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  log, sqrt, and
-non-integer powers need a positive constant term.  Division is graded long
-division and needs a nonzero one.  Integer powers use exact repeated
-squaring and work for any base.  A univariate jet composed with a linear
-inner form is the multinomial closed form of :func:`jet_compose1`.
+are graded recurrences on the same levels, one loop (:func:`_graded_levels`)
+for all.  Applying the Euler operator E = sum_i x_i d/dx_i, which
+multiplies a degree-d coefficient by d, to c = f(g) gives a linear relation
+between E c and E g (b E c = e c E b for c = b^e, E c = c E g for exp,
+g E c = E g for log, and the coupled pair E sin g = cos g E g,
+E cos g = -sin g E g), which fixes each degree-d coefficient of c from those
+of lower degree (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, ch. 13).  log, sqrt, and non-integer powers need a positive
+constant term.  Integer powers use exact repeated squaring and work for any
+base.  A univariate jet composed with a linear inner form is the multinomial
+closed form of :func:`jet_compose1`.
 
 The expression language is the carrier for analytic weights.  Grammar
 (ASCII, whitespace insensitive)::
@@ -161,28 +162,29 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=256)
-def _product_table(
-    nvars: int, order: int, span: tuple[int, int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat hypercube indices (ia, ib, tgt) of every pair of multi-indices
-    a, b with |a| + |b| <= order, and tgt the index of a + b.
-
-    The triples run over a in graded order (total degree, then lexicographic),
-    so each target receives its terms in the order of a graded loop over a.
-    There are C(order + 2 nvars, 2 nvars) of them.  No component of a + b
-    exceeds ``order``, so flat indices add like the multi-indices.  With a
-    span (lo, hi) of normal indices, only the triples whose target has its
-    normal index in lo..hi are kept, in the same order.
-    """
-    if span is not None:
-        ia, ib, tgt = _product_table(nvars, order)
-        normal = tgt // (order + 1) ** (nvars - 1)
-        keep = (span[0] <= normal) & (normal <= span[1])
-        return _read_only(ia[keep], ib[keep], tgt[keep])
+def _product_triples(nvars: int, order: int) -> tuple[np.ndarray, ...]:
+    """The full table of :func:`_product_table`, and where the triples into
+    each normal index 0..order + 1 start."""
     _, deg, graded = _multi_indices(nvars, order)
     dg = deg[graded]
     ia, ib = np.nonzero(dg[:, None] + dg[None, :] <= order)
-    return _read_only(graded[ia], graded[ib], graded[ia] + graded[ib])
+    normal = (graded[ia] + graded[ib]) // (order + 1) ** (nvars - 1)
+    by_normal = np.argsort(normal, kind="stable")
+    ia, ib = graded[ia[by_normal]], graded[ib[by_normal]]
+    return _read_only(ia, ib, ia + ib, np.searchsorted(normal[by_normal], np.arange(order + 2)))
+
+
+def _product_table(nvars: int, order: int, span: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
+    """Flat hypercube indices (ia, ib, tgt) of the C(order + 2 nvars, 2 nvars)
+    pairs of multi-indices a, b with |a| + |b| <= order, tgt that of a + b
+    (no component exceeds ``order``, so flat indices add): a loop over a in
+    graded order (total degree, then lexicographic), stably sorted by the
+    normal index of the target, so each target receives its terms in the
+    loop's order.  A span (lo, hi) of normal indices gives the triples into
+    them, a view of the full table."""
+    ia, ib, tgt, starts = _product_triples(nvars, order)
+    rng = slice(starts[span[0]], starts[span[1] + 1]) if span else slice(None)
+    return ia[rng], ib[rng], tgt[rng]
 
 
 def _take_known(out: np.ndarray, nvars: int, order: int, slices) -> np.ndarray:
@@ -235,7 +237,7 @@ def _division_levels(nvars: int, order: int, span: tuple[int, int] | None = None
     by the total degree d = |a + b| into levels.
 
     Returns (levels, ib, nb, nd).  Over all the triples, level by level,
-    ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as floats, so
+    ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as int16, so
     a recurrence forms its per-triple weights in one pass.  ``levels`` holds
     (d, targets, ia, pos, sl) for each degree d >= 1 with targets: the flat
     indices of the degree-d coefficients, and over the level's triples (the
@@ -264,7 +266,7 @@ def _division_levels(nvars: int, order: int, span: tuple[int, int] | None = None
         for d, t0, t1, s0, s1 in zip(range(1, order + 1), first[1:], first[2:], bounds[1:], bounds[2:])
         if t0 < t1
     )
-    return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(float), deg[tgt[sel]].astype(float)))
+    return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(np.int16), deg[tgt[sel]].astype(np.int16)))
 
 
 @lru_cache(maxsize=256)
@@ -433,8 +435,7 @@ def jet_mul(a: Jet, b: Jet, slices=None) -> Jet:
         ac, bc = _broadcast(a, b)
     size = (order + 1) ** n
     rows = ac.size // size
-    span = slices and slices[:2]  # the tables' key (lo, hi)
-    ia, ib, tgt = _product_table(n, order, span)
+    ia, ib, tgt = _product_table(n, order, slices and slices[:2])
     af, bf = ac.ravel(), bc.ravel()
     if rows == 1:
         terms = af[ia] * bf[ib]
@@ -502,17 +503,16 @@ def jet_div(a: Jet, b: Jet, slices=None) -> Jet:
     if 0.0 in b0.tolist():
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
     rows = b0.size
-    span = slices and slices[:2]  # the tables' key (lo, hi)
-    ib = _division_levels(n, order, span)[1]
-    neg_b = -_gather(bf, rows, ib).reshape(rows, -1)  # out * (-b) is -(out * b) bit for bit
     out = np.zeros(af.size)
     out[::size] = af[::size] / b0  # degree 0 has no terms to subtract
     _take_known(out, n, order, slices)
     b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
-    for _, targets, bins, ia, pos, row, sl in _batch_levels(n, order, span, rows):
-        acc = _gather(af, rows, targets)
-        np.add.at(acc, _offset(pos, targets.size, rows), _gather(out, rows, ia) * neg_b[:, sl].ravel())
-        out[bins] = acc / b0[row]
+    # out * (-b) is -(out * b) bit for bit; np.add.at onto a keeps a -0.0 a bincount would lose
+    weights = _graded_levels(Jet(n, order, bc), lambda nb, nd, bb: -bb, slices and slices[:2])
+    for _, targets, ia, pos, row, w in weights:
+        acc = af[targets]
+        np.add.at(acc, pos, w * _gather(out, rows, ia))
+        out[targets] = acc / b0[row]
     return Jet(n, order, out.reshape(ac.shape))
 
 
@@ -524,10 +524,9 @@ def _graded_levels(g: Jet, weight, span: tuple[int, int] | None = None):
     (gathered per entry with :func:`_gather`), the position of alpha among
     the targets, the batch entry of each target, and the weight of each
     pair, where ``weight(nb, nd, gb)`` forms the weights of all the levels
-    at once from |beta|, d and g_beta (one row per entry).  A recurrence
-    sums its terms per target with
-    ``np.bincount(pos, w * _gather(c, rows, ia), len(targets))``, in the
-    order of a loop over beta."""
+    at once from |beta|, d and g_beta (one row per entry).  Summing
+    ``w * _gather(c, rows, ia)`` per position adds each target's terms in
+    the order of a loop over beta."""
     rows = g.coeffs.size // (g.order + 1) ** g.nvars
     _, ib, nb, nd = _division_levels(g.nvars, g.order, span)
     w = weight(nb, nd, _gather(g.coeffs.ravel(), rows, ib).reshape(rows, -1))

@@ -560,11 +560,11 @@ def _report_files(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("order", [8, 16])
 def test_recover_sample_cold_and_warm_runs_identical(tmp_path, order):
-    # the first run builds the jet tables (the slice-range and batch ones
-    # included) from empty caches, the second reads them
+    # the first run builds the jet tables (the levels of the slice ranges
+    # and batches included) from empty caches, the second reads them
     sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
     cfg = _write(tmp_path, "r.cfg", sample.replace("\norder = 8\n", f"\norder = {order}\n"))
-    jets._product_table.cache_clear()
+    jets._product_triples.cache_clear()
     jets._division_levels.cache_clear()
     jets._batch_levels.cache_clear()
     runs = []
@@ -627,16 +627,6 @@ def test_rescale_run(tmp_path):
     assert main(["rescale", "--config", cfg, "--out", out]) == 0
     report = _report(out)
     assert report["results"]["stretch"] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
-
-
-def test_output_dir_from_config(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path, "c.cfg", "[domain]\nresolution = 9 9\n[output]\ndir = from_config\n")
-    assert main(["checks", "--config", cfg]) == 0
-    assert (tmp_path / "from_config" / "report.json").exists()
-    # the CLI flag wins over the config key
-    assert main(["checks", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
-    assert (tmp_path / "flag" / "report.json").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -711,12 +701,21 @@ _GRID_3D = "[domain]\nextents = 1 1 1\nresolution = 5 5 5\norigin = 0 0 0\n"
         ("rescale", _GRID_3D, "problem.zeta"),
         ("rescale", _GRID + "[problem]\nzeta = 0.6 0.8\n", "problem.zeta"),
         ("rescale", _GRID + "[problem]\ngamma = 1 + x1\nzeta = 1 0\n", "problem.gamma"),
+        # Dirichlet data that is not finite at a boundary node of the grid
+        *[(command, _GRID + f"[problem]\ndata = expr:{data}\n", "problem.data")
+          for command in ("forward", "dn", "checks", "linearize")
+          for data in ("1/x1", "sqrt(x1-0.5)", "log(x1)")],
+        ("linearize", _GRID + "[linearize]\nphi = 1/x2\n", "linearize.phi"),
+        ("rescale", _GRID + "[linearize]\nphi = 1/x2\n", "linearize.phi"),
     ],
     ids=[
         "order_2", "depth_0", "z_2d", "rzeta_2d", "rzeta_normal_only", "rzeta_tangential_only",
         "rc_negative", "profile_negative", "profile_x2", "resolution_2", "four_axes",
         "gamma_x3", "data_x3", "tol_zero", "phi_x3", "fixedpoint_3d",
         "rescale_3d", "rescale_tilted_zeta", "rescale_gamma_varies",
+        *[f"{command}_data_{name}" for command in ("forward", "dn", "checks", "linearize")
+          for name in ("inv", "sqrt", "log")],
+        "linearize_phi_inv", "rescale_phi_inv",
     ],
 )
 def test_value_a_run_cannot_take_is_config_error(tmp_path, capsys, command, text, key):
@@ -767,12 +766,14 @@ def test_recover_order_is_bounded_by_its_product_table(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key", [("solver", "max_iter"), ("fixedpoint", "fp_tol"), ("fixedpoint", "fp_max_iter"),
-                     ("rescale", "rescale_tol"), ("solver", "eps_reg"), ("run", "command")],
+                     ("rescale", "rescale_tol"), ("solver", "eps_reg"), ("run", "command"),
+                     ("output", "dir")],
 )
 def test_removed_solver_settings_are_refused(tmp_path, capsys, section, key):
     # the Newton and Picard budgets, the Picard tolerance, the rescale
     # verdict's bound and the flux regularization are module constants, and
-    # the subcommand is the command line's; the report no longer echoes them
+    # the subcommand and the output directory are the command line's; the
+    # report no longer echoes them
     cfg = _write(tmp_path, "old.cfg", f"[{section}]\n{key} = 0\n")
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     known = any(s == section for s, _ in cli._SCHEMA)

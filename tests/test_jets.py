@@ -36,7 +36,7 @@ from plap.jets import (
     parse_expr,
     set_normal_slice,
 )
-from plap.jets import _degree_mask, _product_table
+from plap.jets import _degree_mask, _division_levels, _product_table
 
 
 def _x(nvars, order, axis, base=0.0):
@@ -294,19 +294,35 @@ def test_product_table_size(nvars, order, size):
     ia, ib, tgt = _product_table(nvars, order)
     assert ia.size == ib.size == tgt.size == size
     # the triples of a loop over a, then b, both in graded order (total
-    # degree, then lexicographic), as flat hypercube indices
+    # degree, then lexicographic), grouped by the normal index of a + b (a
+    # stable sort, so each target keeps the order of the loop over a), as
+    # flat hypercube indices
     graded = sorted(
         (a for a in itertools.product(range(order + 1), repeat=nvars) if sum(a) <= order), key=sum
     )
+    pairs = [(a, b) for a in graded for b in graded if sum(a) + sum(b) <= order]
     shape = (order + 1,) * nvars
     want = [
         tuple(int(np.ravel_multi_index(m, shape)) for m in (a, b, tuple(np.add(a, b))))
-        for a in graded
-        for b in graded
-        if sum(a) + sum(b) <= order
+        for a, b in sorted(pairs, key=lambda ab: ab[0][0] + ab[1][0])
     ]
     assert list(zip(ia.tolist(), ib.tolist(), tgt.tolist())) == want
     assert not _degree_mask(nvars, order).flags.writeable  # shared by every caller
+
+
+@pytest.mark.parametrize("nvars, order", [(3, 8), (3, 16)])
+def test_range_tables_are_views_of_the_full_table(nvars, order):
+    full = _product_table(nvars, order)
+    normal = full[2] // (order + 1) ** (nvars - 1)
+    for lo in range(order + 1):
+        for hi in range(lo, order + 1):
+            keep = (lo <= normal) & (normal <= hi)
+            for whole, part in zip(full, _product_table(nvars, order, (lo, hi))):
+                assert np.shares_memory(whole, part)
+                assert np.array_equal(part, whole[keep])
+    for span in (None, (1, order // 2)):
+        _, _, nb, nd = _division_levels(nvars, order, span)
+        assert nb.dtype.kind == nd.dtype.kind == "i"  # |b| and |a + b| as integers
 
 
 def test_chain_consistency():
