@@ -21,10 +21,11 @@ Reports: ``report.json`` (fully deterministic for a fixed config and seed;
 floats are serialized with 17 significant digits so they round-trip),
 ``tables/*.csv``, and ``run_meta.json`` (timestamps and versions live here,
 outside the deterministic report).  Exit code 0 iff every verdict passes,
-1 on failed verdicts, 2 on config errors, 3 on solver errors (which are
-serialized into the report).  Each range check belongs to the subcommand
-that reads the key: it refuses, as a config error that names the key, a
-value it cannot take, so a key it ignores never refuses its config.
+1 on failed verdicts, 2 on config errors and on an ``--out`` that is not a
+directory, 3 on solver errors (which are serialized into the report).
+Each range check belongs to the subcommand that reads the key: it refuses,
+as a config error that names the key, a value it cannot take, so a key it
+ignores never refuses its config.
 
 ``recover`` runs all entries of ``p_list`` as one lockstep batch (see
 :mod:`plap.recover`); ``--jobs k`` splits the list into k contiguous
@@ -292,11 +293,13 @@ def to_json(obj) -> str:
     return "".join(out)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]):
+def write_csv(path: str, header: list[str], rows):
     """Write a table: floats (numpy floats too) as ``%.17g``, other cells as ``str``.
 
-    Each row is formatted in one ``%`` operation, with a format string kept
-    per tuple of cell types.
+    ``rows`` is any iterable of rows, each a sequence of cells, and is read
+    once, row by row, so a generator writes a table without a list of all
+    its rows.  Each row is formatted in one ``%`` operation, with a format
+    string kept per tuple of cell types.
     """
     formats: dict[tuple, str] = {}
     with open(path, "w", encoding="ascii") as fh:
@@ -480,9 +483,10 @@ def run_dn(cfg: ExperimentConfig):
         from . import linearize
 
         matrix, index = linearize.dn_matrix(linearize.assemble_A(gamma, cfg.p, sol.u))
+        # rows made as the table is written: one matrix row of floats at a time
         tables["dn_matrix"] = (
             ["row", "col", "value"],
-            [[i, j, v] for i, row in enumerate(matrix.tolist()) for j, v in enumerate(row)],
+            ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row.tolist())),
         )
         results["dn_matrix_nodes"] = len(index)
     passed = sol.residual_norm <= cfg.tol
@@ -942,6 +946,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    out_dir = args.out or f"plap_out_{args.command}"
+    # refused before any work: the output directory is made only after the run
+    existing = os.path.abspath(out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        print(f"--out {out_dir}: {existing} is not a directory", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -950,7 +962,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or f"plap_out_{args.command}"
     try:
         return run(args.command, cfg, out_dir, jobs=args.jobs)
     except ConfigError as exc:

@@ -143,7 +143,7 @@ def fixed_point_u0(gamma: ScalarField, p: float, zeta) -> FixedPointReport:
     lu = psolve._ReusedLU(history)  # the LU of step 0 preconditions the later steps
     for k in range(_MAX_PICARD_STEPS):
         grad_v = gradient(ScalarField(dom, v))
-        sup_grad = float(np.max(np.sqrt(np.sum(grad_v.values**2, axis=-1))))
+        sup_grad = float(np.max(np.sqrt(psolve._squared_norm(grad_v.values))))
         history.append(sup_grad)
         if sup_grad >= BALL_RADIUS:
             raise BallEscape(k, sup_grad)
@@ -165,7 +165,7 @@ def fixed_point_u0(gamma: ScalarField, p: float, zeta) -> FixedPointReport:
         zeta_dot_x += zeta[a] * dom.coords[a]
     u0 = ScalarField(dom, zeta_dot_x + v)
     grad_r = gradient(r).values
-    sup_grad_r = float(np.max(np.sqrt(np.sum(grad_r**2, axis=-1))))
+    sup_grad_r = float(np.max(np.sqrt(psolve._squared_norm(grad_r))))
     res = psolve.residual(gamma, p, u0, eps_reg=0.0)
     res_norm = float(np.max(np.abs(res.values[dom.interior_mask])))
     report = FixedPointReport(
@@ -187,7 +187,7 @@ def fixed_point_u0(gamma: ScalarField, p: float, zeta) -> FixedPointReport:
 def min_gradient(u: ScalarField) -> tuple[float, tuple[int, ...]]:
     """Minimum of |grad u| over all nodes (boundary included), with the argmin node."""
     dom = u.domain
-    mags = np.sqrt(np.sum(gradient(u).values ** 2, axis=-1))
+    mags = np.sqrt(psolve._squared_norm(gradient(u).values))
     flat = int(np.argmin(mags))
     idx = np.unravel_index(flat, dom.shape)
     return float(mags[idx]), tuple(int(i) for i in idx)

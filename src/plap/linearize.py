@@ -73,10 +73,10 @@ def _segment_min_distance(xi, zeta):
     """Distance from the origin to the segment [xi, zeta], per vector along the last axis."""
     xi = np.asarray(xi, dtype=float)
     d = np.asarray(zeta, dtype=float) - xi
-    dd = np.sum(d * d, axis=-1)
+    dd = psolve._squared_norm(d)
     moving = dd > 0.0
     t = np.where(moving, np.clip(-np.sum(xi * d, axis=-1) / np.where(moving, dd, 1.0), 0.0, 1.0), 0.0)
-    return np.sqrt(np.sum((xi + t[..., None] * d) ** 2, axis=-1))
+    return np.sqrt(psolve._squared_norm(xi + t[..., None] * d))
 
 
 def segment_integral_dJ(start, step, p: float) -> np.ndarray:
@@ -96,13 +96,13 @@ def segment_integral_dJ(start, step, p: float) -> np.ndarray:
     """
     start, step = np.broadcast_arrays(np.asarray(start, dtype=float), np.asarray(step, dtype=float))
     end = start + step
-    start_norm = np.sqrt(np.sum(start**2, axis=-1))
-    end_norm = np.sqrt(np.sum(end**2, axis=-1))
+    start_norm = np.sqrt(psolve._squared_norm(start))
+    end_norm = np.sqrt(psolve._squared_norm(end))
     min_dist = float(np.min(_segment_min_distance(start, end)))
     if min_dist < 1e-6 * max(float(np.max(start_norm)), float(np.max(end_norm))):
         raise SegmentDegenerate(f"some segment passes within {min_dist:.2e} of the origin")
 
-    step_sq = np.sum(step**2, axis=-1)
+    step_sq = psolve._squared_norm(step)
     moving = step_sq > 0.0
     n_nodes = 1
     if np.any(moving):
@@ -128,7 +128,7 @@ def assemble_A(gamma: ScalarField, p: float, u0: ScalarField) -> TensorField:
     """Nodewise tensor A = gamma * dJ(grad u0); requires |grad u0| >= 1e-8 everywhere."""
     require_positive_weight(gamma)
     g = gradient(u0).values
-    mn = float(np.sqrt(np.min(np.sum(g**2, axis=-1))))
+    mn = float(np.sqrt(np.min(psolve._squared_norm(g))))
     if mn < _GRAD_THRESHOLD:
         raise DegenerateGradient(
             f"minimum |grad u0| = {mn:.3e} below threshold {_GRAD_THRESHOLD:.1e}"

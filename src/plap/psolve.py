@@ -130,6 +130,16 @@ class ForwardSolution:
 # -- nodewise flux algebra -------------------------------------------------------
 
 
+def _squared_norm(v) -> np.ndarray:
+    """|v|^2 of every vector along the last axis of ``v``, its squared
+    components summed in component order, as ``np.sum(v**2, axis=-1)`` sums
+    them, without an array of all the squares."""
+    total = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        total += v[..., k] * v[..., k]
+    return total
+
+
 def _kappa(grad_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
     return (grad_sq + eps * eps) ** ((p - 2.0) / 2.0)
 
@@ -137,7 +147,7 @@ def _kappa(grad_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
 def _flux(gamma: ScalarField, p: float, u: ScalarField, eps: float) -> VectorField:
     """The regularized flux gamma * (|grad u|^2 + eps^2)^((p-2)/2) * grad u."""
     g = gradient(u).values
-    gsq = np.sum(g**2, axis=-1)
+    gsq = _squared_norm(g)
     return VectorField(u.domain, (gamma.values * _kappa(gsq, p, eps))[..., None] * g)
 
 
@@ -151,20 +161,32 @@ def flux_derivative(grad_vals, p: float, eps: float = 0.0) -> np.ndarray:
     gamma * dJ_eps(grad u), the linearization tensor A = gamma * dJ(grad u0)
     and the fixed-point integrand of B = gamma * int_0^1 dJ(zeta + t xi) dt
     all come from here.  The caller guarantees m > 0.
+
+    The tensor is formed one entry (i, j), i <= j, at a time as
+    kappa * (delta_ij + (p-2) (g_i g_j) / m^2), kappa = m^(p-2), and written
+    into the result and its mirror entry, so no temporary holds more than
+    one component.  An off-diagonal entry is 0.0 + term, the identity's
+    zero plus the term, so a -0.0 term comes out +0.0 as in I + (p-2) g g^T / m^2.
     """
     g = np.asarray(grad_vals, dtype=float)
-    gsq = np.sum(g**2, axis=-1)
+    n = g.shape[-1]
+    gsq = _squared_norm(g)
     m2 = gsq + eps * eps
-    outer = g[..., :, None] * g[..., None, :]
-    tensor = np.eye(g.shape[-1]) + (p - 2.0) * outer / m2[..., None, None]
-    return _kappa(gsq, p, eps)[..., None, None] * tensor
+    kappa = _kappa(gsq, p, eps)
+    out = np.empty(g.shape + (n,))
+    for i in range(n):
+        for j in range(i, n):
+            term = (p - 2.0) * (g[..., i] * g[..., j]) / m2
+            out[..., i, j] = kappa * ((1.0 if i == j else 0.0) + term)
+            out[..., j, i] = out[..., i, j]
+    return out
 
 
 def p_energy(gamma: ScalarField, p: float, u: ScalarField, eps_reg: float = 0.0) -> float:
     """Regularized p-energy (1/p) * integral of gamma (|grad u|^2 + eps^2)^(p/2)."""
     require_positive_weight(gamma)
     g = gradient(u).values
-    gsq = np.sum(g**2, axis=-1)
+    gsq = _squared_norm(g)
     dens = gamma.values * (gsq + eps_reg * eps_reg) ** (p / 2.0)
     return integrate_volume(u.domain, dens) / p
 
@@ -219,8 +241,7 @@ def pseudo1d_profile(gamma, p: float, xs, c: float = 1.0) -> np.ndarray:
 
 
 def min_interior_gradient(u: ScalarField) -> float:
-    g = gradient(u).values
-    mags = np.sqrt(np.sum(g**2, axis=-1))
+    mags = np.sqrt(_squared_norm(gradient(u).values))
     return float(np.min(mags[u.domain.interior_mask]))
 
 
@@ -293,6 +314,9 @@ class _ReusedLU:
     factor is dropped and ``mat`` factored in its place.  A singular factor
     of any level raises :class:`NonConvergence` carrying ``history``, which
     a solver sharing the object points at its own residual list.
+    Between solves the object holds only the factor: the permutation and,
+    per level, its coupling block and SuperLU; no matrix it was given and
+    no Krylov basis outlives the call.
     ``factorizations`` counts the factorizations, not the SuperLU calls, and
     ``factor_fill`` sums the entries SuperLU stores for L and U
     (``SuperLU.nnz``) over all of them; reading ``L.nnz + U.nnz`` instead
@@ -361,16 +385,24 @@ class _ReusedLU:
         rtol |rhs|, at an exact breakdown, or after 50 steps.  A right-hand
         side or Krylov vector whose 2-norm is not finite (its squares
         overflow) raises :class:`NonConvergence`.
+
+        The basis is one array that grows by a row per step
+        (``ndarray.resize``, which reallocates in place when it can), so a
+        cycle of k steps holds k + 1 basis vectors, not a block for the
+        whole restart; x is formed from its used rows by one ``einsum``, and
+        the basis is dropped before the factor solve that ends the cycle.
+        Between two steps the cycle holds only the basis, the (51, 50)
+        Hessenberg matrix and the rotations.
         """
         beta = self._finite_norm(rhs, name)
         if beta == 0.0:
             return np.zeros_like(rhs)
-        basis = np.empty((_KRYLOV_RESTART + 1, rhs.size))
+        basis = np.empty((1, rhs.size))
+        np.divide(rhs, beta, out=basis[0])
         hess = np.zeros((_KRYLOV_RESTART + 1, _KRYLOV_RESTART))
         rotations = []
         g = np.zeros(_KRYLOV_RESTART + 1)  # the rotated right-hand side beta e_1
         g[0] = beta
-        basis[0] = rhs / beta
         for j in range(_KRYLOV_RESTART):
             w = mat @ self._factor_solve(basis[j])
             h = hess[:, j]
@@ -382,7 +414,9 @@ class _ReusedLU:
             breakdown = after <= np.finfo(float).eps * before
             if not breakdown:
                 h[j + 1] = after
-                basis[j + 1] = w / after
+                basis.resize((j + 2, rhs.size))
+                np.divide(w, after, out=basis[j + 1])
+            del w  # not held through the next step's factor solve
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             r = math.copysign(math.hypot(h[j], h[j + 1]), h[j])
@@ -401,7 +435,9 @@ class _ReusedLU:
             if y[i]:
                 y[i] /= hess[i, i]
                 y[:i] -= y[i] * hess[:i, i]
-        return self._factor_solve(np.einsum("i,ij->j", y, basis[:j + 1]))
+        combined = np.einsum("i,ij->j", y, basis[:j + 1])
+        del basis  # not held through the factor solve that forms x
+        return self._factor_solve(combined)
 
 
 def solve_p_laplace(
@@ -455,11 +491,11 @@ def solve_p_laplace(
     if start is None:
         # initial guess: linear solve with tensor gamma*I, same boundary data;
         # its LU then preconditions the Newton steps
-        eye_t = gamma.values[..., None, None] * np.eye(dom.n)
-        lin_ii, lin_ib = anisotropic_operator(dom, eye_t)
+        lin_ii, lin_ib = anisotropic_operator(dom, gamma.values[..., None, None] * np.eye(dom.n))
         u_flat[int_idx] = lu.solve(
             lin_ii, -(lin_ib @ u_flat[dom.boundary_flat]), _NEWTON_FORCING, "isotropic operator"
         )
+        del lin_ii, lin_ib  # of the isotropic operator, the steps read only its factor
     else:
         u_flat[int_idx] = start.values.ravel()[int_idx]
 
@@ -488,10 +524,15 @@ def solve_p_laplace(
                 f"residual {res_norm:.3e} above tol {tol:.1e} after {iterations} iterations",
                 history,
             )
-        g = gradient(as_field(u_flat)).values
-        blocks = gamma.values[..., None, None] * flux_derivative(g, p, _EPS_REG)
+        # the gradient, the tensor blocks and the Jacobian each go once the
+        # next is formed: the line search reads only the step
+        grad = gradient(as_field(u_flat)).values
+        blocks = gamma.values[..., None, None] * flux_derivative(grad, p, _EPS_REG)
+        del grad
         jac, _ = anisotropic_operator(dom, blocks, boundary=False)
+        del blocks
         step = lu.solve(jac, -res, _NEWTON_FORCING, "Newton Jacobian")
+        del jac
         t = 1.0
         for _ls in range(_MAX_LINESEARCH):
             trial = np.array(u_flat)

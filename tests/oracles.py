@@ -3,7 +3,8 @@
 Everything here is deliberately dumb and independent of the library code it
 checks: 1D quadrature for the pseudo-1D solution family, finite differences
 for Jacobians, convergence-order measurement, the flux map J and the
-closed form of its derivative dJ, the defect of the integral Taylor
+closed form of its derivative dJ, the broadcast form of the regularized
+flux derivative tensor, the defect of the integral Taylor
 identity of the flux map, a tensor symmetry defect, loop versions of the jet
 product and quotient, coefficientwise jet comparison, the jet of the flux
 divergence, the closed-form order-0 split in two dimensions, the coefficient
@@ -91,6 +92,20 @@ def dJ(xi, p: float) -> np.ndarray:
     norm = math.sqrt(float(xi @ xi))
     e = xi / norm
     return norm ** (p - 2.0) * (np.eye(xi.size) + (p - 2.0) * np.outer(e, e))
+
+
+def flux_derivative_broadcast(grad_vals, p: float, eps: float = 0.0) -> np.ndarray:
+    """m^(p-2) (I + (p-2) g g^T / m^2), m^2 = |g|^2 + eps^2, for every vector
+    g along the last axis, by whole-tensor broadcasting: the outer products,
+    the identity plus their scaled batch, times kappa.  The library forms
+    the same tensor one component at a time and must match it bit for bit,
+    zero signs included."""
+    g = np.asarray(grad_vals, dtype=float)
+    gsq = np.sum(g**2, axis=-1)
+    m2 = gsq + eps * eps
+    outer = g[..., :, None] * g[..., None, :]
+    tensor = np.eye(g.shape[-1]) + (p - 2.0) * outer / m2[..., None, None]
+    return ((gsq + eps * eps) ** ((p - 2.0) / 2.0))[..., None, None] * tensor
 
 
 def symmetry_defect(tensor_values) -> float:

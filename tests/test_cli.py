@@ -172,20 +172,59 @@ def test_dn_pseudo1d_run(tmp_path):
     assert len(lines) == 1 + 4 * 17
 
 
-def test_dn_dense_matrix_opt_in(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "dm.cfg",
-        "[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = 1\ndata = expr:x1\n"
-        "[dn]\ndn_matrix = true\n",
-    )
-    out = str(tmp_path / "out")
-    assert main(["dn", "--config", cfg, "--out", out]) == 0
-    report = _report(out)
-    assert report["results"]["dn_matrix_nodes"] == 32
-    lines = Path(out, "tables", "dn_matrix.csv").read_text().splitlines()
-    # one row per (flux node, boundary bump) pair
-    assert len(lines) == 1 + (4 * 9) * 32
+def test_dn_dense_matrix_opt_in(tmp_path, monkeypatch):
+    # the table is streamed from the matrix, and its bytes are those of the
+    # list of [row, col, value] rows written through write_csv
+    from plap import linearize
+
+    matrices = []
+    dn_matrix = linearize.dn_matrix
+
+    def kept_dn_matrix(*args, **kwargs):
+        matrices.append(dn_matrix(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(linearize, "dn_matrix", kept_dn_matrix)
+    for domain, nodes, flux_nodes in [
+        ("resolution = 9 9", 32, 4 * 9),
+        ("resolution = 17 17", 64, 4 * 17),
+        ("extents = 1 1 1\nresolution = 7 7 7\norigin = 0 0 0", 7**3 - 5**3, 6 * 7 * 7),
+    ]:
+        cfg = _write(
+            tmp_path,
+            "dm.cfg",
+            f"[domain]\n{domain}\n[problem]\np = 3\ngamma = 1\ndata = expr:x1\n[dn]\ndn_matrix = true\n",
+        )
+        out = tmp_path / f"out{len(matrices)}"
+        assert main(["dn", "--config", cfg, "--out", str(out)]) == 0
+        assert _report(out)["results"]["dn_matrix_nodes"] == nodes
+        matrix, index = matrices[-1]
+        assert matrix.shape == (flux_nodes, nodes) and len(index) == nodes
+        table = (out / "tables" / "dn_matrix.csv").read_bytes()
+        # one row per (flux node, boundary bump) pair
+        assert table.count(b"\n") == 1 + flux_nodes * nodes
+        ref = tmp_path / "ref.csv"
+        write_csv(str(ref), ["row", "col", "value"],
+                  [[i, j, v] for i, row in enumerate(matrix.tolist()) for j, v in enumerate(row)])
+        assert table == ref.read_bytes()
+
+
+def test_out_naming_an_existing_file_is_refused(tmp_path, capsys, monkeypatch):
+    # refused before the config is read or any solve runs, and the file is left as it was
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the run started"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    cfg = str(Path(__file__).parents[1] / "scripts" / "configs" / "forward.cfg")
+    for out in (blocker, blocker / "sub"):
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and "is not a directory" in err
+    assert blocker.read_text() == "keep\n"
+    # an existing directory is still taken
+    monkeypatch.undo()
+    cfg = _write(tmp_path, "f.cfg", "[domain]\nresolution = 9 9\n[problem]\np = 3\ngamma = 1\ndata = expr:x1\n")
+    (tmp_path / "done").mkdir()
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "done")]) == 0
 
 
 def test_linearize_run(tmp_path):

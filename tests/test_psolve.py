@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from plap import psolve
-from plap.grid import ScalarField, anisotropic_operator, build_domain, integrate_boundary
+from plap.grid import ScalarField, anisotropic_operator, build_domain, gradient, integrate_boundary
 from plap.psolve import (
     DegenerateGradientWarning,
     NonConvergence,
@@ -24,6 +25,7 @@ from oracles import (
     anisotropic_operator_loop,
     convergence_orders,
     fd_jacobian,
+    flux_derivative_broadcast,
     pseudo1d_boundary_profile,
     pseudo1d_fields,
 )
@@ -58,6 +60,34 @@ def test_flux_derivative_is_jacobian_of_regularized_flux():
     assert tensors.shape == (2, 3, 3, 3)
     for idx in np.ndindex(2, 3):
         assert np.allclose(tensors[idx], fd_jacobian(flux, grads[idx]), atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.3, 3.0, 6.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_flux_derivative_matches_broadcast_reference_bitwise(n, p, eps):
+    # the tensor formed one component at a time equals the broadcast one in
+    # every bit, the sign of each zero included: zero and negative-zero
+    # components, and the zero vector where eps > 0 keeps it finite
+    rng = np.random.default_rng(11)
+    grads = rng.normal(size=(40, n)) * np.exp(rng.uniform(-8.0, 8.0, size=(40, n)))
+    grads[0:4, 0] = 0.0
+    grads[4:8, 0] = -0.0
+    grads[8:12, n - 1] = -0.0
+    grads[12:16, :n - 1] = -0.0
+    if n == 3:
+        grads[16, :2] = 0.0, -0.0
+    if eps > 0.0:
+        grads[17] = 0.0
+        grads[18] = -0.0
+    got = flux_derivative(grads, p, eps)
+    want = flux_derivative_broadcast(grads, p, eps)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # a single vector and a grid-shaped batch take the same path
+    assert np.array_equal(flux_derivative(grads[5], p, eps), want[5])
+    batch = grads[:36].reshape(6, 6, n)
+    assert np.array_equal(flux_derivative(batch, p, eps), want[:36].reshape(6, 6, n, n))
 
 
 def test_p_energy_unit_gradient(square17):
@@ -413,6 +443,35 @@ def test_gmres_spends_one_factor_solve_per_step(square17, monkeypatch):
     spla.gmres(op, rhs, rtol=1e-10, atol=0.0, restart=50, maxiter=1,
                callback=steps.append, callback_type="pr_norm")
     assert len(steps) == lu.krylov_iterations
+
+
+def test_gmres_cycle_holds_only_the_basis_it_grew():
+    # one cycle of k steps on a p = 6 Newton Jacobian at 65^2, preconditioned
+    # by the isotropic LU: its traced peak is the grown basis and the two
+    # vectors of one step in flight (k + 2 vectors), the (51, 50) Hessenberg
+    # matrix (0.64 of a vector here) and the rotations, far below the 54
+    # vectors of a basis block for the whole restart of 50
+    gam, f = _wavy_problem(65)
+    dom, p = gam.domain, 6.0
+    lin_ii, lin_ib = anisotropic_operator(dom, gam.values[..., None, None] * np.eye(2))
+    lu = psolve._ReusedLU()
+    u = np.array(f.values).ravel()
+    u[dom.interior_flat] = lu.solve(lin_ii, -(lin_ib @ u[dom.boundary_flat]), 1e-4, "isotropic operator")
+    u0 = ScalarField(dom, u.reshape(dom.shape))
+    jac, _ = anisotropic_operator(
+        dom, gam.values[..., None, None] * flux_derivative(gradient(u0).values, p, 1e-8), boundary=False
+    )
+    rhs = -residual(gam, p, u0, 1e-8).values.ravel()[dom.interior_flat]
+    tracemalloc.start()
+    try:
+        x = lu._gmres(jac, rhs, psolve._NEWTON_FORCING, "Newton Jacobian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = lu.krylov_iterations
+    assert 5 <= k < psolve._KRYLOV_RESTART
+    assert np.linalg.norm(jac @ x - rhs) <= 1e-3 * np.linalg.norm(rhs)
+    assert peak <= (k + 3.5) * rhs.nbytes
 
 
 def test_each_level_takes_a_minimum_degree_lu(monkeypatch):
