@@ -114,7 +114,8 @@ def assemble_B(
         zeta = np.zeros(dom.n)
         zeta[0] = 1.0
     integral = linearize.segment_integral_dJ(zeta, xi_field.values, p)
-    return TensorField(dom, gamma.values[..., None, None] * integral)
+    integral *= gamma.values[..., None, None]
+    return TensorField(dom, integral)
 
 
 def fixed_point_u0(gamma: ScalarField, p: float, zeta) -> FixedPointReport:

@@ -8,7 +8,7 @@ no mask, and arithmetic never reads them, so it is closed at the stated
 order.  The Taylor normalization keeps high-order arithmetic overflow-free.
 Products and quotients read one cached table per (nvars, order) of the flat
 index triples (a, b, a + b) with |a| + |b| <= order: a product is one
-``np.bincount`` over it, a quotient one ``np.add.at`` per degree level.
+``np.bincount`` over it, a quotient one ``np.subtract.at`` per degree level.
 Each coefficient adds its terms in the same fixed order as a loop over
 multi-indices would.  :func:`jet_matvec` forms all the products of a matrix
 and a vector of jets in one gather and one ``np.bincount``, each product
@@ -24,20 +24,21 @@ their slices up to hi, and a quotient or a power reads its own slices below
 lo from ``known``, which must hold them final.  The table groups its
 triples by the normal index of their target, so a ranged operation reads a
 view of it, and each computed coefficient sums the same terms in the same
-order as the full operation: it is bitwise equal to it.  The levels of a
-quotient or power are cached per (nvars, order, lo, hi).
+order as the full operation: it is bitwise equal to it.  Quotients and
+powers read one more table per (nvars, order), sorted by degree and normal
+index of the target, so the degree-d level of any range is a view of it.
 
 A jet's coefficient array may carry leading batch axes, one jet per batch
 entry (a scenario), so that one call runs many independent jets in lockstep
 and pays its Python overhead once (vector-mode Taylor propagation, Griewank
 & Walther, ch. 13).  A jet without batch axes is exactly a single jet, and
 it broadcasts against any batch.  A batched product, quotient or power
-gathers its table's terms from every entry at once and sums them with the
-bins (a product's targets, a quotient's positions) offset per entry, so
-each entry gets bins of its own and sums the same terms in the same order
-as it would alone: every entry's result equals its unbatched result bit
-for bit.  Only the offset targets of a quotient or power are cached per
-batch size; the offsets that grow with the triples are added per call.
+holds its coefficients as one row per entry, gathers its table's terms from
+every row at once (one ``take`` along the rows) and sums them with the bins
+(a product's targets, a level's positions) offset per entry, so each entry
+gets bins of its own and sums the same terms in the same order as it would
+alone: every entry's result equals its unbatched result bit for bit.  The
+offsets are added per call, and no table depends on the batch.
 Scalars that differ per entry (an exponent, a scale) are arrays of the
 batch shape; the per-entry constants that numpy's vectorized ``**`` and
 ``math`` functions would round differently (the constant term of a power,
@@ -201,18 +202,12 @@ def _take_known(out: np.ndarray, nvars: int, order: int, slices) -> np.ndarray:
     return out
 
 
-def _offset(index: np.ndarray, stride: int, rows: int) -> np.ndarray:
-    """``index`` once per batch entry, entry r's copy shifted by r * stride:
-    the bins of a batch of ``rows`` jets held one after another."""
-    return index if rows == 1 else (index + stride * np.arange(rows)[:, None]).ravel()
-
-
-def _gather(flat: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
-    """The entries at ``index`` of each of the ``rows`` jets held one after
-    another in ``flat``, entry after entry."""
+def _offset(index: np.ndarray, stride: int, rows: int, shift: int = 0) -> np.ndarray:
+    """``index - shift`` once per batch entry, entry r's copy shifted by
+    r * stride: the bins of a batch of ``rows`` jets held one after another."""
     if rows == 1:
-        return flat[index]
-    return flat.reshape(rows, -1).take(index, axis=1).ravel()
+        return index - shift if shift else index
+    return (index + np.arange(-shift, rows * stride - shift, stride)[:, None]).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -231,57 +226,35 @@ def _monomials(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=256)
-def _division_levels(nvars: int, order: int, span: tuple[int, int] | None = None):
+def _division_levels(nvars: int, order: int) -> tuple:
     """The part of :func:`_product_table` that graded division and the
-    graded recurrences read: the triples (a, b, a + b) with |b| > 0, grouped
-    by the total degree d = |a + b| into levels.
+    graded recurrences read: the triples (a, b, a + b) with |b| > 0, in one
+    stable sort by (d, k, b), with d = |a + b| and k the normal index of
+    a + b, so each target sums its terms in the order of a loop over b.
 
-    Returns (levels, ib, nb, nd).  Over all the triples, level by level,
-    ``ib`` is the flat index of b, ``nb`` = |b| and ``nd`` = d as int16, so
-    a recurrence forms its per-triple weights in one pass.  ``levels`` holds
-    (d, targets, ia, pos, sl) for each degree d >= 1 with targets: the flat
-    indices of the degree-d coefficients, and over the level's triples (the
-    slice ``sl`` of the arrays above) the flat index of a and the position
-    of a + b among the targets.  With a span, only the targets of the table
-    of that span and the triples into them are kept.
-
-    The triples are the table's in one stable sort by (d, b), so each
-    target sums its terms in the order of a loop over b.
+    Returns (ia, ib, nb, tpos, tstart, sstart).  Over the triples: the flat
+    indices of a and b, |b| and the position of a + b among the degree-d
+    coefficients in the graded order of :func:`_multi_indices`, all int32
+    but |b| (int16).  Per cell c = d (order + 1) + k, c = 0..(order + 1)^2:
+    where its targets start in that graded order, and where its triples
+    start.  So the degree-d targets of the normal indices
+    lo..hi, and the triples into them, are the cells d (order + 1) + lo up
+    to d (order + 1) + hi: one slice of each.
     """
-    ia, ib, tgt = _product_table(nvars, order, span)
+    ia, ib, tgt = _product_table(nvars, order)
     _, deg, graded = _multi_indices(nvars, order)
-    lo, hi = span or (0, order)
-    normal = graded // (order + 1) ** (nvars - 1)
-    targets = _read_only(graded[(deg[graded] > 0) & (lo <= normal) & (normal <= hi)])[0]
+    stride = (order + 1) ** (nvars - 1)
     sel = np.flatnonzero(deg[ib] > 0)
-    sel = sel[np.argsort(deg[tgt[sel]] * deg.size + ib[sel], kind="stable")]
-    degrees = np.arange(order + 2)
-    first = np.searchsorted(deg[targets], degrees)  # where each degree starts among the targets
-    bounds = np.searchsorted(deg[tgt[sel]], degrees)  # and among the triples
-    pos = np.zeros(deg.size, dtype=np.intp)
-    pos[targets] = np.arange(targets.size) - first[deg[targets]]
-    ia_all, pos_all = _read_only(ia[sel], pos[tgt[sel]])
-    levels = tuple(
-        (d, targets[t0:t1], ia_all[s0:s1], pos_all[s0:s1], slice(s0, s1))
-        for d, t0, t1, s0, s1 in zip(range(1, order + 1), first[1:], first[2:], bounds[1:], bounds[2:])
-        if t0 < t1
-    )
-    return (levels, *_read_only(ib[sel], deg[ib[sel]].astype(np.int16), deg[tgt[sel]].astype(np.int16)))
-
-
-@lru_cache(maxsize=256)
-def _batch_levels(nvars: int, order: int, span: tuple[int, int] | None, rows: int):
-    """The levels of :func:`_division_levels` for a batch of ``rows`` jets
-    held one after another: (d, targets, bins, ia, pos, row, sl) with the
-    targets also offset per entry as ``bins``, and ``row`` the entry of each
-    bin.  The positions are offset per call (:func:`_offset`), since they
-    grow with the triples and the bins only with the targets."""
-    size = (order + 1) ** nvars
-    return tuple(
-        (d, targets, _read_only(_offset(targets, size, rows))[0], ia, pos,
-         0 if rows == 1 else _read_only(np.repeat(np.arange(rows), targets.size))[0], sl)
-        for d, targets, ia, pos, sl in _division_levels(nvars, order, span)[0]
-    )
+    cell = deg[tgt[sel]] * (order + 1) + tgt[sel] // stride
+    by_cell = np.argsort(cell * deg.size + ib[sel], kind="stable")
+    sel, cell = sel[by_cell], cell[by_cell]
+    cells = np.arange((order + 1) ** 2 + 1)
+    tstart = np.searchsorted(deg[graded] * (order + 1) + graded // stride, cells)
+    tpos = np.empty(deg.size, dtype=np.int32)
+    tpos[graded] = np.arange(graded.size) - tstart[deg[graded] * (order + 1)]
+    nb = deg[ib[sel]].astype(np.int16)
+    arrays = _read_only(ia[sel].astype(np.int32), ib[sel].astype(np.int32), nb, tpos[tgt[sel]])
+    return (*arrays, tuple(tstart.tolist()), tuple(np.searchsorted(cell, cells).tolist()))
 
 
 class Jet:
@@ -431,19 +404,15 @@ def jet_mul(a: Jet, b: Jet, slices=None) -> Jet:
     _check_compatible(a, b)
     n, order = a.nvars, a.order
     ac, bc = a.coeffs, b.coeffs
-    if ac.shape != bc.shape:
+    if ac.shape != bc.shape and ac.ndim > n and bc.ndim > n:
         ac, bc = _broadcast(a, b)
     size = (order + 1) ** n
-    rows = ac.size // size
     ia, ib, tgt = _product_table(n, order, slices and slices[:2])
-    af, bf = ac.ravel(), bc.ravel()
-    if rows == 1:
-        terms = af[ia] * bf[ib]
-    else:
-        terms = _gather(af, rows, ia) * _gather(bf, rows, ib)
-        tgt = _offset(tgt, size, rows)
-    out = np.bincount(tgt, weights=terms, minlength=ac.size)
-    return Jet(n, order, _take_known(out, n, order, slices).reshape(ac.shape))
+    terms = ac.reshape(-1, size).take(ia, axis=1) * bc.reshape(-1, size).take(ib, axis=1)
+    rows = terms.shape[0]
+    out = np.bincount(_offset(tgt, size, rows), terms.ravel(), rows * size)
+    shape = (bc if bc.ndim > ac.ndim else ac).shape  # a jet without batch axes broadcasts
+    return Jet(n, order, _take_known(out, n, order, slices).reshape(shape))
 
 
 def jet_matvec(rows, vec) -> list[Jet]:
@@ -497,41 +466,48 @@ def jet_div(a: Jet, b: Jet, slices=None) -> Jet:
     ac, bc = a.coeffs, b.coeffs
     if ac.shape != bc.shape:
         ac, bc = _broadcast(a, b)
-    af, bf = ac.ravel(), bc.ravel()
     size = (order + 1) ** n
-    b0 = bf[::size]
-    if 0.0 in b0.tolist():
+    a2, b2 = ac.reshape(-1, size), bc.reshape(-1, size)
+    b0 = b2[:, :1]
+    if 0.0 in b2[:, 0].tolist():
         raise DivisionByZeroConstantTerm("division by a jet with zero constant term")
-    rows = b0.size
-    out = np.zeros(af.size)
-    out[::size] = af[::size] / b0  # degree 0 has no terms to subtract
+    out = np.zeros(a2.shape)
+    out[:, :1] = a2[:, :1] / b0  # degree 0 has no terms to subtract
     _take_known(out, n, order, slices)
-    b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
-    # out * (-b) is -(out * b) bit for bit; np.add.at onto a keeps a -0.0 a bincount would lose
-    weights = _graded_levels(Jet(n, order, bc), lambda nb, nd, bb: -bb, slices and slices[:2])
-    for _, targets, ia, pos, row, w in weights:
-        acc = af[targets]
-        np.add.at(acc, pos, w * _gather(out, rows, ia))
-        out[targets] = acc / b0[row]
+    # np.subtract.at onto a keeps a -0.0 a bincount would lose
+    for _, targets, ia, pos, w in _graded_levels(n, order, b2, lambda nb, d, bb: bb, slices and slices[:2]):
+        acc = a2.take(targets, axis=1)
+        np.subtract.at(acc.reshape(-1), pos, (w * out.take(ia, axis=1)).ravel())
+        out[:, targets] = acc / b0
     return Jet(n, order, out.reshape(ac.shape))
 
 
-def _graded_levels(g: Jet, weight, span: tuple[int, int] | None = None):
+def _graded_levels(n: int, order: int, g2: np.ndarray, weight, span: tuple[int, int] | None = None):
     """Per total degree d >= 1 with coefficients in ``span``: d, the flat
-    indices of the degree-d coefficients of ``g``'s batch entries held one
-    after another, and over the pairs (alpha - beta, beta) with |alpha| = d
-    and beta != 0, entry after entry: the terms' flat index of alpha - beta
-    (gathered per entry with :func:`_gather`), the position of alpha among
-    the targets, the batch entry of each target, and the weight of each
-    pair, where ``weight(nb, nd, gb)`` forms the weights of all the levels
-    at once from |beta|, d and g_beta (one row per entry).  Summing
-    ``w * _gather(c, rows, ia)`` per position adds each target's terms in
-    the order of a loop over beta."""
-    rows = g.coeffs.size // (g.order + 1) ** g.nvars
-    _, ib, nb, nd = _division_levels(g.nvars, g.order, span)
-    w = weight(nb, nd, _gather(g.coeffs.ravel(), rows, ib).reshape(rows, -1))
-    for d, targets, bins, ia, pos, row, sl in _batch_levels(g.nvars, g.order, span, rows):
-        yield d, bins, ia, _offset(pos, targets.size, rows), row, w[:, sl].ravel()
+    indices of the degree-d coefficients (the targets), and over the pairs
+    (alpha - beta, beta) with |alpha| = d and beta != 0: the flat index of
+    alpha - beta, the bin of each term (the position of alpha among the
+    targets, offset per batch entry), and the weight of each pair, one row
+    per entry, which ``weight(nb, d, gb)`` forms from |beta|, d and g_beta.
+    ``g2`` holds the coefficients of g, one row per batch entry.
+    :func:`_level_sums` adds each target's terms in the order of a loop
+    over beta."""
+    ia, ib, nb, tpos, tstart, sstart = _division_levels(n, order)
+    graded = _multi_indices(n, order)[2]
+    lo, hi = span or (0, order)
+    for d in range(1, order + 1):
+        c0, c1 = d * (order + 1) + lo, d * (order + 1) + hi + 1
+        t0, t1, s0, s1 = tstart[c0], tstart[c1], sstart[c0], sstart[c1]
+        if t0 < t1:
+            pos = _offset(tpos[s0:s1], t1 - t0, g2.shape[0], t0 - tstart[c0 - lo])
+            yield d, graded[t0:t1], ia[s0:s1], pos, weight(nb[s0:s1], d, g2.take(ib[s0:s1], axis=1))
+
+
+def _level_sums(targets, ia, pos, w, c: np.ndarray) -> np.ndarray:
+    """Per target of a level of :func:`_graded_levels`, the sum of its terms
+    w * c[alpha - beta], one row per batch entry of ``c``."""
+    terms = w * c.take(ia, axis=1)
+    return np.bincount(pos, terms.ravel(), terms.shape[0] * targets.size).reshape(-1, targets.size)
 
 
 def _integer_exponent(e: float) -> int | None:
@@ -585,14 +561,17 @@ def _pow_per_entry(base: Jet, exponent: np.ndarray, slices) -> Jet:
     """:func:`jet_pow` with one exponent per batch entry."""
     n, order = base.nvars, base.order
     batch = np.broadcast_shapes(base.batch, exponent.shape)
+
     shape = (order + 1,) * n
 
-    def entries_of(jet: Jet) -> np.ndarray:  # one jet per entry, entry after entry
-        return np.broadcast_to(jet.coeffs, batch + shape).reshape((-1,) + shape)
+    def entries_of(c: np.ndarray, tail: tuple[int, ...] = shape) -> np.ndarray:  # entry after entry
+        if c.shape != batch + tail:
+            c = np.broadcast_to(c, batch + tail)
+        return c.reshape((-1,) + tail)
 
-    coeffs = entries_of(base)
-    known = None if slices is None or slices[2] is None else entries_of(slices[2])
-    es = np.broadcast_to(exponent, batch).ravel()
+    coeffs = entries_of(base.coeffs)
+    known = None if slices is None or slices[2] is None else entries_of(slices[2].coeffs)
+    es = entries_of(exponent, ())
     groups: dict[int | None, list[int]] = {}
     for i, e in enumerate(es.tolist()):
         groups.setdefault(_integer_exponent(e), []).append(i)
@@ -608,23 +587,21 @@ def _pow_per_entry(base: Jet, exponent: np.ndarray, slices) -> Jet:
 def _real_pow(base: Jet, e, slices) -> Jet:
     """The real power of :func:`jet_pow`; ``e`` is a float, or a 1-D array
     of one exponent per entry of ``base``'s batch."""
-    size = (base.order + 1) ** base.nvars
-    bf = base.coeffs.ravel()
-    b0 = bf[::size]
-    rows = b0.size
-    out = np.zeros(bf.size)
-    for i, b in enumerate(b0.tolist()):
+    n, order = base.nvars, base.order
+    b2 = base.coeffs.reshape(-1, (order + 1) ** n)
+    b0 = b2[:, :1]
+    out = np.zeros(b2.shape)
+    for i, b in enumerate(b2[:, 0].tolist()):
         x = float(e[i]) if isinstance(e, np.ndarray) else e
         if b <= 0.0:
             raise JetDomainError(f"real power {x:g} needs a positive constant term, got {b:g}")
-        out[i * size] = b**x
-    _take_known(out, base.nvars, base.order, slices)
-    b0 = b0.tolist() if rows == 1 else b0  # a single jet's divisor as a Python float
-    e = np.reshape(e, (-1, 1)) if isinstance(e, np.ndarray) else e
-    weights = _graded_levels(base, lambda nb, nd, bb: ((e + 1.0) * nb - nd) * bb, slices and slices[:2])
-    for d, targets, ia, pos, row, w in weights:
-        out[targets] = np.bincount(pos, w * _gather(out, rows, ia), targets.size) / (d * b0[row])
-    return Jet(base.nvars, base.order, out.reshape(base.coeffs.shape))
+        out[i, 0] = b**x
+    _take_known(out, n, order, slices)
+    e1 = (np.reshape(e, (-1, 1)) if isinstance(e, np.ndarray) else e) + 1.0
+    weights = _graded_levels(n, order, b2, lambda nb, d, bb: (e1 * nb - d) * bb, slices and slices[:2])
+    for d, targets, ia, pos, w in weights:
+        out[:, targets] = _level_sums(targets, ia, pos, w, out) / (d * b0)
+    return Jet(n, order, out.reshape(base.coeffs.shape))
 
 
 _UNARY_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -637,36 +614,34 @@ def jet_unary(name: str, g: Jet) -> Jet:
     for c = log g; and the coupled pair s = sin g, k = cos g with
     d s_alpha = sum |beta| g_beta k_{alpha - beta},
     d k_alpha = -sum |beta| g_beta s_{alpha - beta}."""
-    size = (g.order + 1) ** g.nvars
-    gf = g.coeffs.ravel()
-    g0 = gf[::size]
-    rows = g0.size
-    out = np.zeros(gf.size)
+    n, order = g.nvars, g.order
+    g2 = g.coeffs.reshape(-1, (order + 1) ** n)
+    out = np.zeros(g2.shape)
     if name == "exp":
-        out[::size] = [math.exp(x) for x in g0.tolist()]
-        for d, targets, ia, pos, _, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
-            out[targets] = np.bincount(pos, w * _gather(out, rows, ia), targets.size) / d
+        out[:, 0] = [math.exp(x) for x in g2[:, 0].tolist()]
+        for d, targets, ia, pos, w in _graded_levels(n, order, g2, lambda nb, d, gb: nb * gb):
+            out[:, targets] = _level_sums(targets, ia, pos, w, out) / d
     elif name in ("sin", "cos"):
-        other = np.zeros(gf.size)
+        other = np.zeros(g2.shape)
         s, k = (out, other) if name == "sin" else (other, out)
-        s[::size] = [math.sin(x) for x in g0.tolist()]
-        k[::size] = [math.cos(x) for x in g0.tolist()]
-        for d, targets, ia, pos, _, w in _graded_levels(g, lambda nb, nd, gb: nb * gb):
-            s[targets] = np.bincount(pos, w * _gather(k, rows, ia), targets.size) / d
-            k[targets] = -np.bincount(pos, w * _gather(s, rows, ia), targets.size) / d
+        s[:, 0] = [math.sin(x) for x in g2[:, 0].tolist()]
+        k[:, 0] = [math.cos(x) for x in g2[:, 0].tolist()]
+        for d, targets, ia, pos, w in _graded_levels(n, order, g2, lambda nb, d, gb: nb * gb):
+            s[:, targets] = _level_sums(targets, ia, pos, w, k) / d
+            k[:, targets] = -_level_sums(targets, ia, pos, w, s) / d
     elif name in ("log", "sqrt"):
-        for x in g0.tolist():
+        for x in g2[:, 0].tolist():
             if x <= 0.0:
                 raise JetDomainError(f"{name} of jet with non-positive constant term {x:g}")
         if name == "sqrt":
             return jet_pow(g, 0.5)
-        out[::size] = [math.log(x) for x in g0.tolist()]
-        for d, targets, ia, pos, row, w in _graded_levels(g, lambda nb, nd, gb: (nd - nb) * gb):
-            acc = np.bincount(pos, w * _gather(out, rows, ia), targets.size)
-            out[targets] = (d * gf[targets] - acc) / (d * g0[row])
+        out[:, 0] = [math.log(x) for x in g2[:, 0].tolist()]
+        for d, targets, ia, pos, w in _graded_levels(n, order, g2, lambda nb, d, gb: (d - nb) * gb):
+            acc = _level_sums(targets, ia, pos, w, out)
+            out[:, targets] = (d * g2.take(targets, axis=1) - acc) / (d * g2[:, :1])
     else:
         raise ValueError(f"unknown unary function {name!r}")
-    return Jet(g.nvars, g.order, out.reshape(g.coeffs.shape))
+    return Jet(n, order, out.reshape(g.coeffs.shape))
 
 
 def jet_partial(j: Jet, axis: int) -> Jet:

@@ -133,7 +133,9 @@ def assemble_A(gamma: ScalarField, p: float, u0: ScalarField) -> TensorField:
         raise DegenerateGradient(
             f"minimum |grad u0| = {mn:.3e} below threshold {_GRAD_THRESHOLD:.1e}"
         )
-    return TensorField(u0.domain, gamma.values[..., None, None] * psolve.flux_derivative(g, p))
+    blocks = psolve.flux_derivative(g, p)
+    blocks *= gamma.values[..., None, None]
+    return TensorField(u0.domain, blocks)
 
 
 def _solve_interior(dom: Domain, blocks, u, source, tol: float, lu: psolve._ReusedLU):

@@ -527,7 +527,8 @@ def solve_p_laplace(
         # the gradient, the tensor blocks and the Jacobian each go once the
         # next is formed: the line search reads only the step
         grad = gradient(as_field(u_flat)).values
-        blocks = gamma.values[..., None, None] * flux_derivative(grad, p, _EPS_REG)
+        blocks = flux_derivative(grad, p, _EPS_REG)
+        blocks *= gamma.values[..., None, None]
         del grad
         jac, _ = anisotropic_operator(dom, blocks, boundary=False)
         del blocks

@@ -599,13 +599,14 @@ def _report_files(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("order", [8, 16])
 def test_recover_sample_cold_and_warm_runs_identical(tmp_path, order):
-    # the first run builds the jet tables (the levels of the slice ranges
-    # and batches included) from empty caches, the second reads them
+    # the first run builds the jet tables from empty caches, every cache of
+    # the module, and the second reads them
     sample = (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "recover.cfg").read_text()
     cfg = _write(tmp_path, "r.cfg", sample.replace("\norder = 8\n", f"\norder = {order}\n"))
-    jets._product_triples.cache_clear()
-    jets._division_levels.cache_clear()
-    jets._batch_levels.cache_clear()
+    caches = [f for f in vars(jets).values() if callable(getattr(f, "cache_clear", None))]
+    assert jets._product_triples in caches and jets._division_levels in caches
+    for cache in caches:
+        cache.cache_clear()
     runs = []
     for run in ("cold", "warm"):
         assert main(["recover", "--config", cfg, "--out", str(tmp_path / run)]) == 0

@@ -568,6 +568,36 @@ def _same_floats(got, want):
 _BATCH_P = [1.3, 1.7, 2.5, 3.0, 6.0, 1.35, 1.5, 2.9, 4.0, 8.0]
 
 
+def test_division_levels_are_one_table_per_jet_shape(monkeypatch):
+    # the order-16 sample recovery divides and takes powers on whole jets and
+    # on the slice ranges m - 1..m of every order, in batches of 5 and of 4:
+    # the level table is cached once per (nvars, order) all the same
+    shapes = set()
+    table = jets._division_levels
+
+    def spy(nvars, order):
+        shapes.add((nvars, order))
+        return table(nvars, order)
+
+    monkeypatch.setattr(jets, "_division_levels", spy)
+    table.cache_clear()
+    sc = _sample_scenario(np.array([1.3, 1.7, 2.5, 3.0, 6.0]), 16)
+    run_recovery(synthesize_measurements(*oracle_tilted_profile(sc), sc.p))
+    assert (3, 16) in shapes
+    assert table.cache_info().currsize == len(shapes)
+    # every level of every slice range is a view of the one table
+    nvars, order = 3, 16
+    ia = table(nvars, order)[0]
+    graded = jets._multi_indices(nvars, order)[2]
+    coeffs = np.ones((2, (order + 1) ** nvars))
+    for lo in range(order + 1):
+        for hi in range(lo, order + 1):
+            levels = list(jets._graded_levels(nvars, order, coeffs, lambda nb, nd, gb: gb, (lo, hi)))
+            assert [d for d, *_ in levels] == list(range(max(lo, 1), order + 1))
+            for _, targets, level_ia, _, _ in levels:
+                assert np.shares_memory(level_ia, ia) and np.shares_memory(targets, graded)
+
+
 def test_batched_recovery_equals_one_p_recoveries_bitwise():
     sc = _sample_scenario(np.array(_BATCH_P), 8)
     gj, uj = oracle_tilted_profile(sc)
